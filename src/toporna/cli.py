@@ -370,6 +370,8 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
     cls_ = _class_of(args)
     method = "enumerative" if args.enumerative else "grammar"
     meta = _base_meta(
@@ -407,6 +409,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if args.n < 0:
+        raise ValueError("--n must be nonnegative")
+    if args.max_genus < 0:
+        raise ValueError("--max-genus must be nonnegative")
     _check_ceiling(args.n, args)
     meta = _base_meta(
         args,

@@ -14,10 +14,13 @@ and the loop statistics used to cross-check marked generating functions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 Arc = tuple[int, int]
+
+#: Loop kinds tallied by :func:`loop_counts`, in report order.
+LOOP_KINDS = ("stack", "hairpin", "bulge", "interior", "multi")
 
 #: Bracket pairs available for dot-bracket output, lowest page first.
 PAGES: tuple[str, ...] = ("()", "[]", "{}", "<>") + tuple(
@@ -105,45 +108,43 @@ def arcs_cross(a: Arc, b: Arc) -> bool:
     return (i < k < j < l) or (k < i < l < j)
 
 
-def boundary_components(n: int, partner: list[int]) -> int:
-    """Count boundary components of the thickened diagram.
+def _rotation(n: int, partner: list[int]) -> list[int]:
+    """Rotation system of the thickened diagram, as a successor table.
 
     Half-edges are numbered so that reversal is a bit flip: backbone edge
     v -> v+1 owns halves 2(v-1) and 2(v-1)+1, and the a-th arc (sorted by
     left endpoint) owns halves B0+2a and B0+2a+1 with B0 = 2(n-1).  At each
     vertex the counterclockwise order is (right backbone, arc, left
-    backbone); faces are the orbits of the composition of that rotation
-    with half-edge reversal.
+    backbone); ``sigma_next[h]`` is the half after ``h`` in that order.
+    Faces are the orbits of ``h -> sigma_next[h ^ 1]``.
     """
-    if n == 0:
-        return 1
-    arcs = [
-        (v, partner[v])
-        for v in range(1, n + 1)
-        if partner[v] > v
-    ]
-    base = 2 * (n - 1)
-    total = base + 2 * len(arcs)
-    if total == 0:
-        return 1
+    half = 2 * (n - 1)
     arc_half = [0] * (n + 1)
-    for a, (i, j) in enumerate(arcs):
-        arc_half[i] = base + 2 * a
-        arc_half[j] = base + 2 * a + 1
-    sigma_next = [0] * total
     for v in range(1, n + 1):
-        cycle = []
-        if v < n:
-            cycle.append(2 * (v - 1))
+        if partner[v] > v:
+            arc_half[v] = half
+            arc_half[partner[v]] = half + 1
+            half += 2
+    sigma_next = [0] * half
+    for v in range(1, n + 1):
+        cycle = [2 * (v - 1)] if v < n else []
         if partner[v]:
             cycle.append(arc_half[v])
         if v > 1:
             cycle.append(2 * (v - 2) + 1)
         for t, h in enumerate(cycle):
             sigma_next[h] = cycle[(t + 1) % len(cycle)]
-    seen = bytearray(total)
+    return sigma_next
+
+
+def boundary_components(n: int, partner: list[int]) -> int:
+    """Count boundary components of the thickened diagram (see :func:`_rotation`)."""
+    sigma_next = _rotation(n, partner) if n else []
+    if not sigma_next:
+        return 1
+    seen = bytearray(len(sigma_next))
     faces = 0
-    for start in range(total):
+    for start in range(len(sigma_next)):
         if seen[start]:
             continue
         faces += 1
@@ -482,28 +483,39 @@ def loop_counts(diagram: Diagram, *, literal_multi: bool = False) -> dict[str, i
 
     The stack count is the number of maximal runs of parallel arcs.
     """
-    n = diagram.n
-    partner = diagram.partner()
-    counts = {"stack": 0, "hairpin": 0, "bulge": 0, "interior": 0, "multi": 0}
-    for i, j in diagram.arcs:
+    arcs = diagram.arcs
+    involved = sorted({
+        v
+        for a in range(len(arcs))
+        for b in range(a + 1, len(arcs))
+        if arcs_cross(arcs[a], arcs[b])
+        for v in (*arcs[a], *arcs[b])
+    })
+    counts = dict.fromkeys(LOOP_KINDS, 0)
+    _tally_loops(diagram.n, diagram.partner(), arcs, involved, counts, literal_multi)
+    return counts
+
+
+def _tally_loops(
+    n: int,
+    partner: list[int],
+    arcs: list[Arc] | tuple[Arc, ...],
+    involved: list[int],
+    counts: dict[str, int],
+    literal_multi: bool = False,
+) -> None:
+    """Add the stack and loop tallies of one structure to ``counts``.
+
+    ``involved`` is the sorted list of endpoints of every crossing arc;
+    see :func:`loop_counts` for the loop kinds and ``literal_multi``.
+    """
+    for i, j in arcs:
         if not (i > 1 and j < n and partner[i - 1] == j + 1):
             counts["stack"] += 1
-    involved = [0] * (n + 1)
-    arcs = diagram.arcs
-    for a in range(len(arcs)):
-        for b in range(a + 1, len(arcs)):
-            if arcs_cross(arcs[a], arcs[b]):
-                for v in (*arcs[a], *arcs[b]):
-                    involved[v] = 1
-    crossing_below = [0, *accumulate(involved[1:])]
-
-    def has_crossing(lo: int, hi: int) -> bool:
-        return crossing_below[hi] - crossing_below[lo - 1] > 0
 
     for i, j in arcs:
         v = i + 1
         children: list[Arc] = []
-        intact = True
         while v < j:
             p = partner[v]
             if p == 0:
@@ -512,24 +524,22 @@ def loop_counts(diagram: Diagram, *, literal_multi: bool = False) -> dict[str, i
                 children.append((v, p))
                 v = p + 1
             else:
-                intact = False
                 break
-        if not intact:
-            continue
-        if not children:
-            counts["hairpin"] += 1
-        elif len(children) == 1:
-            (cl, cr) = children[0]
-            gaps = (cl - i - 1 > 0) + (j - cr - 1 > 0)
-            if gaps == 1:
-                counts["bulge"] += 1
-            elif gaps == 2:
-                counts["interior"] += 1
-        else:
-            deep = sum(1 for cl, cr in children if has_crossing(cl, cr))
-            if literal_multi or deep <= 1:
+        else:  # no arc leaves the interior, so (i, j) closes a loop
+            if not children:
+                counts["hairpin"] += 1
+            elif len(children) == 1:
+                cl, cr = children[0]
+                gaps = (cl > i + 1) + (cr < j - 1)
+                if gaps == 1:
+                    counts["bulge"] += 1
+                elif gaps == 2:
+                    counts["interior"] += 1
+            elif literal_multi or sum(
+                bisect_right(involved, cr) > bisect_left(involved, cl)
+                for cl, cr in children
+            ) <= 1:
                 counts["multi"] += 1
-    return counts
 
 
 def stem_count(diagram: Diagram) -> int:

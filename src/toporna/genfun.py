@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .diagram import LOOP_KINDS
 from .recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
 from .series import (
     BivariateSeries,
@@ -27,8 +28,6 @@ from .series import (
     XYPolynomial,
     YJet,
 )
-
-LOOP_KINDS = ("stack", "hairpin", "bulge", "interior", "multi")
 
 
 @dataclass(frozen=True)

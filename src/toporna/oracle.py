@@ -1,12 +1,14 @@
 """Brute-force enumeration used to cross-check every generating function.
 
 The workhorse is a vertex-by-vertex backtracking search over partial
-matchings.  It tracks the genus of the growing diagram incrementally: the
-boundary components of the current fatgraph are labelled once per branch
-node, and pairing two vertices raises the genus exactly when their
-insertion corners lie on different boundary components.  Together with
-early checks for undersized stacks and short hairpins this keeps the search
-tree close to the set of structures actually counted.
+matchings.  It tracks the genus of the growing diagram incrementally:
+before pairing the lowest undecided vertex v, the search walks the one
+boundary component through v's insertion corner and marks the free
+vertices whose corners lie on it.  Pairing v with a marked vertex splits
+that component and keeps the genus; pairing it with an unmarked one merges
+two components and raises the genus by one.  Together with early checks
+for undersized stacks and short hairpins this keeps the search tree close
+to the set of structures actually counted.
 
 Census results are plain nested dicts so tests can compare them wholesale
 against coefficient data from the generating function modules.
@@ -17,58 +19,43 @@ from __future__ import annotations
 import multiprocessing
 from typing import Iterator
 
-from .diagram import Arc, Diagram, classify_component
+from .diagram import (
+    LOOP_KINDS,
+    Arc,
+    Diagram,
+    _rotation,
+    _tally_loops,
+    classify_component,
+)
 
 PK_LABELS = ("H", "K", "L", "M", "higher")
-LOOP_KINDS = ("stack", "hairpin", "bulge", "interior", "multi")
 
 #: Shared cache mapping a relabelled crossing component to its pk label.
 _pattern_cache: dict[tuple[Arc, ...], str] = {}
 
 
-def _free_vertex_corners(
-    n: int, partner: list[int], arcs: list[Arc]
-) -> list[int]:
-    """Label each free vertex with the boundary component at its arc slot.
+def _corner_face(n: int, partner: list[int], v: int) -> bytearray:
+    """Mark the vertices whose insertion corner lies on v's corner face.
 
-    Pairing two free vertices whose labels differ merges two boundary
-    components and raises the genus by one; equal labels split a component
-    and leave the genus unchanged.
+    Requires ``v < n`` with v unpaired.  The corner of a free vertex
+    u < n is entered by backbone half 2u - 1 (the edge from u + 1 into u),
+    and that of u = n by half 2n - 4 (the edge from n - 1 into n); see
+    :func:`toporna.diagram._rotation` for the numbering.
     """
+    sigma_next = _rotation(n, partner)
     base = 2 * (n - 1)
-    total = base + 2 * len(arcs)
-    sigma_next = [0] * total
-    arc_half = {}
-    for a, (i, j) in enumerate(arcs):
-        arc_half[i] = base + 2 * a
-        arc_half[j] = base + 2 * a + 1
-    for v in range(1, n + 1):
-        cycle = []
-        if v < n:
-            cycle.append(2 * (v - 1))
-        half = arc_half.get(v)
-        if half is not None:
-            cycle.append(half)
-        if v > 1:
-            cycle.append(2 * (v - 2) + 1)
-        for t, h in enumerate(cycle):
-            sigma_next[h] = cycle[(t + 1) % len(cycle)]
-    face_id = [-1] * total
-    faces = 0
-    for start in range(total):
-        if face_id[start] >= 0:
-            continue
-        h = start
-        while face_id[h] < 0:
-            face_id[h] = faces
-            h = sigma_next[h ^ 1]
-        faces += 1
-    corners = [0] * (n + 1)
-    for v in range(1, n + 1):
-        if partner[v] == 0:
-            slot = 2 * (v - 1) if v < n else 2 * (v - 2) + 1
-            corners[v] = face_id[slot ^ 1]
-    return corners
+    last_corner = 2 * n - 4
+    on_face = bytearray(n + 1)
+    start = h = 2 * v - 1
+    while True:
+        if h < base:
+            if h & 1:
+                on_face[(h + 1) >> 1] = 1
+            elif h == last_corner:
+                on_face[n] = 1
+        h = sigma_next[h ^ 1]
+        if h == start:
+            return on_face
 
 
 def _classify_key(key: tuple[Arc, ...]) -> str:
@@ -92,7 +79,6 @@ def _leaf_statistics(
     row["arcs"] += num
     hist = row["arc_hist"]
     hist[num] = hist.get(num, 0) + 1
-    loops = row["loops"]
 
     crossing = [0] * num
     comp = list(range(num))
@@ -110,45 +96,8 @@ def _leaf_statistics(
                         if comp[t] == ra:
                             comp[t] = rb
 
-    # stacks: maximal runs of parallel arcs
-    for i, j in arcs:
-        if not (i > 1 and j < n and partner[i - 1] == j + 1):
-            loops["stack"] += 1
-
-    for i, j in arcs:
-        v = i + 1
-        children: list[Arc] = []
-        intact = True
-        while v < j:
-            p = partner[v]
-            if p == 0:
-                v += 1
-            elif v < p < j:
-                children.append((v, p))
-                v = p + 1
-            else:
-                intact = False
-                break
-        if not intact:
-            continue
-        if not children:
-            loops["hairpin"] += 1
-        elif len(children) == 1:
-            cl, cr = children[0]
-            gaps = (cl > i + 1) + (cr < j - 1)
-            if gaps == 1:
-                loops["bulge"] += 1
-            elif gaps == 2:
-                loops["interior"] += 1
-        else:
-            deep = 0
-            for cl, cr in children:
-                if any(cl <= w <= cr for w in involved):
-                    deep += 1
-                    if deep > 1:
-                        break
-            if deep <= 1:
-                loops["multi"] += 1
+    involved.sort()
+    _tally_loops(n, partner, arcs, involved, row["loops"])
 
     pk = row["pk"]
     seen_roots: dict[int, list[int]] = {}
@@ -172,27 +121,27 @@ def _new_row() -> dict:
     }
 
 
-def _census_search(
+def _structures(
     n: int,
     min_arc: int,
     min_stack: int,
     max_genus: int,
-    rows: dict[int, dict],
     first_choice: int | None = None,
-) -> None:
-    """Run the backtracking census, tallying leaves into ``rows``.
+) -> Iterator[tuple[int, list[int], list[Arc]]]:
+    """Yield ``(genus, partner, arcs)`` for every valid structure on ``n`` vertices.
 
+    The buffers are live: they change once the consumer resumes the
+    search, so copy what must outlive a step.  The deterministic order
+    pairs the lowest free vertex last, so the empty diagram comes first.
+    Structures of genus above ``max_genus`` are pruned during the search.
     ``first_choice`` restricts the decision at vertex 1 (0 for unpaired,
     otherwise the partner vertex); used to split the tree across workers.
     """
-    if n == 0:
-        _leaf_statistics(0, [0], [], rows[0])
-        return
     partner = [0] * (n + 1)
     run_len = [0] * (n + 1)
     arcs: list[Arc] = []
 
-    def descend(v: int, genus: int) -> None:
+    def descend(v: int, genus: int) -> Iterator[tuple[int, list[int], list[Arc]]]:
         while v <= n and partner[v]:
             i = partner[v]
             if v - i < min_arc and all(partner[t] == 0 for t in range(i + 1, v)):
@@ -203,13 +152,13 @@ def _census_search(
                     return
             v += 1
         if v > n:
-            _leaf_statistics(n, partner, arcs, rows[genus])
+            yield genus, partner, arcs
             return
         wrap = partner[v - 1] if v > 1 else 0
         blocked = wrap > v and run_len[v - 1] < min_stack
         if not blocked:
-            descend(v + 1, genus)
-        corners = _free_vertex_corners(n, partner, arcs) if arcs else None
+            yield from descend(v + 1, genus)
+        on_face = _corner_face(n, partner, v) if arcs and v < n else None
         for u in range(v + 1, n + 1):
             if partner[u]:
                 continue
@@ -217,7 +166,7 @@ def _census_search(
                 continue
             if u == v + 1 and min_arc > 1:
                 continue
-            g2 = genus if corners is None else genus + (corners[v] != corners[u])
+            g2 = genus if on_face is None or on_face[u] else genus + 1
             if g2 > max_genus:
                 continue
             rl = run_len[v - 1] + 1 if v > 1 and partner[v - 1] == u + 1 else 1
@@ -227,15 +176,15 @@ def _census_search(
             partner[u] = v
             run_len[v] = rl
             arcs.append((v, u))
-            descend(v + 1, g2)
+            yield from descend(v + 1, g2)
             arcs.pop()
             partner[v] = 0
             partner[u] = 0
 
     if first_choice is None:
-        descend(1, 0)
+        yield from descend(1, 0)
     elif first_choice == 0:
-        descend(2, 0)
+        yield from descend(2, 0)
     else:
         u = first_choice
         if u == 2 and (min_arc > 1 or min_stack > 1):
@@ -244,13 +193,14 @@ def _census_search(
         partner[u] = 1
         run_len[1] = 1
         arcs.append((1, u))
-        descend(2, 0)
+        yield from descend(2, 0)
 
 
 def _census_worker(args) -> dict[int, dict]:
     n, min_arc, min_stack, max_genus, choice = args
     rows = {g: _new_row() for g in range(max_genus + 1)}
-    _census_search(n, min_arc, min_stack, max_genus, rows, first_choice=choice)
+    for genus, partner, arcs in _structures(n, min_arc, min_stack, max_genus, choice):
+        _leaf_statistics(n, partner, arcs, rows[genus])
     return rows
 
 
@@ -287,16 +237,15 @@ def full_census(
         processes: optional worker count; the tree is split on the first
             vertex's decision.
     """
-    rows = {g: _new_row() for g in range(max_genus + 1)}
     if processes and processes > 1 and n >= 2:
+        rows = {g: _new_row() for g in range(max_genus + 1)}
         tasks = [(n, min_arc, min_stack, max_genus, 0)]
         tasks += [(n, min_arc, min_stack, max_genus, u) for u in range(2, n + 1)]
         with multiprocessing.Pool(processes) as pool:
             for part in pool.imap_unordered(_census_worker, tasks):
                 _merge_rows(rows, part)
         return rows
-    _census_search(n, min_arc, min_stack, max_genus, rows)
-    return rows
+    return _census_worker((n, min_arc, min_stack, max_genus, None))
 
 
 def count_table(
@@ -324,62 +273,14 @@ def enumerate_diagrams(
     """Yield every valid structure on ``n`` vertices, optionally by genus.
 
     The deterministic order pairs the lowest free vertex last, so the empty
-    diagram comes first.  This generator favours clarity over speed; the
-    census path is the optimized one.
+    diagram comes first.  This runs the same search as :func:`full_census`.
     """
     if genus is not None and max_genus is None:
         max_genus = genus
     cap = max_genus if max_genus is not None else n // 2
-    if n == 0:
-        if genus in (None, 0):
-            yield Diagram(0)
-        return
-    partner = [0] * (n + 1)
-    run_len = [0] * (n + 1)
-    arcs: list[Arc] = []
-
-    def descend(v: int, g: int) -> Iterator[Diagram]:
-        while v <= n and partner[v]:
-            i = partner[v]
-            if v - i < min_arc and all(partner[t] == 0 for t in range(i + 1, v)):
-                return
-            if v > 1:
-                w = partner[v - 1]
-                if w > v and run_len[v - 1] < min_stack:
-                    return
-            v += 1
-        if v > n:
-            if genus is None or g == genus:
-                yield Diagram(n, tuple(arcs))
-            return
-        wrap = partner[v - 1] if v > 1 else 0
-        blocked = wrap > v and run_len[v - 1] < min_stack
-        if not blocked:
-            yield from descend(v + 1, g)
-        corners = _free_vertex_corners(n, partner, arcs) if arcs else None
-        for u in range(v + 1, n + 1):
-            if partner[u]:
-                continue
-            if blocked and u != wrap - 1:
-                continue
-            if u == v + 1 and min_arc > 1:
-                continue
-            g2 = g if corners is None else g + (corners[v] != corners[u])
-            if g2 > cap:
-                continue
-            rl = run_len[v - 1] + 1 if v > 1 and partner[v - 1] == u + 1 else 1
-            if u == v + 1 and rl < min_stack:
-                continue
-            partner[v] = u
-            partner[u] = v
-            run_len[v] = rl
-            arcs.append((v, u))
-            yield from descend(v + 1, g2)
-            arcs.pop()
-            partner[v] = 0
-            partner[u] = 0
-
-    yield from descend(1, 0)
+    for g, _, arcs in _structures(n, min_arc, min_stack, cap):
+        if genus is None or g == genus:
+            yield Diagram(n, tuple(arcs))
 
 
 def _matching_search(
@@ -413,13 +314,13 @@ def _matching_search(
         if v > n:
             yield Diagram(n, tuple(arcs)), genus
             return
-        corners = _free_vertex_corners(n, partner, arcs) if arcs else None
+        on_face = _corner_face(n, partner, v) if arcs and v < n else None
         for u in range(v + 2, n + 1):
             if partner[u]:
                 continue
             if v > 1 and partner[v - 1] == u + 1:
                 continue  # would stack onto the enclosing arc
-            g2 = genus if corners is None else genus + (corners[v] != corners[u])
+            g2 = genus if on_face is None or on_face[u] else genus + 1
             if max_genus is not None and g2 > max_genus:
                 continue
             new_crossed = False

@@ -19,8 +19,14 @@ from itertools import accumulate
 
 from mpmath import mp
 
-from .diagram import Diagram, classify_component, crossing_components, loop_counts
-from .genfun import LOOP_KINDS, StructureClass
+from .diagram import (
+    LOOP_KINDS,
+    Diagram,
+    classify_component,
+    crossing_components,
+    loop_counts,
+)
+from .genfun import StructureClass
 from .oracle import PK_LABELS, enumerate_diagrams, enumerate_shapes
 
 __all__ = [

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from toporna.cli import main
 from toporna.diagram import parse_structure
 from toporna.genfun import StructureClass, pk_marked_dg_jet, expected_marks
@@ -195,3 +197,18 @@ def test_error_exits(capsys):
         code, _, err = run(capsys, *case)
         assert code == 2, case
         assert err.startswith("error:"), case
+
+
+@pytest.mark.parametrize(
+    "case, flag",
+    [
+        (("census", "--n", "-1"), "--n"),
+        (("census", "--n", "4", "--max-genus", "-1"), "--max-genus"),
+        (("sample", "--n", "10", "--count", "-1"), "--count"),
+    ],
+)
+def test_oracle_inputs_rejected_by_flag(capsys, case, flag):
+    code, out, err = run(capsys, *case)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")

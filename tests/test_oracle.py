@@ -5,15 +5,18 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toporna.diagram import (
     Diagram,
     crossing_components,
     classify_component,
+    genus_of_partner,
     loop_counts,
     satisfies_constraints,
 )
 from toporna.oracle import (
+    _corner_face,
     count_table,
     enumerate_diagrams,
     enumerate_shadows,
@@ -168,3 +171,27 @@ def test_shadows_are_shapes_with_all_arcs_crossing():
         assert project_shadow(d) == d
         for arc in d.arcs:
             assert any(arcs_cross(arc, other) for other in d.arcs if other != arc)
+
+
+@st.composite
+def _partner_with_free_pair(draw):
+    """A random partial matching on n <= 12 vertices with two free vertices."""
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(1, n + 1)))
+    num_arcs = draw(st.integers(0, (n - 2) // 2))
+    partner = [0] * (n + 1)
+    for t in range(num_arcs):
+        i, j = order[2 * t], order[2 * t + 1]
+        partner[i], partner[j] = j, i
+    free = [x for x in range(1, n + 1) if partner[x] == 0]
+    return n, partner, free[0], draw(st.sampled_from(free[1:]))
+
+
+@given(_partner_with_free_pair())
+def test_genus_step_follows_the_corner_face(case):
+    n, partner, v, u = case
+    before = genus_of_partner(n, partner).genus
+    on_face = _corner_face(n, partner, v)
+    partner[v], partner[u] = u, v
+    after = genus_of_partner(n, partner).genus
+    assert after - before == (0 if on_face[u] else 1)
