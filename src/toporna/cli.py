@@ -35,13 +35,32 @@ GRAMMAR_LENGTH_CAP = 200
 # -- output plumbing -------------------------------------------------------
 
 
+#: Ints below this many bits print with plain ``str``: they stay under 640
+#: digits, the lowest digit limit CPython lets a program set.
+_STR_SAFE_BITS = 2000
+
+
+def _decimal(value: int) -> str:
+    """Decimal digits of an int of any length.
+
+    ``str`` refuses ints beyond the interpreter's digit limit (4300 by
+    default), which guards the parsing of input.  Longer ints are split at
+    a power of ten into halves that are printed separately.
+    """
+    if value.bit_length() < _STR_SAFE_BITS:
+        return str(value)
+    if value < 0:
+        return "-" + _decimal(-value)
+    half = value.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(value, 10**half)
+    return _decimal(high) + _decimal(low).rjust(half, "0")
+
+
 def _jsonable(value):
     if isinstance(value, bool):
         return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (int, Fraction)):
+        return _text(value)
     if isinstance(value, float):
         return value
     if isinstance(value, dict):
@@ -100,10 +119,12 @@ def _emit(args, meta: dict, rows=None, values=None, lines=None) -> None:
 
 
 def _text(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, int):
+        return _decimal(value)
+    if isinstance(value, Fraction):
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
     return str(value)
 
 
@@ -118,6 +139,11 @@ def _base_meta(args, command: str, **extra) -> dict:
     meta = {"command": command, "format": args.format}
     meta.update(extra)
     return meta
+
+
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
 def _check_ceiling(n: int, args) -> None:
@@ -145,6 +171,8 @@ def _structures(args) -> list[tuple[str, object]]:
 
 
 def _cmd_count(args) -> int:
+    _at_least("n", args.n, 0)
+    _at_least("--genus", args.genus, 0)
     cls_ = _class_of(args)
     meta = _base_meta(
         args, "count", n=args.n, genus=args.genus, min_arc=args.lam, min_stack=args.r
@@ -188,6 +216,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    _at_least("--order", args.order, 1)
+    _at_least("--genus", args.genus, 0)
     cls_ = _class_of(args)
     meta = _base_meta(
         args,
@@ -345,6 +375,8 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_expect(args) -> int:
+    _at_least("--n", args.n, 0)
+    _at_least("--genus", args.genus, 1)
     cls_ = _class_of(args)
     meta = _base_meta(
         args,
@@ -370,8 +402,7 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be at least 1")
+    _at_least("--count", args.count, 1)
     cls_ = _class_of(args)
     method = "enumerative" if args.enumerative else "grammar"
     meta = _base_meta(
@@ -409,10 +440,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
-    if args.max_genus < 0:
-        raise ValueError("--max-genus must be nonnegative")
+    _at_least("--n", args.n, 0)
+    _at_least("--max-genus", args.max_genus, 0)
     _check_ceiling(args.n, args)
     meta = _base_meta(
         args,

@@ -9,6 +9,15 @@ series together with its first two derivatives in a marker variable y
 evaluated at y = 1, which is enough to read off exact expectations and
 variances of the marked statistic.
 
+Two kinds of family live here.  The algebraic ones, :func:`d0_series`,
+:func:`dg_series` and :func:`pk_marked_dg_jet`, are computed exactly in
+Q(x)(S), with S the square root of the discriminant at y = 1, as
+:class:`~toporna.series.AlgebraicSeries`, and expanded only at the end.  The
+arc-marked jets (:func:`d0_jet`, :func:`dg_jet`, :func:`dg_via_chords`), the
+loop-marked jets and the bivariate series (:func:`dg_bivariate`,
+:func:`arc_distribution`) stay on truncated-series arithmetic; they are the
+independent route the algebraic families are checked against.
+
 Everything here is exact; coefficients are ints (occasionally Fractions in
 intermediate steps).  Results are truncated power series in x, where x
 counts vertices.
@@ -22,6 +31,7 @@ from fractions import Fraction
 from .diagram import LOOP_KINDS
 from .recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
 from .series import (
+    AlgebraicSeries,
     BivariateSeries,
     Polynomial,
     TruncatedSeries,
@@ -82,43 +92,57 @@ def _arc_marker_jet(r: int, order: int) -> YJet:
     return YJet.marker_power(r, order).shift(2 * r)
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+
+
+def _d0(cls_: StructureClass) -> AlgebraicSeries:
+    """The genus-0 series (B - S) / (2 x^(2r)) at y = 1, with S^2 the discriminant."""
+    r = cls_.min_stack
+    b = core_polys(cls_)[1].at_y(1)
+    delta = discriminant_poly(cls_).at_y(1)
+    return AlgebraicSeries(delta, b, Polynomial([-1]), Polynomial.x_power(2 * r) * 2)
+
+
+def _stack_substitution(cls_: StructureClass, d0: AlgebraicSeries) -> AlgebraicSeries:
+    """w = x^(2r) D0^2 / (1 - x^2 - x^(2r) (D0^2 - 1)), the series each shape arc becomes."""
+    x2r = AlgebraicSeries(d0.delta, Polynomial.x_power(2 * cls_.min_stack))
+    x2 = AlgebraicSeries(d0.delta, Polynomial.x_power(2))
+    return x2r * d0 * d0 / (1 - x2 - x2r * (d0 * d0 - 1))
+
+
 def d0_series(cls_: StructureClass, order: int) -> TruncatedSeries:
     """Genus-0 structure counts by length (marker set to 1)."""
-    r = cls_.min_stack
-    wide = order + 2 * r
-    a, b = core_polys(cls_)
-    av = a.at_y(1).to_series(wide)
-    bv = b.at_y(1).to_series(wide)
-    disc = bv * bv - TruncatedSeries.x_power(2 * r, wide) * av * 4
-    return (bv - disc.sqrt()).shifted_down(2 * r) / 2
+    _check_order(order)
+    return _d0(cls_).series(order)
 
 
 def d0_jet(cls_: StructureClass, order: int) -> YJet:
     """Genus-0 series with the marker counting arcs."""
     r = cls_.min_stack
-    wide = order + 2 * r
     a, b = core_polys(cls_)
+    inner = max(order, b.x_degree() + 1 - 2 * r)  # room for every term of B
+    wide = inner + 2 * r
     aj = YJet.from_xy_poly(a, wide)
     bj = YJet.from_xy_poly(b, wide)
     disc = bj * bj - _arc_marker_jet(r, wide) * aj * 4
     num = bj - disc.sqrt()
-    return num.shifted_down(2 * r) / YJet.constant(2, 2 * r, 2 * r * (r - 1), order)
+    two = YJet.constant(2, 2 * r, 2 * r * (r - 1), inner)
+    return (num.shifted_down(2 * r) / two).truncate(order)
 
 
 def dg_series(cls_: StructureClass, genus: int, order: int) -> TruncatedSeries:
     """Genus-g structure counts by length."""
+    _check_order(order)
+    if genus < 0:
+        raise ValueError(f"genus must be nonnegative, got {genus}")
+    d0 = _d0(cls_)
     if genus == 0:
-        return d0_series(cls_, order)
+        return d0.series(order)
     _require_inflatable(cls_)
-    r = cls_.min_stack
-    d0 = d0_series(cls_, order)
-    x2r = TruncatedSeries.x_power(2 * r, order)
-    x2 = TruncatedSeries.x_power(2, order)
-    w = x2r * d0 * d0 / (1 - x2 - x2r * (d0 * d0 - 1))
-    acc = TruncatedSeries.zero(order)
-    for c in reversed(shape_poly(genus).coeffs):
-        acc = acc * w + c
-    return d0 * acc
+    w = _stack_substitution(cls_, d0)
+    return (d0 * _horner(shape_poly(genus), w)).series(order)
 
 
 def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
@@ -130,20 +154,14 @@ def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
     arc1 = _arc_marker_jet(1, order)
     arcr = _arc_marker_jet(cls_.min_stack, order)
     w = arcr * d0 * d0 / (1 - arc1 - arcr * (d0 * d0 - 1))
-    return d0 * _jet_horner(shape_poly(genus), w)
+    return d0 * _horner(shape_poly(genus), w)
 
 
-def _jet_horner(poly: Polynomial, w: YJet) -> YJet:
-    acc = YJet.plain(TruncatedSeries.zero(w.order))
+def _horner(poly: Polynomial, w):
+    """``poly`` evaluated at ``w``, a YJet or an AlgebraicSeries."""
+    acc = w * 0
     for c in reversed(poly.coeffs):
         acc = acc * w + c
-    return acc
-
-
-def _series_horner(poly: Polynomial, s: TruncatedSeries) -> TruncatedSeries:
-    acc = TruncatedSeries.zero(s.order)
-    for c in reversed(poly.coeffs):
-        acc = acc * s + c
     return acc
 
 
@@ -271,7 +289,7 @@ def loop_marked_dg_jet(
     _require_inflatable(cls_)
     z = loop_marked_d0_jet(cls_, kind, order)
     h = _loop_substitution(cls_, kind, z, order)
-    return z * _jet_horner(shape_poly(genus), h)
+    return z * _horner(shape_poly(genus), h)
 
 
 def pk_marked_dg_jet(
@@ -286,18 +304,13 @@ def pk_marked_dg_jet(
     if kind not in MARK_KINDS:
         raise ValueError(f"unknown block kind {kind!r}")
     if genus < 1:
-        raise ValueError("block marking needs genus >= 1")
+        raise ValueError(f"block marking needs genus at least 1, got {genus}")
+    _check_order(order)
     _require_inflatable(cls_)
-    r = cls_.min_stack
-    d0 = d0_series(cls_, order)
-    x2r = TruncatedSeries.x_power(2 * r, order)
-    x2 = TruncatedSeries.x_power(2, order)
-    v = x2r * d0 * d0 / (1 - x2 - x2r * (d0 * d0 - 1))
-    p0, p1, p2 = marked_shape_poly(genus, kind).y1_jets()
-    jet = YJet(
-        _series_horner(p0, v), _series_horner(p1, v), _series_horner(p2, v)
-    )
-    return YJet.plain(d0) * jet
+    d0 = _d0(cls_)
+    w = _stack_substitution(cls_, d0)
+    jets = marked_shape_poly(genus, kind).y1_jets()
+    return YJet(*((d0 * _horner(p, w)).series(order) for p in jets))
 
 
 def _biv_const(value, order: int) -> BivariateSeries:

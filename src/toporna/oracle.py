@@ -237,6 +237,8 @@ def full_census(
         processes: optional worker count; the tree is split on the first
             vertex's decision.
     """
+    if max_genus < 0:
+        raise ValueError(f"max_genus must be nonnegative, got {max_genus}")
     if processes and processes > 1 and n >= 2:
         rows = {g: _new_row() for g in range(max_genus + 1)}
         tasks = [(n, min_arc, min_stack, max_genus, 0)]
@@ -275,6 +277,9 @@ def enumerate_diagrams(
     The deterministic order pairs the lowest free vertex last, so the empty
     diagram comes first.  This runs the same search as :func:`full_census`.
     """
+    for name, value in (("genus", genus), ("max_genus", max_genus)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     if genus is not None and max_genus is None:
         max_genus = genus
     cap = max_genus if max_genus is not None else n // 2

@@ -6,24 +6,29 @@ otherwise; the integer fast path matters because the counting sequences in
 this package are integers and Python multiplies machine-word ints far faster
 than Fractions.
 
-Four layers:
+Five layers:
 
 * :class:`TruncatedSeries`, a univariate power series known up to a fixed
   truncation order,
 * :class:`Polynomial` and :class:`XYPolynomial`, exact polynomials in one
   and two variables,
+* :class:`AlgebraicSeries`, an exact element (p + q*S) / d of Q(x)(S) with
+  S = sqrt(delta) for a fixed integer polynomial delta with delta(0) = 1,
+  held untruncated and expanded to any order on request,
 * :class:`YJet`, a series-valued 2-jet in a marker variable, carrying the
   value and the first two derivatives at marker value 1,
 * :class:`BivariateSeries`, a series in the main variable whose coefficients
   are polynomials in the marker, for full joint distributions.
 
-Mixing series of different truncation orders is an error rather than a
-silent re-truncation.
+Mixing series of different truncation orders, or algebraic series over
+different radicands, is an error rather than a silent re-truncation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
@@ -31,6 +36,8 @@ Scalar = int | Fraction
 
 def _norm(value: Scalar) -> Scalar:
     """Collapse a Fraction with denominator 1 to a plain int."""
+    if type(value) is int:  # skips the slower abstract-class check on Fraction
+        return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
     return value
@@ -379,6 +386,153 @@ class Polynomial:
                 f"polynomial of degree {self.degree} does not fit order {order}"
             )
         return TruncatedSeries(self.coeffs, order)
+
+
+def _exact_quotient(num: int, den: int, what: str) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"{what} is not an integer: remainder {rem} mod {den}")
+    return q
+
+
+class AlgebraicSeries:
+    """An exact element (p + q*S) / d of Q(x)(S), where S = sqrt(delta).
+
+    ``delta`` is a fixed integer polynomial with delta(0) = 1, so S is the
+    power series with constant term 1.  p, q and d are integer polynomials
+    (d nonzero); after every operation they share no power of x and no
+    integer content.  Arithmetic is exact and never truncates; only
+    :meth:`series` expands the element, to any order, as a
+    :class:`TruncatedSeries` with integer coefficients.
+
+    Combining elements over different ``delta`` raises ``ValueError``.
+    """
+
+    __slots__ = ("delta", "p", "q", "d")
+
+    def __init__(
+        self,
+        delta: Polynomial,
+        p: Polynomial,
+        q: Polynomial | None = None,
+        d: Polynomial | None = None,
+    ):
+        q = Polynomial() if q is None else q
+        d = Polynomial([1]) if d is None else d
+        if delta.coeff(0) != 1:
+            raise ValueError("the radicand needs constant term 1")
+        if d.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        for poly in (delta, p, q, d):
+            if not all(type(c) is int for c in poly.coeffs):
+                raise TypeError("coefficients must be ints")
+        self.delta = delta
+        if p.is_zero() and q.is_zero():
+            self.p, self.q, self.d = p, q, Polynomial([1])
+            return
+        parts = (p.coeffs, q.coeffs, d.coeffs)
+        low = min(next(i for i, c in enumerate(cs) if c) for cs in parts if cs)
+        content = gcd(*(c for cs in parts for c in cs))
+        self.p, self.q, self.d = (
+            Polynomial([c // content for c in cs[low:]]) for cs in parts
+        )
+
+    def __repr__(self) -> str:
+        return f"AlgebraicSeries(p={self.p}, q={self.q}, d={self.d}, delta={self.delta})"
+
+    def _lift(self, other: object) -> AlgebraicSeries:
+        if isinstance(other, AlgebraicSeries):
+            if other.delta != self.delta:
+                raise ValueError(
+                    f"radicand mismatch: {self.delta} vs {other.delta}"
+                )
+            return other
+        if isinstance(other, int) and not isinstance(other, bool):
+            return AlgebraicSeries(self.delta, Polynomial([other]))
+        raise TypeError(f"expected an AlgebraicSeries or int, got {type(other).__name__}")
+
+    def __add__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
+        if type(other) is int:
+            return AlgebraicSeries(self.delta, self.p + self.d * other, self.q, self.d)
+        o = self._lift(other)
+        return AlgebraicSeries(
+            self.delta,
+            self.p * o.d + o.p * self.d,
+            self.q * o.d + o.q * self.d,
+            self.d * o.d,
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> AlgebraicSeries:
+        return AlgebraicSeries(self.delta, -self.p, -self.q, self.d)
+
+    def __sub__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other: int) -> AlgebraicSeries:
+        return self._lift(other) - self
+
+    def __mul__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
+        o = self._lift(other)
+        return AlgebraicSeries(
+            self.delta,
+            self.p * o.p + self.q * o.q * self.delta,
+            self.p * o.q + self.q * o.p,
+            self.d * o.d,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
+        """Division through the conjugate: 1/(p + qS) = (p - qS)/(p^2 - q^2 delta)."""
+        o = self._lift(other)
+        norm = o.p * o.p - o.q * o.q * self.delta
+        if norm.is_zero():
+            raise ZeroDivisionError("division by zero in Q(x)(S)")
+        return AlgebraicSeries(
+            self.delta,
+            (self.p * o.p - self.q * o.q * self.delta) * o.d,
+            (self.q * o.p - self.p * o.q) * o.d,
+            self.d * norm,
+        )
+
+    def __rtruediv__(self, other: int) -> AlgebraicSeries:
+        return self._lift(other) / self
+
+    def series(self, order: int) -> TruncatedSeries:
+        """Expansion up to ``x**(order-1)``.
+
+        S comes from the recurrence 2m s_m = sum_j delta_j (3j - 2m) s_(m-j),
+        the coefficient form of delta S' = delta' S / 2.  The numerator
+        p + qS is then divided by d: first by d's power of x, below which the
+        numerator must vanish, then by a recurrence on the rest.  Every
+        division is exact or raises ``ArithmeticError``.
+        """
+        if order < 1:
+            raise ValueError(f"order must be at least 1, got {order}")
+        dc = self.d.coeffs
+        low = next(i for i, c in enumerate(dc) if c)
+        length = order + low
+        steps = list(enumerate(self.delta.coeffs))[1:]
+        s = [1] + [0] * (length - 1)
+        for m in range(1, length):
+            acc = sum(c * (3 * j - 2 * m) * s[m - j] for j, c in steps if j <= m)
+            s[m] = _exact_quotient(acc, 2 * m, f"coefficient {m} of the square root")
+        num = self.p.coeffs[:length] + [0] * max(0, length - len(self.p.coeffs))
+        for i, qi in enumerate(self.q.coeffs[:length]):
+            if qi:
+                num[i:] = [a + qi * b for a, b in zip(num[i:], s)]
+        if any(num[:low]):
+            raise ArithmeticError(f"not a power series: the denominator has x**{low}")
+        num = num[low:]
+        head, tail = dc[low], dc[low + 1 :]
+        out = [0] * order
+        for m in range(order):
+            span = min(m, len(tail))
+            acc = num[m] - sum(map(mul, tail[:span], reversed(out[m - span : m])))
+            out[m] = _exact_quotient(acc, head, f"coefficient {m} of the quotient")
+        return TruncatedSeries(out, order)
 
 
 class XYPolynomial:

@@ -1,9 +1,20 @@
 """Shared pytest hooks.
 
 After the normal report, print one PASS/FAIL line per acceptance criterion,
-with the seconds its test call took, so the gate can be read off without
-scrolling through the full output.
+with the seconds its test call took against the criterion's budget (the
+``BUDGET_S`` mapping of test_acceptance.py), so the gate can be read off
+without scrolling through the full output.
 """
+
+import pytest
+
+_BUDGETS = pytest.StashKey[dict]()
+
+
+def pytest_collection_modifyitems(config, items):
+    budgets = config.stash.setdefault(_BUDGETS, {})
+    for item in items:
+        budgets.update(getattr(getattr(item, "module", None), "BUDGET_S", {}))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -30,6 +41,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         number, _, rest = name.partition("_")
         label = rest.replace("_", " ")
         verdict, seconds = results[name]
+        budget = config.stash.get(_BUDGETS, {}).get(int(number))
+        of = f" of {budget:g} s" if budget is not None else ""
         terminalreporter.write_line(
-            f"criterion {number} ({label}): {verdict} ({seconds:.1f} s)"
+            f"criterion {number} ({label}): {verdict} ({seconds:.1f} s{of})"
         )

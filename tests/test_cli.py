@@ -6,7 +6,12 @@ import pytest
 
 from toporna.cli import main
 from toporna.diagram import parse_structure
-from toporna.genfun import StructureClass, pk_marked_dg_jet, expected_marks
+from toporna.genfun import (
+    StructureClass,
+    expected_marks,
+    pk_marked_dg_jet,
+    structure_counts,
+)
 
 
 def run(capsys, *args):
@@ -212,3 +217,44 @@ def test_oracle_inputs_rejected_by_flag(capsys, case, flag):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize(
+    "case, flag",
+    [
+        (("count", "-1"), "n"),
+        (("count", "5", "--genus", "-1"), "--genus"),
+        (("series", "dg", "--order", "0"), "--order"),
+        (("series", "d0", "--order", "-3"), "--order"),
+        (("series", "dg", "--genus", "-1"), "--genus"),
+        (("series", "cg", "--genus", "-1", "--order", "5"), "--genus"),
+        (("expect", "--type", "H", "--n", "-1"), "--n"),
+        (("expect", "--type", "H", "--n", "10", "--genus", "0"), "--genus"),
+    ],
+)
+def test_series_inputs_rejected_by_flag(capsys, case, flag):
+    code, out, err = run(capsys, *case)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
+
+
+def _digits_to_int(text):
+    """Parse a decimal string of any length, 4000 digits at a time."""
+    value = 0
+    for start in range(0, len(text), 4000):
+        chunk = text[start : start + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_count_prints_beyond_the_int_digit_limit(capsys):
+    expect = structure_counts(StructureClass(1, 1), 2, 10001)[10000]
+    code, out, err = run(capsys, "count", "10000", "--genus", "2")
+    assert code == 0 and err == ""
+    text = out.splitlines()[-1].removeprefix("count: ")
+    assert len(text) > 4300
+    assert _digits_to_int(text) == expect
+    code, out, err = run(capsys, "count", "10000", "--genus", "2", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["values"]["count"] == text

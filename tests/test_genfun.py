@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toporna.genfun import (
     LOOP_KINDS,
@@ -23,7 +24,7 @@ from toporna.genfun import (
     structure_counts,
 )
 from toporna.oracle import full_census
-from toporna.recursions import MARK_KINDS
+from toporna.recursions import MARK_KINDS, marked_shape_poly
 from toporna.series import TruncatedSeries, YJet, XYPolynomial
 
 PLAIN = StructureClass(1, 1)
@@ -186,6 +187,14 @@ def test_parameter_validation():
         pk_marked_dg_jet(PLAIN, 0, "H", 8)
     with pytest.raises(ValueError):
         pk_marked_dg_jet(PLAIN, 1, "Z", 8)
+    with pytest.raises(ValueError, match="order"):
+        d0_series(PLAIN, 0)
+    with pytest.raises(ValueError, match="order"):
+        dg_series(PLAIN, 1, -3)
+    with pytest.raises(ValueError, match="genus"):
+        dg_series(PLAIN, -1, 8)
+    with pytest.raises(ValueError, match="order"):
+        pk_marked_dg_jet(PLAIN, 1, "H", 0)
 
 
 def test_bivariate_matches_jets():
@@ -233,3 +242,59 @@ def test_d0_growth_rate_plain():
     s = d0_series(PLAIN, 160)
     ratio = Fraction(s.coeff(159), s.coeff(158))
     assert Fraction(28, 10) < ratio < 3
+
+
+def _pk_reference(cls_, genus, kind, order):
+    """The block-marked jet by truncated-series arithmetic alone.
+
+    The same closed form as :func:`pk_marked_dg_jet`, D0 * P(w) for the value
+    and both marker derivatives of the marked shape polynomial P, with D0
+    taken from the arc-marked jet.
+    """
+    r = cls_.min_stack
+    d0 = d0_jet(cls_, order).value
+    x2r = TruncatedSeries.x_power(2 * r, order)
+    x2 = TruncatedSeries.x_power(2, order)
+    w = x2r * d0 * d0 / (1 - x2 - x2r * (d0 * d0 - 1))
+    parts = []
+    for poly in marked_shape_poly(genus, kind).y1_jets():
+        acc = TruncatedSeries.zero(order)
+        for c in reversed(poly.coeffs):
+            acc = acc * w + c
+        parts.append(d0 * acc)
+    return YJet(*parts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    data=st.data(),
+    genus=st.integers(0, 2),
+    order=st.integers(1, 60),
+)
+def test_algebraic_families_match_truncated_route(r, data, genus, order):
+    cls_ = StructureClass(data.draw(st.integers(1, r + 1), label="min_arc"), r)
+    assert dg_series(cls_, genus, order) == dg_jet(cls_, genus, order).value
+    if genus >= 1:
+        kind = data.draw(st.sampled_from(MARK_KINDS), label="kind")
+        assert pk_marked_dg_jet(cls_, genus, kind, order) == _pk_reference(
+            cls_, genus, kind, order
+        )
+
+
+def test_scaled_type_h_mean_enters_the_five_percent_band_by_3600():
+    """Where criterion 6's 5 % band on n * mean(H) is first met.
+
+    Criterion 6 asks for the band at n = 400 and fails by design; the exact
+    gap is 14.03 % there and 4.96 % at n = 3600, decaying like 3 / sqrt(n).
+    """
+    target = Fraction(18)
+
+    def gap(n):
+        jet = pk_marked_dg_jet(PLAIN, 1, "H", n + 1)
+        return abs(n * expected_marks(jet, n) - target) / target
+
+    at_400, at_3600 = gap(400), gap(3600)
+    assert at_400 > Fraction(1, 20)
+    assert at_3600 < Fraction(1, 20)
+    assert (round(float(at_400), 4), round(float(at_3600), 4)) == (0.1403, 0.0496)

@@ -195,3 +195,14 @@ def test_genus_step_follows_the_corner_face(case):
     partner[v], partner[u] = u, v
     after = genus_of_partner(n, partner).genus
     assert after - before == (0 if on_face[u] else 1)
+
+
+def test_census_rejects_negative_genus_cap():
+    with pytest.raises(ValueError, match="max_genus"):
+        full_census(4, max_genus=-1)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_genus": -1}, {"genus": -1}])
+def test_enumerate_diagrams_rejects_negative_genus(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        list(enumerate_diagrams(4, **kwargs))

@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from toporna.series import (
+    AlgebraicSeries,
     BivariateSeries,
     Polynomial,
     TruncatedSeries,
@@ -262,3 +263,80 @@ def test_bivariate_at_y_matches_exact_eval():
         assert collapsed.coeff(n) == p.y_coefficient(0).coeff(n) + sum(
             p.y_coefficient(j).coeff(n) * Fraction(1, 2) ** j for j in range(1, 4)
         )
+
+
+# (1 - x)^2 - 4x^2, the discriminant of the unconstrained class
+MOTZKIN_DELTA = Polynomial([1, -2, -3])
+
+
+def random_element(rng: random.Random, *, unit: bool = False) -> AlgebraicSeries:
+    """(p + qS)/d with d(0) = 1, so the expansion has integer coefficients."""
+
+    def poly(size):
+        return Polynomial([rng.randint(-5, 5) for _ in range(size)])
+
+    p, q = poly(rng.randint(0, 4)), poly(rng.randint(0, 4))
+    if unit:
+        p = p + (1 - p.coeff(0) - q.coeff(0))
+    d = Polynomial([1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+    return AlgebraicSeries(MOTZKIN_DELTA, p, q, d)
+
+
+def test_algebraic_square_root_expansion():
+    s = AlgebraicSeries(MOTZKIN_DELTA, Polynomial(), Polynomial([1]))
+    order = 30
+    assert s.series(order) == MOTZKIN_DELTA.to_series(order).sqrt()
+    assert (s * s).series(order) == MOTZKIN_DELTA.to_series(order)
+
+
+def test_algebraic_arithmetic_matches_truncated_series():
+    rng = random.Random(11)
+    order = 25
+    for _ in range(40):
+        a = random_element(rng)
+        b = random_element(rng, unit=True)
+        sa, sb = a.series(order), b.series(order)
+        assert (a + b).series(order) == sa + sb
+        assert (a - b).series(order) == sa - sb
+        assert (a * b).series(order) == sa * sb
+        assert (a / b).series(order) == sa / sb
+        assert (3 - a * 2).series(order) == 3 - sa * 2
+        assert (1 / b).series(order) == TruncatedSeries.one(order) / sb
+
+
+def test_algebraic_normal_form_drops_common_x_power_and_content():
+    e = AlgebraicSeries(
+        MOTZKIN_DELTA, Polynomial([0, 2]), Polynomial([0, 4]), Polynomial([0, 0, 6])
+    )
+    assert (e.p, e.q, e.d) == (Polynomial([1]), Polynomial([2]), Polynomial([0, 3]))
+    zero = AlgebraicSeries(MOTZKIN_DELTA, Polynomial(), None, Polynomial([0, 5]))
+    assert zero.d == Polynomial([1]) and zero.series(4).is_zero()
+
+
+@pytest.mark.parametrize(
+    "delta, p, d",
+    [
+        (MOTZKIN_DELTA, [1], [3, 1]),  # 1 / (3 + x) is not integral
+        (MOTZKIN_DELTA, [1], [0, 1]),  # 1 / x has a pole
+        (Polynomial([1, 1]), [], [1]),  # sqrt(1 + x) has coefficient 1/2
+    ],
+)
+def test_algebraic_non_integral_expansion_raises(delta, p, d):
+    q = Polynomial([1]) if not p else Polynomial()
+    e = AlgebraicSeries(delta, Polynomial(p), q, Polynomial(d))
+    with pytest.raises(ArithmeticError):
+        e.series(6)
+
+
+def test_algebraic_mixing_radicands_and_bad_orders_raise():
+    a = AlgebraicSeries(MOTZKIN_DELTA, Polynomial([1]))
+    b = AlgebraicSeries(Polynomial([1, -4]), Polynomial([1]))
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        AlgebraicSeries(Polynomial([2, 1]), Polynomial([1]))
+    for order in (0, -3):
+        with pytest.raises(ValueError, match="order"):
+            a.series(order)
+    with pytest.raises(ZeroDivisionError):
+        a / AlgebraicSeries(MOTZKIN_DELTA, Polynomial())
