@@ -17,7 +17,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .genfun import StructureClass, discriminant_poly
-from .series import Polynomial, XYPolynomial
+from .series import Polynomial
 
 
 def _poly_eval(p: Polynomial, x):
@@ -29,13 +29,9 @@ def _poly_eval(p: Polynomial, x):
     return acc
 
 
-def _at_y1(p: XYPolynomial) -> Polynomial:
-    return p.at_y(1)
-
-
 def singularity(cls_: StructureClass, dps: int = 50):
     """Smallest positive root of the discriminant at marker value 1."""
-    poly = _at_y1(discriminant_poly(cls_))
+    poly = discriminant_poly(cls_).at_y(1)
     with mp.workdps(dps + 15):
         def f(t):
             return _poly_eval(poly, t)
@@ -81,11 +77,11 @@ def arc_law(cls_: StructureClass, dps: int = 50) -> ArcLaw:
     coefficients are independent of genus.
     """
     disc = discriminant_poly(cls_)
-    px = _at_y1(disc.partial_x())
-    py = _at_y1(disc.partial_y())
-    pxx = _at_y1(disc.partial_x().partial_x())
-    pxy = _at_y1(disc.partial_x().partial_y())
-    pyy = _at_y1(disc.partial_y().partial_y())
+    px = disc.partial_x().at_y(1)
+    py = disc.partial_y().at_y(1)
+    pxx = disc.partial_x().partial_x().at_y(1)
+    pxy = disc.partial_x().partial_y().at_y(1)
+    pyy = disc.partial_y().partial_y().at_y(1)
     with mp.workdps(dps + 15):
         rho = singularity(cls_, dps)
         vx = _poly_eval(px, rho)

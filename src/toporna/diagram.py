@@ -10,6 +10,12 @@ toolbox: dot-bracket parsing with paged brackets, projections that collapse
 stacks and strip away secondary content, the decomposition into crossing
 components, classification of those components against the genus-1 catalog,
 and the loop statistics used to cross-check marked generating functions.
+
+Each per-structure analysis has one definition here.  :func:`_crossings` is
+the only scan over crossing arc pairs, :func:`classify_component` the only
+(cached) block classifier and :func:`_tally_loops` the only loop classifier;
+:func:`tally_structure` combines them into the census row that both the
+brute-force census and the sampler statistics report.
 """
 
 from __future__ import annotations
@@ -21,6 +27,9 @@ Arc = tuple[int, int]
 
 #: Loop kinds tallied by :func:`loop_counts`, in report order.
 LOOP_KINDS = ("stack", "hairpin", "bulge", "interior", "multi")
+
+#: Crossing-block classes tallied by :func:`tally_structure`, in report order.
+PK_LABELS = ("H", "K", "L", "M", "higher")
 
 #: Bracket pairs available for dot-bracket output, lowest page first.
 PAGES: tuple[str, ...] = ("()", "[]", "{}", "<>") + tuple(
@@ -314,31 +323,68 @@ class ComponentBlock:
     children: tuple[ComponentBlock, ...]
 
 
+def _crossings(arcs: list[Arc] | tuple[Arc, ...]) -> tuple[list[list[int]], list[int]]:
+    """One pass over the crossing pairs of ``arcs``, sorted by left endpoint.
+
+    Returns the connected components of the crossing graph as lists of arc
+    indices, singletons included, in order of their first arc, and the
+    sorted endpoints of every arc that crosses another.  The scan from arc
+    a stops at the first arc that starts beyond a's right endpoint: every
+    later arc starts further right still, so none of them can cross a.
+    """
+    m = len(arcs)
+    comp = list(range(m))
+    ends: list[int] = []
+    for a in range(m):
+        ia, ja = arcs[a]
+        for b in range(a + 1, m):
+            ib, jb = arcs[b]
+            if ib > ja:
+                break
+            if jb > ja:
+                ends += (ia, ja, ib, jb)
+                ra, rb = comp[a], comp[b]
+                if ra != rb:
+                    comp = [rb if c == ra else c for c in comp]
+    if not ends:
+        return [[a] for a in range(m)], ends
+    groups: dict[int, list[int]] = {}
+    for a in range(m):
+        groups.setdefault(comp[a], []).append(a)
+    return list(groups.values()), sorted(set(ends))
+
+
 def crossing_components(diagram: Diagram) -> list[list[int]]:
     """Connected components of the crossing graph, as lists of arc indices.
 
     Arcs that cross nothing form singleton components.
     """
-    arcs = diagram.arcs
-    m = len(arcs)
-    parent = list(range(m))
+    return _crossings(diagram.arcs)[0]
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for a in range(m):
-        for b in range(a + 1, m):
-            if arcs_cross(arcs[a], arcs[b]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for a in range(m):
-        groups.setdefault(find(a), []).append(a)
-    return sorted(groups.values(), key=lambda g: min(arcs[a][0] for a in g))
+#: ``(label, genus)`` of every crossing component classified so far, keyed
+#: by its arcs relabelled onto 1..2k.
+_component_classes: dict[tuple[Arc, ...], tuple[str, int]] = {}
+
+
+def _classify_arcs(
+    arcs: list[Arc] | tuple[Arc, ...], arc_indices: list[int]
+) -> tuple[str, int]:
+    """Classify the component ``arc_indices`` of ``arcs``, through the cache."""
+    verts = sorted(v for a in arc_indices for v in arcs[a])
+    rank = {v: t for t, v in enumerate(verts, start=1)}
+    key = tuple(sorted((rank[arcs[a][0]], rank[arcs[a][1]]) for a in arc_indices))
+    result = _component_classes.get(key)
+    if result is None:
+        shadow = project_shadow(Diagram(len(verts), key))
+        g = shadow.genus().genus
+        label = _SHADOW_LABELS.get(shadow) if g == 1 else "higher"
+        if label is None:
+            raise AssertionError(
+                f"genus-1 component with shadow outside the catalog: {shadow}"
+            )
+        result = _component_classes[key] = label, g
+    return result
 
 
 def classify_component(diagram: Diagram, arc_indices: list[int]) -> tuple[str, int]:
@@ -347,21 +393,12 @@ def classify_component(diagram: Diagram, arc_indices: list[int]) -> tuple[str, i
     Returns a pair ``(label, genus)`` where the label is ``"secondary"``
     for a single non-crossing arc, one of ``"H"``, ``"K"``, ``"L"``, ``"M"``
     for a genus-1 component according to its shadow, and ``"higher"``
-    otherwise.
+    otherwise.  Results are cached on the component relabelled onto
+    1..2k, so repeated patterns are projected once.
     """
     if len(arc_indices) == 1:
         return "secondary", 0
-    sub = Diagram(diagram.n, tuple(diagram.arcs[a] for a in arc_indices))
-    shadow = project_shadow(sub)
-    g = shadow.genus().genus
-    if g == 1:
-        label = _SHADOW_LABELS.get(shadow)
-        if label is None:
-            raise AssertionError(
-                f"genus-1 component with shadow outside the catalog: {shadow}"
-            )
-        return label, 1
-    return "higher", g
+    return _classify_arcs(diagram.arcs, arc_indices)
 
 
 def block_decomposition(diagram: Diagram) -> list[ComponentBlock]:
@@ -484,15 +521,10 @@ def loop_counts(diagram: Diagram, *, literal_multi: bool = False) -> dict[str, i
     The stack count is the number of maximal runs of parallel arcs.
     """
     arcs = diagram.arcs
-    involved = sorted({
-        v
-        for a in range(len(arcs))
-        for b in range(a + 1, len(arcs))
-        if arcs_cross(arcs[a], arcs[b])
-        for v in (*arcs[a], *arcs[b])
-    })
     counts = dict.fromkeys(LOOP_KINDS, 0)
-    _tally_loops(diagram.n, diagram.partner(), arcs, involved, counts, literal_multi)
+    _tally_loops(
+        diagram.n, diagram.partner(), arcs, _crossings(arcs)[1], counts, literal_multi
+    )
     return counts
 
 
@@ -546,3 +578,43 @@ def stem_count(diagram: Diagram) -> int:
     """Number of stems: chains of stacks linked by bulges and interior loops."""
     counts = loop_counts(diagram)
     return counts["stack"] - counts["bulge"] - counts["interior"]
+
+
+# -- per-structure tally --------------------------------------------------
+
+
+def new_tally() -> dict:
+    """An empty census row for :func:`tally_structure`."""
+    return {
+        "count": 0,
+        "arcs": 0,
+        "arc_hist": {},
+        "loops": dict.fromkeys(LOOP_KINDS, 0),
+        "pk": dict.fromkeys(PK_LABELS, 0),
+    }
+
+
+def tally_structure(
+    n: int,
+    partner: list[int],
+    arcs: list[Arc] | tuple[Arc, ...],
+    row: dict,
+) -> None:
+    """Add one structure to a census row from :func:`new_tally`.
+
+    ``arcs`` must be sorted by left endpoint and ``partner`` must match
+    them.  The row gains the structure, its arcs, its loop tallies (as
+    :func:`loop_counts` gives them) and one count per crossing component
+    under its :data:`PK_LABELS` class.
+    """
+    num = len(arcs)
+    row["count"] += 1
+    row["arcs"] += num
+    hist = row["arc_hist"]
+    hist[num] = hist.get(num, 0) + 1
+    components, involved = _crossings(arcs)
+    _tally_loops(n, partner, arcs, involved, row["loops"])
+    pk = row["pk"]
+    for members in components:
+        if len(members) > 1:
+            pk[_classify_arcs(arcs, members)[0]] += 1

@@ -186,18 +186,19 @@ def dg_via_chords(cls_: StructureClass, genus: int, order: int) -> YJet:
     if genus >= 1:
         _require_inflatable(cls_)
     a, b = core_polys(cls_)
-    aj = YJet.from_xy_poly(a, order)
-    bj = YJet.from_xy_poly(b, order)
-    u = _arc_marker_jet(cls_.min_stack, order) * aj / (bj * bj)
-    outer = chord_series(genus, order + 2, "recursion")
-    f1 = _dseries(outer).truncate(order)
-    f2 = _dseries(_dseries(outer)).truncate(order)
-    f0 = outer.truncate(order)
+    wide = max(order, b.x_degree() + 1)  # room for every term of B
+    aj = YJet.from_xy_poly(a, wide)
+    bj = YJet.from_xy_poly(b, wide)
+    u = _arc_marker_jet(cls_.min_stack, wide) * aj / (bj * bj)
+    outer = chord_series(genus, wide + 2, "recursion")
+    f1 = _dseries(outer).truncate(wide)
+    f2 = _dseries(_dseries(outer)).truncate(wide)
+    f0 = outer.truncate(wide)
     value = f0.compose(u.value)
     slope = f1.compose(u.value)
     d1 = slope * u.d1
     d2 = f2.compose(u.value) * u.d1 * u.d1 + slope * u.d2
-    return (aj / bj) * YJet(value, d1, d2)
+    return ((aj / bj) * YJet(value, d1, d2)).truncate(order)
 
 
 def loop_marked_d0_jet(cls_: StructureClass, kind: str, order: int) -> YJet:
@@ -313,8 +314,10 @@ def pk_marked_dg_jet(
     return YJet(*((d0 * _horner(p, w)).series(order) for p in jets))
 
 
-def _biv_const(value, order: int) -> BivariateSeries:
-    return BivariateSeries.from_xy_poly(XYPolynomial.constant(value), order)
+def _biv(p: XYPolynomial, order: int) -> BivariateSeries:
+    """``p`` at ``order``, its terms of x-degree ``order`` and up dropped."""
+    kept = {(i, j): c for (i, j), c in p.terms.items() if i < order}
+    return BivariateSeries.from_xy_poly(XYPolynomial(kept), order)
 
 
 def d0_bivariate(cls_: StructureClass, order: int) -> BivariateSeries:
@@ -322,9 +325,9 @@ def d0_bivariate(cls_: StructureClass, order: int) -> BivariateSeries:
     r = cls_.min_stack
     wide = order + 2 * r
     a, b = core_polys(cls_)
-    ab = BivariateSeries.from_xy_poly(a, wide)
-    bb = BivariateSeries.from_xy_poly(b, wide)
-    qr = BivariateSeries.from_xy_poly(XYPolynomial.monomial(2 * r, r), wide)
+    ab = _biv(a, wide)
+    bb = _biv(b, wide)
+    qr = _biv(XYPolynomial.monomial(2 * r, r), wide)
     disc = bb * bb - qr * ab * 4
     num = bb - disc.sqrt()
     return num.shifted_down(2 * r).y_shifted_down(r) / 2
@@ -338,12 +341,12 @@ def dg_bivariate(cls_: StructureClass, genus: int, order: int) -> BivariateSerie
     r = cls_.min_stack
     d0 = d0_bivariate(cls_, order)
     one = BivariateSeries.one(order)
-    q1 = BivariateSeries.from_xy_poly(XYPolynomial.monomial(2, 1), order)
-    qr = BivariateSeries.from_xy_poly(XYPolynomial.monomial(2 * r, r), order)
+    q1 = _biv(XYPolynomial.monomial(2, 1), order)
+    qr = _biv(XYPolynomial.monomial(2 * r, r), order)
     w = qr * d0 * d0 / (one - q1 - qr * (d0 * d0 - one))
     acc = BivariateSeries.zero(order)
     for c in reversed(shape_poly(genus).coeffs):
-        acc = acc * w + _biv_const(c, order)
+        acc = acc * w + _biv(XYPolynomial.constant(c), order)
     return d0 * acc
 
 

@@ -10,8 +10,11 @@ two components and raises the genus by one.  Together with early checks
 for undersized stacks and short hairpins this keeps the search tree close
 to the set of structures actually counted.
 
-Census results are plain nested dicts so tests can compare them wholesale
-against coefficient data from the generating function modules.
+Each finished structure is tallied into its genus row by
+:func:`toporna.diagram.tally_structure`, the same tally the sampler
+statistics use.  Census results are plain nested dicts so tests can
+compare them wholesale against coefficient data from the generating
+function modules.
 """
 
 from __future__ import annotations
@@ -21,17 +24,14 @@ from typing import Iterator
 
 from .diagram import (
     LOOP_KINDS,
+    PK_LABELS,
     Arc,
     Diagram,
     _rotation,
-    _tally_loops,
-    classify_component,
+    crossing_components,
+    new_tally,
+    tally_structure,
 )
-
-PK_LABELS = ("H", "K", "L", "M", "higher")
-
-#: Shared cache mapping a relabelled crossing component to its pk label.
-_pattern_cache: dict[tuple[Arc, ...], str] = {}
 
 
 def _corner_face(n: int, partner: list[int], v: int) -> bytearray:
@@ -56,69 +56,6 @@ def _corner_face(n: int, partner: list[int], v: int) -> bytearray:
         h = sigma_next[h ^ 1]
         if h == start:
             return on_face
-
-
-def _classify_key(key: tuple[Arc, ...]) -> str:
-    label = _pattern_cache.get(key)
-    if label is None:
-        sub = Diagram(2 * len(key), key)
-        label, _ = classify_component(sub, list(range(len(key))))
-        _pattern_cache[key] = label
-    return label
-
-
-def _leaf_statistics(
-    n: int,
-    partner: list[int],
-    arcs: list[Arc],
-    row: dict,
-) -> None:
-    """Tally one finished structure into a census row."""
-    num = len(arcs)
-    row["count"] += 1
-    row["arcs"] += num
-    hist = row["arc_hist"]
-    hist[num] = hist.get(num, 0) + 1
-
-    crossing = [0] * num
-    comp = list(range(num))
-    involved: list[int] = []
-    for a in range(num):
-        ia, ja = arcs[a]
-        for b in range(a + 1, num):
-            ib, jb = arcs[b]
-            if ia < ib < ja < jb:
-                crossing[a] = crossing[b] = 1
-                involved.extend((ia, ja, ib, jb))
-                ra, rb = comp[a], comp[b]
-                if ra != rb:
-                    for t in range(num):
-                        if comp[t] == ra:
-                            comp[t] = rb
-
-    involved.sort()
-    _tally_loops(n, partner, arcs, involved, row["loops"])
-
-    pk = row["pk"]
-    seen_roots: dict[int, list[int]] = {}
-    for a in range(num):
-        if crossing[a]:
-            seen_roots.setdefault(comp[a], []).append(a)
-    for members in seen_roots.values():
-        verts = sorted(v for a in members for v in arcs[a])
-        rank = {v: t + 1 for t, v in enumerate(verts)}
-        key = tuple(sorted((rank[arcs[a][0]], rank[arcs[a][1]]) for a in members))
-        pk[_classify_key(key)] += 1
-
-
-def _new_row() -> dict:
-    return {
-        "count": 0,
-        "arcs": 0,
-        "arc_hist": {},
-        "loops": {k: 0 for k in LOOP_KINDS},
-        "pk": {k: 0 for k in PK_LABELS},
-    }
 
 
 def _structures(
@@ -198,9 +135,9 @@ def _structures(
 
 def _census_worker(args) -> dict[int, dict]:
     n, min_arc, min_stack, max_genus, choice = args
-    rows = {g: _new_row() for g in range(max_genus + 1)}
+    rows = {g: new_tally() for g in range(max_genus + 1)}
     for genus, partner, arcs in _structures(n, min_arc, min_stack, max_genus, choice):
-        _leaf_statistics(n, partner, arcs, rows[genus])
+        tally_structure(n, partner, arcs, rows[genus])
     return rows
 
 
@@ -240,7 +177,7 @@ def full_census(
     if max_genus < 0:
         raise ValueError(f"max_genus must be nonnegative, got {max_genus}")
     if processes and processes > 1 and n >= 2:
-        rows = {g: _new_row() for g in range(max_genus + 1)}
+        rows = {g: new_tally() for g in range(max_genus + 1)}
         tasks = [(n, min_arc, min_stack, max_genus, 0)]
         tasks += [(n, min_arc, min_stack, max_genus, u) for u in range(2, n + 1)]
         with multiprocessing.Pool(processes) as pool:
@@ -392,8 +329,6 @@ def irreducible_shadow_counts(
     max_arcs: int, genus: int
 ) -> dict[int, int]:
     """Count irreducible shadows of one genus, keyed by arc number."""
-    from .diagram import crossing_components
-
     out: dict[int, int] = {}
     for d, g in enumerate_shadows(max_arcs, genus=genus):
         if d.num_arcs and len(crossing_components(d)) == 1:

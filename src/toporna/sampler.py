@@ -8,7 +8,9 @@ discrete choice uses exact integer weights from DP tables, so draws are
 uniform by construction and no floating point enters the pipeline.
 
 The enumerative fallback materializes the whole family first and is only
-meant for cross-checks at small lengths.
+meant for cross-checks at small lengths.  :func:`empirical_stats` tallies
+the draws with :func:`toporna.diagram.tally_structure`, the census row
+builder, so sampled and enumerated statistics are computed the same way.
 """
 
 from __future__ import annotations
@@ -19,15 +21,9 @@ from itertools import accumulate
 
 from mpmath import mp
 
-from .diagram import (
-    LOOP_KINDS,
-    Diagram,
-    classify_component,
-    crossing_components,
-    loop_counts,
-)
+from .diagram import Diagram, new_tally, tally_structure
 from .genfun import StructureClass
-from .oracle import PK_LABELS, enumerate_diagrams, enumerate_shapes
+from .oracle import enumerate_diagrams, enumerate_shapes
 
 __all__ = [
     "StructureSampler",
@@ -470,30 +466,16 @@ def empirical_stats(samples: list[Diagram]) -> dict:
     """Census-style aggregate over sampled structures.
 
     Returns draw count, total arcs, arc histogram, loop tallies and
-    crossing-block class tallies in the same layout the brute-force
-    census uses, so the two are directly comparable.
+    crossing-block class tallies in the layout of a brute-force census
+    row, with ``count`` renamed ``draws``, so the two are directly
+    comparable.
     """
     if not samples:
         raise ValueError("need at least one sample")
-    report = {
-        "draws": len(samples),
-        "arcs": 0,
-        "arc_hist": {},
-        "loops": {kind: 0 for kind in LOOP_KINDS},
-        "pk": {label: 0 for label in PK_LABELS},
-    }
-    hist = report["arc_hist"]
+    report = new_tally()
     for d in samples:
-        k = len(d.arcs)
-        report["arcs"] += k
-        hist[k] = hist.get(k, 0) + 1
-        for kind, c in loop_counts(d).items():
-            report["loops"][kind] += c
-        for indices in crossing_components(d):
-            label, _ = classify_component(d, indices)
-            if label != "secondary":
-                report["pk"][label] += 1
-    return report
+        tally_structure(d.n, d.partner(), d.arcs, report)
+    return {"draws": report.pop("count"), **report}
 
 
 def chi_square(observed, weights) -> tuple[float, int]:

@@ -39,6 +39,12 @@ def test_count_arc_breakdown_csv(capsys):
     assert lines[0] == "arcs,count"
     assert lines[-1] == "total,5880"
     assert "4,3150" in lines
+    # below the first genus-1 structure the breakdown is empty, not an error
+    code, out, err = run(
+        capsys, "count", "1", "--genus", "1", "--arcs", "--format", "csv"
+    )
+    assert code == 0 and err == ""
+    assert out.strip().splitlines() == ["arcs,count", "total,0"]
 
 
 def test_series_families(capsys):

@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from toporna.diagram import (
     GENUS1_SHADOWS,
+    PK_LABELS,
     Diagram,
+    _crossings,
     arcs_cross,
     block_decomposition,
     boundary_components,
@@ -17,11 +20,13 @@ from toporna.diagram import (
     emit_structure,
     genus_of_partner,
     loop_counts,
+    new_tally,
     parse_structure,
     project_shadow,
     project_shape,
     satisfies_constraints,
     stem_count,
+    tally_structure,
     validate_constraints,
 )
 
@@ -291,3 +296,54 @@ def test_arcs_cross():
     assert arcs_cross((1, 3), (2, 4))
     assert not arcs_cross((1, 4), (2, 3))
     assert not arcs_cross((1, 2), (3, 4))
+
+
+@st.composite
+def _partner_array(draw):
+    """A random partial matching on n <= 14 vertices, as ``(n, partner)``."""
+    n = draw(st.integers(0, 14))
+    order = draw(st.permutations(range(1, n + 1)))
+    partner = [0] * (n + 1)
+    for t in range(draw(st.integers(0, n // 2))):
+        i, j = order[2 * t], order[2 * t + 1]
+        partner[i], partner[j] = j, i
+    return n, partner
+
+
+@given(_partner_array())
+def test_crossing_pass_and_tally_match_pair_scan(case):
+    n, partner = case
+    d = Diagram.from_partner(n, partner)
+    arcs = d.arcs
+    members = {a: {a} for a in range(len(arcs))}
+    endpoints: set[int] = set()
+    for a in range(len(arcs)):
+        for b in range(a + 1, len(arcs)):
+            if arcs_cross(arcs[a], arcs[b]):
+                endpoints.update((*arcs[a], *arcs[b]))
+                merged = members[a] | members[b]
+                for t in merged:
+                    members[t] = merged
+
+    components, involved = _crossings(arcs)
+    assert sorted(a for c in components for a in c) == list(range(len(arcs)))
+    assert {frozenset(c) for c in components} == {
+        frozenset(c) for c in members.values()
+    }
+    assert [c[0] for c in components] == sorted(min(c) for c in components)
+    assert involved == sorted(endpoints)
+
+    row = new_tally()
+    tally_structure(n, partner, arcs, row)
+    pk = dict.fromkeys(PK_LABELS, 0)
+    for comp in crossing_components(d):
+        label, _ = classify_component(d, comp)
+        if label != "secondary":
+            pk[label] += 1
+    assert row == {
+        "count": 1,
+        "arcs": len(arcs),
+        "arc_hist": {len(arcs): 1},
+        "loops": loop_counts(d),
+        "pk": pk,
+    }

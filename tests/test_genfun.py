@@ -23,7 +23,7 @@ from toporna.genfun import (
     pk_marked_dg_jet,
     structure_counts,
 )
-from toporna.oracle import full_census
+from toporna.oracle import enumerate_diagrams, full_census
 from toporna.recursions import MARK_KINDS, marked_shape_poly
 from toporna.series import TruncatedSeries, YJet, XYPolynomial
 
@@ -66,13 +66,20 @@ def test_quadratic_residual_vanishes():
         assert res.value == zero and res.d1 == zero and res.d2 == zero, (lam, r)
 
 
+#: Orders at or below deg B, where the routes must widen their inner order.
+SMALL_ORDERS = [
+    (StructureClass(lam, r), order)
+    for lam, r in [(1, 1), (2, 2), (3, 2), (1, 3), (4, 3)]
+    for order in range(1, 7)
+]
+
+
 def test_d0_three_routes_agree():
-    order = 20
-    for lam, r in [(1, 1), (2, 2), (3, 2)]:
-        cls_ = StructureClass(lam, r)
+    cases = [(StructureClass(lam, r), 20) for lam, r in [(1, 1), (2, 2), (3, 2)]]
+    for cls_, order in cases + SMALL_ORDERS:
         closed = d0_jet(cls_, order)
-        assert loop_marked_d0_jet(cls_, "arc", order) == closed, (lam, r)
-        assert dg_via_chords(cls_, 0, order) == closed, (lam, r)
+        assert loop_marked_d0_jet(cls_, "arc", order) == closed, (cls_, order)
+        assert dg_via_chords(cls_, 0, order) == closed, (cls_, order)
 
 
 def test_d0_against_census():
@@ -141,11 +148,12 @@ def test_dg_marked_jets_against_census():
 
 
 def test_dg_two_routes_match():
-    order = 30
-    for lam, r in [(1, 1), (2, 2), (3, 2)]:
-        cls_ = StructureClass(lam, r)
+    cases = [(StructureClass(lam, r), 30) for lam, r in [(1, 1), (2, 2), (3, 2)]]
+    for cls_, order in cases + SMALL_ORDERS:
         for g in (1, 2):
-            assert dg_jet(cls_, g, order) == dg_via_chords(cls_, g, order), (lam, r, g)
+            assert dg_jet(cls_, g, order) == dg_via_chords(cls_, g, order), (
+                cls_, g, order
+            )
 
 
 def test_marked_series_values_reduce_to_plain():
@@ -213,6 +221,18 @@ def test_arc_distribution_sums():
     assert sum(counts) == dg_series(PLAIN, 1, 9).coeff(8)
     # a genus-1 structure needs at least two arcs
     assert counts[0] == 0 and counts[1] == 0
+
+
+def test_arc_distribution_matches_enumeration():
+    for cls_ in (PLAIN, CANONICAL, StructureClass(1, 2)):
+        for g in (0, 1, 2):
+            for n in range(7):
+                hist = [0] * (n // 2 + 1)
+                for d in enumerate_diagrams(n, cls_.min_arc, cls_.min_stack, genus=g):
+                    hist[d.num_arcs] += 1
+                while hist and not hist[-1]:
+                    hist.pop()
+                assert arc_distribution(cls_, g, n) == hist, (cls_, g, n)
 
 
 def test_structure_counts_helper():
