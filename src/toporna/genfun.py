@@ -10,12 +10,13 @@ evaluated at y = 1, which is enough to read off exact expectations and
 variances of the marked statistic.
 
 Two kinds of family live here.  The algebraic ones, :func:`d0_series`,
-:func:`dg_series` and :func:`pk_marked_dg_jet`, are computed exactly in
-Q(x)(S), with S the square root of the discriminant at y = 1, as
-:class:`~toporna.series.AlgebraicSeries`, and expanded only at the end.  The
-arc-marked jets (:func:`d0_jet`, :func:`dg_jet`, :func:`dg_via_chords`), the
-loop-marked jets and the bivariate series (:func:`dg_bivariate`,
-:func:`arc_distribution`) stay on truncated-series arithmetic; they are the
+:func:`dg_series`, :func:`arc_distribution` and :func:`pk_marked_dg_jet`,
+are computed exactly in Q(x)(S), with S the square root of the discriminant
+at an integer marker value y, as :class:`~toporna.series.AlgebraicSeries`,
+and expanded only at the end.  :func:`arc_distribution` evaluates D_g(x, y)
+at y = 1, ..., n/2 + 1 and interpolates the polynomial [x^n] D_g exactly.
+The arc-marked jets (:func:`d0_jet`, :func:`dg_jet`, :func:`dg_via_chords`)
+and the loop-marked jets stay on truncated-series arithmetic; they are the
 independent route the algebraic families are checked against.
 
 Everything here is exact; coefficients are ints (occasionally Fractions in
@@ -32,11 +33,11 @@ from .diagram import LOOP_KINDS
 from .recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
 from .series import (
     AlgebraicSeries,
-    BivariateSeries,
     Polynomial,
     TruncatedSeries,
     XYPolynomial,
     YJet,
+    _exact_quotient,
 )
 
 
@@ -97,25 +98,42 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be at least 1, got {order}")
 
 
-def _d0(cls_: StructureClass) -> AlgebraicSeries:
-    """The genus-0 series (B - S) / (2 x^(2r)) at y = 1, with S^2 the discriminant."""
+def _d0(cls_: StructureClass, y: int = 1) -> AlgebraicSeries:
+    """The genus-0 series (B - S) / (2 q^r) at marker value y.
+
+    q = x^2 y marks an arc and S^2 is the discriminant at y.
+    """
     r = cls_.min_stack
-    b = core_polys(cls_)[1].at_y(1)
-    delta = discriminant_poly(cls_).at_y(1)
-    return AlgebraicSeries(delta, b, Polynomial([-1]), Polynomial.x_power(2 * r) * 2)
+    b = core_polys(cls_)[1].at_y(y)
+    delta = discriminant_poly(cls_).at_y(y)
+    return AlgebraicSeries(delta, b, Polynomial([-1]), Polynomial.x_power(2 * r) * (2 * y**r))
 
 
-def _stack_substitution(cls_: StructureClass, d0: AlgebraicSeries) -> AlgebraicSeries:
-    """w = x^(2r) D0^2 / (1 - x^2 - x^(2r) (D0^2 - 1)), the series each shape arc becomes."""
-    x2r = AlgebraicSeries(d0.delta, Polynomial.x_power(2 * cls_.min_stack))
-    x2 = AlgebraicSeries(d0.delta, Polynomial.x_power(2))
-    return x2r * d0 * d0 / (1 - x2 - x2r * (d0 * d0 - 1))
+def _stack_substitution(
+    cls_: StructureClass, d0: AlgebraicSeries, y: int = 1
+) -> AlgebraicSeries:
+    """w = q^r D0^2 / (1 - q - q^r (D0^2 - 1)), the series each shape arc becomes."""
+    r = cls_.min_stack
+    qr = AlgebraicSeries(d0.delta, Polynomial.x_power(2 * r) * y**r)
+    q = AlgebraicSeries(d0.delta, Polynomial.x_power(2) * y)
+    return qr * d0 * d0 / (1 - q - qr * (d0 * d0 - 1))
+
+
+def _dg(cls_: StructureClass, genus: int, y: int = 1) -> AlgebraicSeries:
+    """The genus-g series D_g(x, y) at marker value y, arcs marked by y."""
+    if genus < 0:
+        raise ValueError(f"genus must be nonnegative, got {genus}")
+    d0 = _d0(cls_, y)
+    if genus == 0:
+        return d0
+    _require_inflatable(cls_)
+    return d0 * _horner(shape_poly(genus), _stack_substitution(cls_, d0, y))
 
 
 def d0_series(cls_: StructureClass, order: int) -> TruncatedSeries:
     """Genus-0 structure counts by length (marker set to 1)."""
     _check_order(order)
-    return _d0(cls_).series(order)
+    return _dg(cls_, 0).series(order)
 
 
 def d0_jet(cls_: StructureClass, order: int) -> YJet:
@@ -135,14 +153,7 @@ def d0_jet(cls_: StructureClass, order: int) -> YJet:
 def dg_series(cls_: StructureClass, genus: int, order: int) -> TruncatedSeries:
     """Genus-g structure counts by length."""
     _check_order(order)
-    if genus < 0:
-        raise ValueError(f"genus must be nonnegative, got {genus}")
-    d0 = _d0(cls_)
-    if genus == 0:
-        return d0.series(order)
-    _require_inflatable(cls_)
-    w = _stack_substitution(cls_, d0)
-    return (d0 * _horner(shape_poly(genus), w)).series(order)
+    return _dg(cls_, genus).series(order)
 
 
 def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
@@ -314,42 +325,6 @@ def pk_marked_dg_jet(
     return YJet(*((d0 * _horner(p, w)).series(order) for p in jets))
 
 
-def _biv(p: XYPolynomial, order: int) -> BivariateSeries:
-    """``p`` at ``order``, its terms of x-degree ``order`` and up dropped."""
-    kept = {(i, j): c for (i, j), c in p.terms.items() if i < order}
-    return BivariateSeries.from_xy_poly(XYPolynomial(kept), order)
-
-
-def d0_bivariate(cls_: StructureClass, order: int) -> BivariateSeries:
-    """Genus-0 series with full arc-count resolution per length."""
-    r = cls_.min_stack
-    wide = order + 2 * r
-    a, b = core_polys(cls_)
-    ab = _biv(a, wide)
-    bb = _biv(b, wide)
-    qr = _biv(XYPolynomial.monomial(2 * r, r), wide)
-    disc = bb * bb - qr * ab * 4
-    num = bb - disc.sqrt()
-    return num.shifted_down(2 * r).y_shifted_down(r) / 2
-
-
-def dg_bivariate(cls_: StructureClass, genus: int, order: int) -> BivariateSeries:
-    """Genus-g series with full arc-count resolution per length."""
-    if genus == 0:
-        return d0_bivariate(cls_, order)
-    _require_inflatable(cls_)
-    r = cls_.min_stack
-    d0 = d0_bivariate(cls_, order)
-    one = BivariateSeries.one(order)
-    q1 = _biv(XYPolynomial.monomial(2, 1), order)
-    qr = _biv(XYPolynomial.monomial(2 * r, r), order)
-    w = qr * d0 * d0 / (one - q1 - qr * (d0 * d0 - one))
-    acc = BivariateSeries.zero(order)
-    for c in reversed(shape_poly(genus).coeffs):
-        acc = acc * w + _biv(XYPolynomial.constant(c), order)
-    return d0 * acc
-
-
 def structure_counts(cls_: StructureClass, genus: int, order: int) -> list[int]:
     """Counts of genus-g structures for each length below ``order``."""
     series = dg_series(cls_, genus, order)
@@ -357,9 +332,27 @@ def structure_counts(cls_: StructureClass, genus: int, order: int) -> list[int]:
 
 
 def arc_distribution(cls_: StructureClass, genus: int, n: int) -> list[int]:
-    """Counts of genus-g structures of length ``n``, split by number of arcs."""
-    biv = dg_bivariate(cls_, genus, n + 1)
-    return biv.y_poly(n)
+    """Counts of genus-g structures of length ``n``, split by number of arcs.
+
+    [x^n] D_g(x, y) is an integer polynomial in y of degree at most n/2.  It
+    is evaluated at y = 1, ..., n/2 + 1 and interpolated in Newton form; at
+    consecutive integer nodes every divided difference of an integer
+    polynomial is an integer, so each division is exact or raises.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    top = n // 2 + 1
+    diffs = [_dg(cls_, genus, y).series(n + 1).coeff(n) for y in range(1, top + 1)]
+    for step in range(1, top):
+        for i in range(top - 1, step - 1, -1):
+            diffs[i] = _exact_quotient(diffs[i] - diffs[i - 1], step, "a divided difference")
+    counts: list[int] = []
+    for k in reversed(range(top)):  # Horner in the Newton basis: times (y - k - 1), plus diffs[k]
+        counts = [a - (k + 1) * b for a, b in zip([0] + counts, counts + [0])]
+        counts[0] += diffs[k]
+    while counts and not counts[-1]:
+        counts.pop()
+    return counts
 
 
 def expected_marks(jet: YJet, n: int) -> Fraction:

@@ -6,7 +6,7 @@ otherwise; the integer fast path matters because the counting sequences in
 this package are integers and Python multiplies machine-word ints far faster
 than Fractions.
 
-Five layers:
+Four layers:
 
 * :class:`TruncatedSeries`, a univariate power series known up to a fixed
   truncation order,
@@ -16,9 +16,13 @@ Five layers:
   S = sqrt(delta) for a fixed integer polynomial delta with delta(0) = 1,
   held untruncated and expanded to any order on request,
 * :class:`YJet`, a series-valued 2-jet in a marker variable, carrying the
-  value and the first two derivatives at marker value 1,
-* :class:`BivariateSeries`, a series in the main variable whose coefficients
-  are polynomials in the marker, for full joint distributions.
+  value and the first two derivatives at marker value 1.
+
+A joint distribution in x and the marker is not held as a series with
+polynomial coefficients: it is read off :class:`AlgebraicSeries` evaluated
+at integer marker values and interpolated exactly (see
+:func:`toporna.genfun.arc_distribution`).  :class:`BivariateSeries` remains
+only as the reference the jet rules are tested against.
 
 Mixing series of different truncation orders, or algebraic series over
 different radicands, is an error rather than a silent re-truncation.
@@ -723,8 +727,10 @@ class BivariateSeries:
     """A truncated series in x whose coefficients are polynomials in y.
 
     Coefficient ``n`` is a list of y-coefficients (index = y-exponent, no
-    trailing zeros, empty list means zero).  Used for joint distributions
-    where both the size and a marked statistic are tracked exactly.
+    trailing zeros, empty list means zero).  No family in this package uses
+    it; it is the reference the jet rules of :class:`YJet` are tested
+    against, so it keeps only multiplication, division, the square root and
+    evaluation at an exact marker value.
     """
 
     __slots__ = ("order", "coeffs")
@@ -739,42 +745,6 @@ class BivariateSeries:
         self.order = order
         self.coeffs = data
 
-    @classmethod
-    def zero(cls, order: int) -> BivariateSeries:
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> BivariateSeries:
-        return cls([[1]], order)
-
-    @classmethod
-    def from_xy_poly(cls, p: XYPolynomial, order: int) -> BivariateSeries:
-        coeffs: list[list[Scalar]] = [[] for _ in range(order)]
-        for (i, j), c in p.terms.items():
-            if i >= order:
-                raise ValueError(
-                    f"x-degree {i} does not fit truncation order {order}"
-                )
-            row = coeffs[i]
-            if len(row) <= j:
-                row.extend([0] * (j + 1 - len(row)))
-            row[j] = row[j] + c
-        return cls(coeffs, order)
-
-    def coeff(self, n: int, l: int) -> Scalar:
-        """Coefficient of ``x**n y**l``."""
-        if n < 0 or l < 0:
-            raise ValueError("negative exponent")
-        if n >= self.order:
-            raise ValueError(f"coefficient {n} not known at order {self.order}")
-        row = self.coeffs[n]
-        return row[l] if l < len(row) else 0
-
-    def y_poly(self, n: int) -> list[Scalar]:
-        if n >= self.order:
-            raise ValueError(f"coefficient {n} not known at order {self.order}")
-        return list(self.coeffs[n])
-
     def _check(self, other: BivariateSeries) -> None:
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
@@ -784,29 +754,7 @@ class BivariateSeries:
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
 
-    def __add__(self, other: BivariateSeries) -> BivariateSeries:
-        self._check(other)
-        return BivariateSeries(
-            [_padd(a, b) for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __sub__(self, other: BivariateSeries) -> BivariateSeries:
-        self._check(other)
-        return BivariateSeries(
-            [_padd(a, b, -1) for a, b in zip(self.coeffs, other.coeffs)],
-            self.order,
-        )
-
-    def __neg__(self) -> BivariateSeries:
-        return BivariateSeries(
-            [[-c for c in p] for p in self.coeffs], self.order
-        )
-
-    def __mul__(self, other: BivariateSeries | Scalar) -> BivariateSeries:
-        if isinstance(other, (int, Fraction)):
-            return BivariateSeries(
-                [[_norm(c * other) for c in p] for p in self.coeffs], self.order
-            )
+    def __mul__(self, other: BivariateSeries) -> BivariateSeries:
         self._check(other)
         n = self.order
         out: list[list[Scalar]] = [[] for _ in range(n)]
@@ -819,16 +767,8 @@ class BivariateSeries:
                     out[i + j] = _padd(out[i + j], _pmul(p, q))
         return BivariateSeries(out, n)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: BivariateSeries | Scalar) -> BivariateSeries:
+    def __truediv__(self, other: BivariateSeries) -> BivariateSeries:
         """Division; the divisor's constant term must be a nonzero rational."""
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of a series by zero")
-            return BivariateSeries(
-                [[_div(c, other) for c in p] for p in self.coeffs], self.order
-            )
         self._check(other)
         b0_poly = other.coeffs[0]
         if len(b0_poly) != 1:
@@ -860,29 +800,6 @@ class BivariateSeries:
                     acc = _padd(acc, _pmul(s[i], s[m - i]), -1)
             s[m] = [_div(c, 2) for c in acc]
         return BivariateSeries(s, n)
-
-    def shift(self, k: int) -> BivariateSeries:
-        coeffs = [[] for _ in range(min(k, self.order))]
-        coeffs.extend(self.coeffs[: max(0, self.order - k)])
-        return BivariateSeries(coeffs, self.order)
-
-    def shifted_down(self, k: int) -> BivariateSeries:
-        if k >= self.order:
-            raise ValueError("cannot shift past the truncation order")
-        if any(self.coeffs[i] for i in range(k)):
-            raise ValueError(f"series is not divisible by x**{k}")
-        return BivariateSeries(self.coeffs[k:], self.order - k)
-
-    def y_shifted_down(self, r: int) -> BivariateSeries:
-        """Divide by ``y**r``; every coefficient must be divisible by it."""
-        out: list[list[Scalar]] = []
-        for n, p in enumerate(self.coeffs):
-            if any(c != 0 for c in p[:r]):
-                raise ValueError(
-                    f"coefficient of x**{n} is not divisible by y**{r}"
-                )
-            out.append(p[r:])
-        return BivariateSeries(out, self.order)
 
     def at_y(self, y: Scalar) -> TruncatedSeries:
         """Collapse the marker variable at an exact value."""

@@ -47,6 +47,19 @@ def test_count_arc_breakdown_csv(capsys):
     assert out.strip().splitlines() == ["arcs,count", "total,0"]
 
 
+def test_count_arc_breakdown_total_matches_count_at_200(capsys):
+    code, out, err = run(
+        capsys, "count", "200", "--genus", "1", "--arcs", "--format", "json"
+    )
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert rows[-1]["arcs"] == "total"
+    assert sum(int(r["count"]) for r in rows[:-1]) == int(rows[-1]["count"])
+    code, out, _ = run(capsys, "count", "200", "--genus", "1", "--format", "json")
+    assert code == 0
+    assert rows[-1]["count"] == json.loads(out)["values"]["count"]
+
+
 def test_series_families(capsys):
     code, out, _ = run(
         capsys, "series", "dg", "--genus", "1", "--order", "10", "--format", "json"

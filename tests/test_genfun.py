@@ -8,10 +8,8 @@ from toporna.genfun import (
     StructureClass,
     arc_distribution,
     core_polys,
-    d0_bivariate,
     d0_jet,
     d0_series,
-    dg_bivariate,
     dg_jet,
     dg_series,
     dg_via_chords,
@@ -203,17 +201,23 @@ def test_parameter_validation():
         dg_series(PLAIN, -1, 8)
     with pytest.raises(ValueError, match="order"):
         pk_marked_dg_jet(PLAIN, 1, "H", 0)
+    with pytest.raises(ValueError, match="^n must"):
+        arc_distribution(PLAIN, 1, -1)
+    with pytest.raises(ValueError, match="genus"):
+        arc_distribution(PLAIN, -1, 8)
 
 
-def test_bivariate_matches_jets():
-    order = 12
-    for g in (0, 1):
-        biv = dg_bivariate(PLAIN, g, order)
-        jet = dg_jet(PLAIN, g, order)
-        assert biv.at_y(1) == jet.value
-        for n in range(order):
-            weighted = sum(l * c for l, c in enumerate(biv.y_poly(n)))
-            assert weighted == jet.d1.coeff(n), (g, n)
+def test_arc_distribution_matches_jets():
+    order = 41
+    for cls_ in (PLAIN, StructureClass(2, 2), StructureClass(4, 3)):
+        for g in (0, 1, 2):
+            jet = dg_jet(cls_, g, order)
+            for n in range(order):
+                counts = arc_distribution(cls_, g, n)
+                assert sum(counts) == jet.value.coeff(n), (cls_, g, n)
+                assert sum(l * c for l, c in enumerate(counts)) == jet.d1.coeff(n), (cls_, g, n)
+                falling = sum(l * (l - 1) * c for l, c in enumerate(counts))
+                assert falling == jet.d2.coeff(n), (cls_, g, n)
 
 
 def test_arc_distribution_sums():
