@@ -132,6 +132,8 @@ def _text(value) -> str:
 
 
 def _class_of(args) -> StructureClass:
+    _at_least("--lambda", args.lam, 1)
+    _at_least("--r", args.r, 1)
     return StructureClass(args.lam, args.r)
 
 
@@ -349,6 +351,10 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_clt(args) -> int:
     digits = args.digits
+    if not 1 <= digits <= 15:  # printed through a float
+        raise ValueError(f"--digits must lie in 1..15, got {digits}")
+    _at_least("--max-lambda", args.max_lam, 1)
+    _at_least("--max-r", args.max_r, 1)
     if args.grid:
         meta = _base_meta(
             args, "clt", grid=True, max_arc=args.max_lam, max_stack=args.max_r
@@ -443,6 +449,7 @@ def _cmd_census(args) -> int:
     _at_least("--n", args.n, 0)
     _at_least("--max-genus", args.max_genus, 0)
     _check_ceiling(args.n, args)
+    cls_ = _class_of(args)
     meta = _base_meta(
         args,
         "census",
@@ -454,8 +461,8 @@ def _cmd_census(args) -> int:
     )
     rows_by_genus = full_census(
         args.n,
-        args.lam,
-        args.r,
+        cls_.min_arc,
+        cls_.min_stack,
         max_genus=args.max_genus,
         processes=args.threads if args.threads > 1 else None,
     )

@@ -17,7 +17,11 @@ and expanded only at the end.  :func:`arc_distribution` evaluates D_g(x, y)
 at y = 1, ..., n/2 + 1 and interpolates the polynomial [x^n] D_g exactly.
 The arc-marked jets (:func:`d0_jet`, :func:`dg_jet`, :func:`dg_via_chords`)
 and the loop-marked jets stay on truncated-series arithmetic; they are the
-independent route the algebraic families are checked against.
+independent route the algebraic families are checked against.  The
+arc-marked jet has two derivations, the quadratic (:func:`d0_jet`) and the
+chord-diagram series (:func:`dg_via_chords`).  The loop-marked jets take
+the root of the loop grammar's genus-0 quadratic in closed form; one table
+of markers drives that root and the series each shape arc becomes.
 
 Everything here is exact; coefficients are ints (occasionally Fractions in
 intermediate steps).  Results are truncated power series in x, where x
@@ -98,6 +102,11 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be at least 1, got {order}")
 
 
+def _check_genus(genus: int) -> None:
+    if genus < 0:
+        raise ValueError(f"genus must be nonnegative, got {genus}")
+
+
 def _d0(cls_: StructureClass, y: int = 1) -> AlgebraicSeries:
     """The genus-0 series (B - S) / (2 q^r) at marker value y.
 
@@ -121,8 +130,7 @@ def _stack_substitution(
 
 def _dg(cls_: StructureClass, genus: int, y: int = 1) -> AlgebraicSeries:
     """The genus-g series D_g(x, y) at marker value y, arcs marked by y."""
-    if genus < 0:
-        raise ValueError(f"genus must be nonnegative, got {genus}")
+    _check_genus(genus)
     d0 = _d0(cls_, y)
     if genus == 0:
         return d0
@@ -138,6 +146,7 @@ def d0_series(cls_: StructureClass, order: int) -> TruncatedSeries:
 
 def d0_jet(cls_: StructureClass, order: int) -> YJet:
     """Genus-0 series with the marker counting arcs."""
+    _check_order(order)
     r = cls_.min_stack
     a, b = core_polys(cls_)
     inner = max(order, b.x_degree() + 1 - 2 * r)  # room for every term of B
@@ -158,6 +167,8 @@ def dg_series(cls_: StructureClass, genus: int, order: int) -> TruncatedSeries:
 
 def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
     """Genus-g series with the marker counting arcs."""
+    _check_order(order)
+    _check_genus(genus)
     if genus == 0:
         return d0_jet(cls_, order)
     _require_inflatable(cls_)
@@ -194,6 +205,8 @@ def dg_via_chords(cls_: StructureClass, genus: int, order: int) -> YJet:
     Uses the alternative form (A/B) C_g(q^r A / B^2) with q = x^2 y.  Agrees
     with :func:`dg_jet`; kept as an independent route for cross-checking.
     """
+    _check_order(order)
+    _check_genus(genus)
     if genus >= 1:
         _require_inflatable(cls_)
     a, b = core_polys(cls_)
@@ -212,96 +225,73 @@ def dg_via_chords(cls_: StructureClass, genus: int, order: int) -> YJet:
     return ((aj / bj) * YJet(value, d1, d2)).truncate(order)
 
 
+def _loop_marks(kind: str, order: int) -> dict[str, YJet | int]:
+    """The marker of each loop kind: the jet of y where ``kind`` counts, else 1."""
+    if kind not in LOOP_KINDS and kind != "stem":
+        raise ValueError(f"unknown loop kind {kind!r}")
+    counted = ("hairpin", "multi") if kind == "stem" else (kind,)
+    y = YJet.marker_power(1, order)
+    return {k: y if k in counted else 1 for k in LOOP_KINDS}
+
+
 def loop_marked_d0_jet(cls_: StructureClass, kind: str, order: int) -> YJet:
     """Genus-0 series with the marker counting one loop statistic.
 
     ``kind`` is one of the five loop kinds, or "stem" (which marks hairpins
-    and multiloops together, one per stem), or "arc" (recovering
-    :func:`d0_jet` through the grammar route).
+    and multiloops together, one per stem).  With G = 1/(1 - x), run = x G,
+    s = m_stack x^(2r)/(1 - x^2), h = m_hairpin x^(min_arc - 1) G,
+    l = 2 m_bulge run + m_interior run^2 and m = m_multi, the closed
+    component C (a stack with everything it encloses) solves
+    C (1 - C G) = s ((h + l C)(1 - C G) + m C^2 G^3),
+    a quadratic a C^2 + b C + k = 0 whose root without a constant term is
+    taken in closed form.  The series is 1 / (1 - x - C).
     """
-    if kind not in LOOP_KINDS and kind not in ("stem", "arc"):
-        raise ValueError(f"unknown loop kind {kind!r}")
-    lam, r = cls_.min_arc, cls_.min_stack
+    _check_order(order)
+    marks = _loop_marks(kind, order)
     x = TruncatedSeries.x(order)
-    inv1x = TruncatedSeries.one(order) / (1 - x)
-    one_j = YJet.plain(TruncatedSeries.one(order))
-    y = YJet.marker_power(1, order)
-    run = YJet.plain(x * inv1x)
-    hairpin_fill = YJet.plain(TruncatedSeries.x_power(lam - 1, order) * inv1x)
-    if kind == "arc":
-        sigma = _arc_marker_jet(r, order) / (1 - _arc_marker_jet(1, order))
-    else:
-        plain = TruncatedSeries.x_power(2 * r, order) / (
-            1 - TruncatedSeries.x_power(2, order)
-        )
-        sigma = YJet.plain(plain)
-    marks = {k: one_j for k in LOOP_KINDS}
-    if kind == "stem":
-        marks["hairpin"] = y
-        marks["multi"] = y
-    elif kind in marks:
-        marks[kind] = y
-    gap_j = YJet.plain(inv1x)
-    closed = YJet.plain(TruncatedSeries.zero(order))
-    for _ in range(order + 1):
-        spread = closed * gap_j
-        multi = spread * spread * gap_j / (1 - spread)
-        body = marks["hairpin"] * hairpin_fill
-        body = body + marks["bulge"] * run * closed * 2
-        body = body + marks["interior"] * run * run * closed
-        body = body + marks["multi"] * multi
-        refined = marks["stack"] * sigma * body
-        if refined == closed:
-            break
-        closed = refined
-    return one_j / (1 - YJet.plain(x) - closed)
-
-
-def _loop_substitution(
-    cls_: StructureClass, kind: str, z: YJet, order: int
-) -> YJet:
-    """Per-arc replacement series used when inflating a shape, marker included."""
-    r = cls_.min_stack
-    x = TruncatedSeries.x(order)
-    x2 = YJet.plain(TruncatedSeries.x_power(2, order))
-    x2r = YJet.plain(TruncatedSeries.x_power(2 * r, order))
-    y = YJet.marker_power(1, order)
-    run = YJet.plain(x / (1 - x))
-    z2 = z * z
-    if kind == "stack":
-        num = x2r * y * z2
-        den = 1 - x2 - x2r * y * (z2 - 1)
-    elif kind == "hairpin":
-        num = x2r * z2
-        den = 1 - x2 - x2r * (z2 - 1)
-    elif kind == "bulge":
-        num = x2r * z2
-        den = 1 - x2 - x2r * (z2 - 1 - run * (1 - y) * 2)
-    elif kind == "interior":
-        num = x2r * z2
-        den = 1 - x2 - x2r * (z2 - 1 - run * run * (1 - y))
-    elif kind == "multi":
-        num = x2r * z2
-        den = 1 - x2 - x2r * (y * (z2 - 1) + (run * 2 + run * run) * (1 - y))
-    else:
-        raise ValueError(f"unknown loop kind {kind!r}")
-    return num / den
+    one = YJet.plain(TruncatedSeries.one(order))
+    g = one / YJet.plain(1 - x)
+    run = YJet.plain(x) * g
+    arcs = YJet.plain(TruncatedSeries.x_power(2 * cls_.min_stack, order))
+    s = marks["stack"] * arcs / (1 - YJet.plain(TruncatedSeries.x_power(2, order)))
+    fill = YJet.plain(TruncatedSeries.x_power(cls_.min_arc - 1, order))
+    h = marks["hairpin"] * fill * g
+    loops = marks["bulge"] * run * 2 + marks["interior"] * run * run
+    a = g + s * (marks["multi"] * g * g * g - loops * g)
+    b = s * (loops - h * g) - 1
+    closed = (-b - (b * b - a * s * h * 4).sqrt()) / (a * 2)
+    return one / (1 - YJet.plain(x) - closed)
 
 
 def loop_marked_dg_jet(
     cls_: StructureClass, genus: int, kind: str, order: int
 ) -> YJet:
-    """Genus-g series with the marker counting one loop statistic."""
+    """Genus-g series with the marker counting one loop statistic.
+
+    With Z the genus-0 series, each shape arc becomes the stack series
+    x^(2r) m_stack Z^2 / (1 - x^2 - x^(2r) m_stack J), where
+    J = m_multi (Z^2 - 1 - 2 run - run^2) + 2 m_bulge run + m_interior run^2
+    marks the loop between two consecutive stacked arcs.
+    """
+    _check_order(order)
+    _check_genus(genus)
     if genus == 0:
         return loop_marked_d0_jet(cls_, kind, order)
     if kind == "stem":
         raise ValueError("stem marking is only available at genus 0")
-    if kind not in LOOP_KINDS:
-        raise ValueError(f"unknown loop kind {kind!r}")
+    marks = _loop_marks(kind, order)
     _require_inflatable(cls_)
     z = loop_marked_d0_jet(cls_, kind, order)
-    h = _loop_substitution(cls_, kind, z, order)
-    return z * _horner(shape_poly(genus), h)
+    z2 = z * z
+    x = TruncatedSeries.x(order)
+    run = YJet.plain(x / (1 - x))
+    x2 = YJet.plain(TruncatedSeries.x_power(2, order))
+    arcs = YJet.plain(TruncatedSeries.x_power(2 * cls_.min_stack, order))
+    arcs = marks["stack"] * arcs
+    loops = marks["multi"] * (z2 - 1 - run * 2 - run * run)
+    loops = loops + marks["bulge"] * run * 2 + marks["interior"] * run * run
+    w = arcs * z2 / (1 - x2 - arcs * loops)
+    return z * _horner(shape_poly(genus), w)
 
 
 def pk_marked_dg_jet(

@@ -154,6 +154,12 @@ def _merge_rows(target: dict[int, dict], extra: dict[int, dict]) -> None:
             mine["pk"][k] += row["pk"][k]
 
 
+def _check_class(min_arc: int, min_stack: int) -> None:
+    for name, value in (("min_arc", min_arc), ("min_stack", min_stack)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def full_census(
     n: int,
     min_arc: int = 1,
@@ -174,6 +180,7 @@ def full_census(
         processes: optional worker count; the tree is split on the first
             vertex's decision.
     """
+    _check_class(min_arc, min_stack)
     if max_genus < 0:
         raise ValueError(f"max_genus must be nonnegative, got {max_genus}")
     if processes and processes > 1 and n >= 2:
@@ -214,6 +221,7 @@ def enumerate_diagrams(
     The deterministic order pairs the lowest free vertex last, so the empty
     diagram comes first.  This runs the same search as :func:`full_census`.
     """
+    _check_class(min_arc, min_stack)
     for name, value in (("genus", genus), ("max_genus", max_genus)):
         if value is not None and value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")

@@ -229,6 +229,8 @@ def test_error_exits(capsys):
         (("census", "--n", "-1"), "--n"),
         (("census", "--n", "4", "--max-genus", "-1"), "--max-genus"),
         (("sample", "--n", "10", "--count", "-1"), "--count"),
+        (("census", "--n", "5", "--r", "0"), "--r"),
+        (("census", "--n", "6", "--lambda", "-2"), "--lambda"),
     ],
 )
 def test_oracle_inputs_rejected_by_flag(capsys, case, flag):
@@ -256,6 +258,29 @@ def test_series_inputs_rejected_by_flag(capsys, case, flag):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize(
+    "case, flag",
+    [
+        (("clt", "--lambda", "2", "--r", "2", "--digits", "25"), "--digits"),
+        (("clt", "--digits", "0"), "--digits"),
+        (("clt", "--digits", "-1"), "--digits"),
+        (("clt", "--grid", "--max-lambda", "0"), "--max-lambda"),
+        (("clt", "--grid", "--max-r", "-1"), "--max-r"),
+    ],
+)
+def test_clt_inputs_rejected_by_flag(capsys, case, flag):
+    code, out, err = run(capsys, *case)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
+
+
+def test_clt_prints_up_to_fifteen_digits(capsys):
+    code, out, _ = run(capsys, "clt", "--lambda", "2", "--r", "2", "--digits", "15")
+    assert code == 0
+    assert "mean_arc_fraction: 0.317239507847332\n" in out
 
 
 def _digits_to_int(text):

@@ -22,7 +22,7 @@ from toporna.genfun import (
     structure_counts,
 )
 from toporna.oracle import enumerate_diagrams, full_census
-from toporna.recursions import MARK_KINDS, marked_shape_poly
+from toporna.recursions import MARK_KINDS, marked_shape_poly, shape_poly
 from toporna.series import TruncatedSeries, YJet, XYPolynomial
 
 PLAIN = StructureClass(1, 1)
@@ -72,11 +72,10 @@ SMALL_ORDERS = [
 ]
 
 
-def test_d0_three_routes_agree():
+def test_d0_two_routes_agree():
     cases = [(StructureClass(lam, r), 20) for lam, r in [(1, 1), (2, 2), (3, 2)]]
     for cls_, order in cases + SMALL_ORDERS:
         closed = d0_jet(cls_, order)
-        assert loop_marked_d0_jet(cls_, "arc", order) == closed, (cls_, order)
         assert dg_via_chords(cls_, 0, order) == closed, (cls_, order)
 
 
@@ -107,6 +106,79 @@ def test_stem_marking_identities():
         parts = {k: loop_marked_d0_jet(cls_, k, order) for k in LOOP_KINDS}
         assert stem.d1 == parts["hairpin"].d1 + parts["multi"].d1
         assert stem.d1 == parts["stack"].d1 - parts["bulge"].d1 - parts["interior"].d1
+
+
+def _fixpoint_loop_d0_jet(cls_, kind, order):
+    """Reference: the loop grammar iterated to its fixpoint, one kind marked."""
+    lam, r = cls_.min_arc, cls_.min_stack
+    x = TruncatedSeries.x(order)
+    inv1x = TruncatedSeries.one(order) / (1 - x)
+    one_j = YJet.plain(TruncatedSeries.one(order))
+    y = YJet.marker_power(1, order)
+    run = YJet.plain(x * inv1x)
+    hairpin_fill = YJet.plain(TruncatedSeries.x_power(lam - 1, order) * inv1x)
+    sigma = YJet.plain(
+        TruncatedSeries.x_power(2 * r, order) / (1 - TruncatedSeries.x_power(2, order))
+    )
+    marks = {k: one_j for k in LOOP_KINDS}
+    for k in ("hairpin", "multi") if kind == "stem" else (kind,):
+        marks[k] = y
+    gap_j = YJet.plain(inv1x)
+    closed = YJet.plain(TruncatedSeries.zero(order))
+    for _ in range(order + 1):
+        spread = closed * gap_j
+        multi = spread * spread * gap_j / (1 - spread)
+        body = marks["hairpin"] * hairpin_fill
+        body = body + marks["bulge"] * run * closed * 2
+        body = body + marks["interior"] * run * run * closed
+        body = body + marks["multi"] * multi
+        refined = marks["stack"] * sigma * body
+        if refined == closed:
+            break
+        closed = refined
+    return one_j / (1 - YJet.plain(x) - closed)
+
+
+def _branch_loop_substitution(cls_, kind, z, order):
+    """Reference: the series each shape arc becomes, one formula per kind."""
+    x = TruncatedSeries.x(order)
+    x2 = YJet.plain(TruncatedSeries.x_power(2, order))
+    x2r = YJet.plain(TruncatedSeries.x_power(2 * cls_.min_stack, order))
+    y = YJet.marker_power(1, order)
+    run = YJet.plain(x / (1 - x))
+    z2 = z * z
+    if kind == "stack":
+        return x2r * y * z2 / (1 - x2 - x2r * y * (z2 - 1))
+    if kind == "hairpin":
+        return x2r * z2 / (1 - x2 - x2r * (z2 - 1))
+    if kind == "bulge":
+        return x2r * z2 / (1 - x2 - x2r * (z2 - 1 - run * (1 - y) * 2))
+    if kind == "interior":
+        return x2r * z2 / (1 - x2 - x2r * (z2 - 1 - run * run * (1 - y)))
+    assert kind == "multi"
+    extra = (run * 2 + run * run) * (1 - y)
+    return x2r * z2 / (1 - x2 - x2r * (y * (z2 - 1) + extra))
+
+
+def test_loop_marked_closed_form_matches_fixpoint():
+    for lam, r in [(1, 1), (2, 1), (2, 2), (4, 3)]:
+        cls_ = StructureClass(lam, r)
+        for order in list(range(1, 9)) + [41]:
+            for kind in LOOP_KINDS + ("stem",):
+                z = _fixpoint_loop_d0_jet(cls_, kind, order)
+                assert loop_marked_d0_jet(cls_, kind, order) == z, (cls_, kind, order)
+                if kind == "stem":
+                    continue
+                w = _branch_loop_substitution(cls_, kind, z, order)
+                for g in (1, 2):
+                    expect = z * 0
+                    for c in reversed(shape_poly(g).coeffs):
+                        expect = expect * w + c
+                    expect = z * expect
+                    got = loop_marked_dg_jet(cls_, g, kind, order)
+                    assert got == expect, (cls_, g, kind, order)
+    with pytest.raises(ValueError, match="arc"):
+        loop_marked_d0_jet(PLAIN, "arc", 8)
 
 
 def test_dg_counts_against_census():
@@ -205,6 +277,22 @@ def test_parameter_validation():
         arc_distribution(PLAIN, 1, -1)
     with pytest.raises(ValueError, match="genus"):
         arc_distribution(PLAIN, -1, 8)
+    for call in (
+        lambda order: d0_jet(PLAIN, order),
+        lambda order: dg_jet(PLAIN, 1, order),
+        lambda order: dg_via_chords(PLAIN, 1, order),
+        lambda order: loop_marked_d0_jet(PLAIN, "stack", order),
+        lambda order: loop_marked_dg_jet(PLAIN, 1, "stack", order),
+    ):
+        with pytest.raises(ValueError, match="^order"):
+            call(0)
+    for call in (
+        lambda genus: dg_jet(PLAIN, genus, 8),
+        lambda genus: dg_via_chords(PLAIN, genus, 8),
+        lambda genus: loop_marked_dg_jet(PLAIN, genus, "stack", 8),
+    ):
+        with pytest.raises(ValueError, match="^genus"):
+            call(-1)
 
 
 def test_arc_distribution_matches_jets():

@@ -206,3 +206,13 @@ def test_census_rejects_negative_genus_cap():
 def test_enumerate_diagrams_rejects_negative_genus(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         list(enumerate_diagrams(4, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "min_arc, min_stack, name", [(0, 1, "min_arc"), (0, 0, "min_arc"), (1, 0, "min_stack")]
+)
+def test_oracle_rejects_invalid_class(min_arc, min_stack, name):
+    with pytest.raises(ValueError, match=name):
+        full_census(5, min_arc, min_stack)
+    with pytest.raises(ValueError, match=name):
+        list(enumerate_diagrams(4, min_arc, min_stack))
