@@ -243,6 +243,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_shapes(args) -> int:
+    _at_least("--genus", args.genus, 0)
     meta = _base_meta(args, "shapes", genus=args.genus, mark=args.mark or "none")
     if args.mark:
         poly = recursions.marked_shape_poly(args.genus, args.mark)
@@ -262,6 +263,7 @@ def _cmd_shapes(args) -> int:
 
 
 def _cmd_irreducibles(args) -> int:
+    _at_least("--genus", args.genus, 1)
     meta = _base_meta(args, "irreducibles", genus=args.genus, derived=args.derived)
     poly = recursions.irreducible_poly(args.genus, derived=args.derived)
     rows = [
@@ -408,6 +410,8 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _at_least("--n", args.n, 0)
+    _at_least("--genus", args.genus, 0)
     _at_least("--count", args.count, 1)
     cls_ = _class_of(args)
     method = "enumerative" if args.enumerative else "grammar"

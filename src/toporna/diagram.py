@@ -5,11 +5,14 @@ drawn as arcs in the upper half plane.  Thickening vertices to disks and
 edges to ribbons produces a fatgraph whose boundary components determine the
 Euler characteristic and hence the genus of the diagram.
 
-Besides the genus computation this module holds the purely combinatorial
-toolbox: dot-bracket parsing with paged brackets, projections that collapse
-stacks and strip away secondary content, the decomposition into crossing
-components, classification of those components against the genus-1 catalog,
-and the loop statistics used to cross-check marked generating functions.
+Faces are traced by one walker, :func:`_walk_face`, that steps straight
+on the partner array; :func:`boundary_components` and the oracle's genus
+step (:func:`_corner_face`) both use it.  Besides the genus computation
+this module holds the purely combinatorial toolbox: dot-bracket parsing
+with paged brackets, projections that collapse stacks and strip away
+secondary content, the decomposition into crossing components,
+classification of those components against the genus-1 catalog, and the
+loop statistics used to cross-check marked generating functions.
 
 Each per-structure analysis has one definition here.  :func:`_crossings` is
 the only scan over crossing arc pairs, :func:`classify_component` the only
@@ -117,51 +120,62 @@ def arcs_cross(a: Arc, b: Arc) -> bool:
     return (i < k < j < l) or (k < i < l < j)
 
 
-def _rotation(n: int, partner: list[int]) -> list[int]:
-    """Rotation system of the thickened diagram, as a successor table.
+def _walk_face(n: int, partner: list[int], w: int, t: int, seen: bytearray) -> None:
+    """Mark ``seen[3w + t]`` for every half-edge on the face through ``(w, t)``.
 
-    Half-edges are numbered so that reversal is a bit flip: backbone edge
-    v -> v+1 owns halves 2(v-1) and 2(v-1)+1, and the a-th arc (sorted by
-    left endpoint) owns halves B0+2a and B0+2a+1 with B0 = 2(n-1).  At each
-    vertex the counterclockwise order is (right backbone, arc, left
-    backbone); ``sigma_next[h]`` is the half after ``h`` in that order.
-    Faces are the orbits of ``h -> sigma_next[h ^ 1]``.
+    This is the one face tracer of the thickened diagram.  Half-edge
+    ``(w, t)`` sits at vertex w: t=0 is the backbone half leaving to the
+    right (R), t=1 the arc half (A) and t=2 the backbone half leaving to the
+    left (L).  At each vertex the counterclockwise order is (R, A, L), and a
+    face step crosses the ribbon of the current half, then takes the next
+    half present at the far vertex in that order.
     """
-    half = 2 * (n - 1)
-    arc_half = [0] * (n + 1)
-    for v in range(1, n + 1):
-        if partner[v] > v:
-            arc_half[v] = half
-            arc_half[partner[v]] = half + 1
-            half += 2
-    sigma_next = [0] * half
-    for v in range(1, n + 1):
-        cycle = [2 * (v - 1)] if v < n else []
-        if partner[v]:
-            cycle.append(arc_half[v])
-        if v > 1:
-            cycle.append(2 * (v - 2) + 1)
-        for t, h in enumerate(cycle):
-            sigma_next[h] = cycle[(t + 1) % len(cycle)]
-    return sigma_next
+    start = h = 3 * w + t
+    while True:
+        seen[h] = 1
+        if t == 2:  # to (w - 1, R), then A, L or R
+            w -= 1
+            t = 1 if partner[w] else 2 if w > 1 else 0
+        elif t == 1:  # to (partner, A), then L or R
+            w = partner[w]
+            t = 2 if w > 1 else 0
+        else:  # to (w + 1, L), then R, A or L
+            w += 1
+            t = 0 if w < n else 1 if partner[w] else 2
+        h = 3 * w + t
+        if h == start:
+            return
 
 
 def boundary_components(n: int, partner: list[int]) -> int:
-    """Count boundary components of the thickened diagram (see :func:`_rotation`)."""
-    sigma_next = _rotation(n, partner) if n else []
-    if not sigma_next:
+    """Count boundary components of the thickened diagram (see :func:`_walk_face`)."""
+    if n < 2:
         return 1
-    seen = bytearray(len(sigma_next))
+    seen = bytearray(3 * n + 3)
     faces = 0
-    for start in range(len(sigma_next)):
-        if seen[start]:
-            continue
-        faces += 1
-        h = start
-        while not seen[h]:
-            seen[h] = 1
-            h = sigma_next[h ^ 1]
+    # every face passes a backbone half: an arc half is always followed by one
+    for w in range(1, n):
+        if not seen[3 * w]:
+            faces += 1
+            _walk_face(n, partner, w, 0, seen)
+        if not seen[3 * w + 5]:
+            faces += 1
+            _walk_face(n, partner, w + 1, 2, seen)
     return faces
+
+
+def _corner_face(n: int, partner: list[int], v: int) -> bytearray:
+    """Mark the vertices whose insertion corner lies on v's corner face.
+
+    Requires ``v < n`` with v unpaired.  The corner of a free vertex u < n
+    is entered by the half (u + 1, L) and that of u = n by (n - 1, R); the
+    face walked is the one through v's own corner (see :func:`_walk_face`).
+    """
+    seen = bytearray(3 * n + 3)
+    _walk_face(n, partner, v + 1, 2, seen)
+    on_face = seen[5::3]
+    on_face.append(seen[3 * n - 3])
+    return on_face
 
 
 def genus_of_partner(n: int, partner: list[int]) -> GenusResult:
@@ -363,20 +377,32 @@ def crossing_components(diagram: Diagram) -> list[list[int]]:
 
 
 #: ``(label, genus)`` of every crossing component classified so far, keyed
-#: by its arcs relabelled onto 1..2k.
+#: by its arcs with stacks collapsed, relabelled onto 1..2k.
 _component_classes: dict[tuple[Arc, ...], tuple[str, int]] = {}
 
 
 def _classify_arcs(
     arcs: list[Arc] | tuple[Arc, ...], arc_indices: list[int]
 ) -> tuple[str, int]:
-    """Classify the component ``arc_indices`` of ``arcs``, through the cache."""
-    verts = sorted(v for a in arc_indices for v in arcs[a])
-    rank = {v: t for t, v in enumerate(verts, start=1)}
-    key = tuple(sorted((rank[arcs[a][0]], rank[arcs[a][1]]) for a in arc_indices))
+    """Classify the component ``arc_indices`` of ``arcs``, through the cache.
+
+    The key drops every arc followed, in left-endpoint order, by an arc
+    whose endpoints are next to its own among the component's vertices.
+    That inner arc crosses the same arcs, so a run of parallel arcs keeps
+    only its innermost one and neither the shadow nor the genus changes.
+    """
+    comp = [arcs[a] for a in arc_indices]
+    rank = {v: t for t, v in enumerate(sorted([v for arc in comp for v in arc]), 1)}
+    key = [(rank[i], rank[j]) for i, j in comp]
+    kept = [(i, j) for (i, j), (k, l) in zip(key, key[1:]) if k != i + 1 or l != j - 1]
+    if len(kept) + 1 < len(key):
+        kept.append(key[-1])
+        rank = {v: t for t, v in enumerate(sorted([v for arc in kept for v in arc]), 1)}
+        key = [(rank[i], rank[j]) for i, j in kept]
+    key = tuple(key)
     result = _component_classes.get(key)
     if result is None:
-        shadow = project_shadow(Diagram(len(verts), key))
+        shadow = project_shadow(Diagram(2 * len(key), key))
         g = shadow.genus().genus
         label = _SHADOW_LABELS.get(shadow) if g == 1 else "higher"
         if label is None:
@@ -393,8 +419,9 @@ def classify_component(diagram: Diagram, arc_indices: list[int]) -> tuple[str, i
     Returns a pair ``(label, genus)`` where the label is ``"secondary"``
     for a single non-crossing arc, one of ``"H"``, ``"K"``, ``"L"``, ``"M"``
     for a genus-1 component according to its shadow, and ``"higher"``
-    otherwise.  Results are cached on the component relabelled onto
-    1..2k, so repeated patterns are projected once.
+    otherwise.  Results are cached on the component with its stacks
+    collapsed, relabelled onto 1..2k, so repeated patterns are projected
+    once.
     """
     if len(arc_indices) == 1:
         return "secondary", 0
@@ -616,5 +643,7 @@ def tally_structure(
     _tally_loops(n, partner, arcs, involved, row["loops"])
     pk = row["pk"]
     for members in components:
-        if len(members) > 1:
+        if len(members) == 2:
+            pk["H"] += 1  # two crossing arcs are the H shadow itself
+        elif len(members) > 2:
             pk[_classify_arcs(arcs, members)[0]] += 1

@@ -3,12 +3,13 @@
 The workhorse is a vertex-by-vertex backtracking search over partial
 matchings.  It tracks the genus of the growing diagram incrementally:
 before pairing the lowest undecided vertex v, the search walks the one
-boundary component through v's insertion corner and marks the free
-vertices whose corners lie on it.  Pairing v with a marked vertex splits
-that component and keeps the genus; pairing it with an unmarked one merges
-two components and raises the genus by one.  Together with early checks
-for undersized stacks and short hairpins this keeps the search tree close
-to the set of structures actually counted.
+boundary component through v's insertion corner straight on the partner
+array (:func:`toporna.diagram._corner_face`) and marks the free vertices
+whose corners lie on it.  Pairing v with a marked vertex splits that
+component and keeps the genus; pairing it with an unmarked one merges two
+components and raises the genus by one.  Together with early checks for
+undersized stacks and short hairpins this keeps the search tree close to
+the set of structures actually counted.
 
 Each finished structure is tallied into its genus row by
 :func:`toporna.diagram.tally_structure`, the same tally the sampler
@@ -27,35 +28,11 @@ from .diagram import (
     PK_LABELS,
     Arc,
     Diagram,
-    _rotation,
+    _corner_face,
     crossing_components,
     new_tally,
     tally_structure,
 )
-
-
-def _corner_face(n: int, partner: list[int], v: int) -> bytearray:
-    """Mark the vertices whose insertion corner lies on v's corner face.
-
-    Requires ``v < n`` with v unpaired.  The corner of a free vertex
-    u < n is entered by backbone half 2u - 1 (the edge from u + 1 into u),
-    and that of u = n by half 2n - 4 (the edge from n - 1 into n); see
-    :func:`toporna.diagram._rotation` for the numbering.
-    """
-    sigma_next = _rotation(n, partner)
-    base = 2 * (n - 1)
-    last_corner = 2 * n - 4
-    on_face = bytearray(n + 1)
-    start = h = 2 * v - 1
-    while True:
-        if h < base:
-            if h & 1:
-                on_face[(h + 1) >> 1] = 1
-            elif h == last_corner:
-                on_face[n] = 1
-        h = sigma_next[h ^ 1]
-        if h == start:
-            return on_face
 
 
 def _structures(

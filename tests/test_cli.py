@@ -263,6 +263,25 @@ def test_series_inputs_rejected_by_flag(capsys, case, flag):
 @pytest.mark.parametrize(
     "case, flag",
     [
+        (("sample", "--n", "-1"), "--n"),
+        (("sample", "--n", "-1", "--enumerative"), "--n"),
+        (("sample", "--n", "10", "--genus", "-1"), "--genus"),
+        (("shapes", "--genus", "-1"), "--genus"),
+        (("shapes", "--genus", "-1", "--mark", "H"), "--genus"),
+        (("irreducibles", "--genus", "-1"), "--genus"),
+        (("irreducibles", "--genus", "0"), "--genus"),
+    ],
+)
+def test_sample_and_shape_inputs_rejected_by_flag(capsys, case, flag):
+    code, out, err = run(capsys, *case)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize(
+    "case, flag",
+    [
         (("clt", "--lambda", "2", "--r", "2", "--digits", "25"), "--digits"),
         (("clt", "--digits", "0"), "--digits"),
         (("clt", "--digits", "-1"), "--digits"),

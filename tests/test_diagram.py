@@ -11,6 +11,7 @@ from toporna.diagram import (
     GENUS1_SHADOWS,
     PK_LABELS,
     Diagram,
+    _classify_arcs,
     _crossings,
     arcs_cross,
     block_decomposition,
@@ -347,3 +348,71 @@ def test_crossing_pass_and_tally_match_pair_scan(case):
         "loops": loop_counts(d),
         "pk": pk,
     }
+
+
+def _faces_by_rotation_table(n: int, partner: list[int]) -> int:
+    """Reference face count: orbits of ``h -> sigma_next[h ^ 1]``.
+
+    Backbone edge v -> v+1 owns halves 2(v-1) and 2(v-1)+1, the a-th arc
+    (by left endpoint) halves B0+2a and B0+2a+1 with B0 = 2(n-1), and the
+    counterclockwise order at each vertex is (right backbone, arc, left
+    backbone).
+    """
+    half = 2 * (n - 1)
+    arc_half = [0] * (n + 1)
+    for v in range(1, n + 1):
+        if partner[v] > v:
+            arc_half[v] = half
+            arc_half[partner[v]] = half + 1
+            half += 2
+    if half <= 0:
+        return 1
+    sigma_next = [0] * half
+    for v in range(1, n + 1):
+        cycle = [2 * (v - 1)] if v < n else []
+        if partner[v]:
+            cycle.append(arc_half[v])
+        if v > 1:
+            cycle.append(2 * (v - 2) + 1)
+        for t, h in enumerate(cycle):
+            sigma_next[h] = cycle[(t + 1) % len(cycle)]
+    seen = [False] * half
+    faces = 0
+    for start in range(half):
+        if not seen[start]:
+            faces += 1
+            h = start
+            while not seen[h]:
+                seen[h] = True
+                h = sigma_next[h ^ 1]
+    return faces
+
+
+@given(_partner_array())
+def test_face_walk_matches_rotation_table(case):
+    n, partner = case
+    assert boundary_components(n, partner) == _faces_by_rotation_table(n, partner)
+
+
+def test_two_crossing_arcs_are_the_h_shadow():
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(4, 16)
+        a, b, c, d = sorted(rng.sample(range(1, n + 1), 4))
+        arcs = ((a, c), (b, d))
+        assert project_shadow(Diagram(n, arcs)) == GENUS1_SHADOWS["H"]
+        assert _classify_arcs(arcs, [0, 1]) == ("H", 1)
+
+
+@given(_partner_array())
+def test_stack_collapsed_key_keeps_the_component_class(case):
+    n, partner = case
+    d = Diagram.from_partner(n, partner)
+    labels = {shadow: name for name, shadow in GENUS1_SHADOWS.items()}
+    for comp in crossing_components(d):
+        if len(comp) < 2:
+            continue
+        shadow = project_shadow(Diagram(n, tuple(d.arcs[a] for a in comp)))
+        g = shadow.genus().genus
+        expected = (labels[shadow] if g == 1 else "higher", g)
+        assert classify_component(d, comp) == expected
