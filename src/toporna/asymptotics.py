@@ -3,7 +3,8 @@
 The dominant singularity of every genus-g series in a structure class is the
 smallest positive root of the discriminant B^2 - 4 (x^2 y)^r A at y = 1;
 genus only changes the subexponential factor n^((6g-3)/2).  This module
-locates that root numerically (mpmath bisection to controlled precision),
+locates that root numerically (an exact sign scan, then Newton's method in
+mpmath to controlled precision),
 differentiates the root curve implicitly to get the arc-count limit law, and
 provides a least-squares helper for reading exponents off exact coefficient
 data.
@@ -29,32 +30,54 @@ def _poly_eval(p: Polynomial, x):
     return acc
 
 
-def singularity(cls_: StructureClass, dps: int = 50):
-    """Smallest positive root of the discriminant at marker value 1."""
-    poly = discriminant_poly(cls_).at_y(1)
-    with mp.workdps(dps + 15):
-        def f(t):
-            return _poly_eval(poly, t)
+#: The root is first bracketed on the grid k / SCAN_STEPS.
+SCAN_STEPS = 1024
 
-        step = mp.mpf(1) / 1024
-        lo = mp.mpf(0)
-        hi = None
-        t = step
-        while t < 2:
-            if f(t) < 0:
-                hi = t
-                lo = t - step
-                break
-            t += step
-        if hi is None:
-            raise ArithmeticError("no sign change found below x = 2")
+
+def singularity(cls_: StructureClass, dps: int = 50):
+    """Smallest positive root of the discriminant at marker value 1.
+
+    The first grid point k / 1024 below 2 where the discriminant is negative
+    is found by exact integer sign tests: the sign of Delta(k / 1024) is that
+    of sum_i c_i k^i 1024^(deg - i).  Newton's method then runs in mpmath
+    at dps + 15 digits inside the bracket ((k - 1) / 1024, k / 1024], which
+    every evaluation narrows; a step that would leave it is replaced by a
+    bisection step.  It stops once a step, or the bracket, is below
+    10^-(dps + 10).
+    """
+    poly = discriminant_poly(cls_).at_y(1)
+    top = poly.degree
+    scaled = [c * SCAN_STEPS ** (top - i) for i, c in enumerate(poly.coeffs)]
+
+    def scaled_value(k: int) -> int:
+        acc = 0
+        for c in reversed(scaled):
+            acc = acc * k + c
+        return acc
+
+    k = next((k for k in range(1, 2 * SCAN_STEPS) if scaled_value(k) < 0), None)
+    if k is None:
+        raise ArithmeticError("no sign change found below x = 2")
+    slope = poly.derivative()
+    with mp.workdps(dps + 15):
+        lo, hi = mp.mpf(k - 1) / SCAN_STEPS, mp.mpf(k) / SCAN_STEPS
         target = mp.mpf(10) ** (-(dps + 10))
+        t = (lo + hi) / 2
         while hi - lo > target:
-            mid = (lo + hi) / 2
-            if f(mid) < 0:
-                hi = mid
+            value = _poly_eval(poly, t)
+            if value == 0:
+                return t
+            if value < 0:
+                hi = t
             else:
-                lo = mid
+                lo = t
+            step = value / _poly_eval(slope, t)
+            if lo < t - step < hi:
+                t -= step
+                if abs(step) < target:
+                    return t
+            else:
+                t = (lo + hi) / 2
         return (lo + hi) / 2
 
 

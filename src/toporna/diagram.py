@@ -422,10 +422,22 @@ def classify_component(diagram: Diagram, arc_indices: list[int]) -> tuple[str, i
     otherwise.  Results are cached on the component with its stacks
     collapsed, relabelled onto 1..2k, so repeated patterns are projected
     once.
+
+    Raises:
+        ValueError: if ``arc_indices`` is not one of the diagram's
+            crossing components.
     """
+    if sorted(arc_indices) not in crossing_components(diagram):
+        raise ValueError(
+            f"arcs {list(arc_indices)} are not one crossing component of the diagram"
+        )
+    return _label_component(diagram.arcs, arc_indices)
+
+
+def _label_component(arcs: tuple[Arc, ...], arc_indices: list[int]) -> tuple[str, int]:
     if len(arc_indices) == 1:
         return "secondary", 0
-    return _classify_arcs(diagram.arcs, arc_indices)
+    return _classify_arcs(arcs, arc_indices)
 
 
 def block_decomposition(diagram: Diagram) -> list[ComponentBlock]:
@@ -442,7 +454,7 @@ def block_decomposition(diagram: Diagram) -> list[ComponentBlock]:
             min(arcs[a][0] for a in indices),
             max(arcs[a][1] for a in indices),
         )
-        label, genus = classify_component(diagram, indices)
+        label, genus = _label_component(arcs, indices)
         flat.append(ComponentBlock(tuple(indices), span, genus, label, ()))
     flat.sort(key=lambda b: (b.span[0], -b.span[1]))
     return _assemble_forest(flat)

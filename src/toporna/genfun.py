@@ -10,18 +10,26 @@ evaluated at y = 1, which is enough to read off exact expectations and
 variances of the marked statistic.
 
 Two kinds of family live here.  The algebraic ones, :func:`d0_series`,
-:func:`dg_series`, :func:`arc_distribution` and :func:`pk_marked_dg_jet`,
-are computed exactly in Q(x)(S), with S the square root of the discriminant
-at an integer marker value y, as :class:`~toporna.series.AlgebraicSeries`,
-and expanded only at the end.  :func:`arc_distribution` evaluates D_g(x, y)
-at y = 1, ..., n/2 + 1 and interpolates the polynomial [x^n] D_g exactly.
-The arc-marked jets (:func:`d0_jet`, :func:`dg_jet`, :func:`dg_via_chords`)
-and the loop-marked jets stay on truncated-series arithmetic; they are the
-independent route the algebraic families are checked against.  The
-arc-marked jet has two derivations, the quadratic (:func:`d0_jet`) and the
-chord-diagram series (:func:`dg_via_chords`).  The loop-marked jets take
-the root of the loop grammar's genus-0 quadratic in closed form; one table
-of markers drives that root and the series each shape arc becomes.
+:func:`dg_series`, :func:`arc_distribution`, :func:`pk_marked_dg_jet` and
+the arc-marked jets :func:`d0_jet` and :func:`dg_jet`, are computed exactly
+in Q(x)(S), with S the square root of the discriminant at an integer marker
+value y, as :class:`~toporna.series.AlgebraicSeries`, and expanded only at
+the end.  An arc-marked jet holds D_g and its first two y-derivatives at
+y = 1 as three such elements; the jet of S comes from the discriminant's
+y-jets.  At y = 1 every element is reduced over the class's factor base:
+the coprime, squarefree factors of the discriminant Delta(x, 1) and of the
+norm of w's denominator, w being the series each shape arc becomes.  Every
+denominator is a power of x times a power product of that base, so trial
+division keeps the degrees small.  :func:`arc_distribution` evaluates
+D_g(x, y) at y = 1, ..., n/2 + 1 and interpolates the polynomial [x^n] D_g
+exactly.
+
+The chord-diagram route :func:`dg_via_chords` and the loop-marked jets
+stay on truncated-series arithmetic.  :func:`dg_via_chords` is the
+independent derivation the arc-marked jets are checked against.  The
+loop-marked jets take the root of the loop grammar's genus-0 quadratic in
+closed form; one table of markers drives that root and the series each
+shape arc becomes.
 
 Everything here is exact; coefficients are ints (occasionally Fractions in
 intermediate steps).  Results are truncated power series in x, where x
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .diagram import LOOP_KINDS
 from .recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
@@ -42,6 +51,7 @@ from .series import (
     XYPolynomial,
     YJet,
     _exact_quotient,
+    coprime_base,
 )
 
 
@@ -107,35 +117,85 @@ def _check_genus(genus: int) -> None:
         raise ValueError(f"genus must be nonnegative, got {genus}")
 
 
-def _d0(cls_: StructureClass, y: int = 1) -> AlgebraicSeries:
-    """The genus-0 series (B - S) / (2 q^r) at marker value y.
+def _elements(
+    cls_: StructureClass, y: int, base: tuple[Polynomial, ...]
+) -> tuple[AlgebraicSeries, ...]:
+    """D0, q = x^2 y and q^r at marker value y, as elements of Q(x)(S).
 
-    q = x^2 y marks an arc and S^2 is the discriminant at y.
+    D0 = (B - S) / (2 q^r) is the genus-0 series, with S^2 the
+    discriminant at y; ``base`` is the factor base the elements carry.
     """
-    r = cls_.min_stack
-    b = core_polys(cls_)[1].at_y(y)
     delta = discriminant_poly(cls_).at_y(y)
-    return AlgebraicSeries(delta, b, Polynomial([-1]), Polynomial.x_power(2 * r) * (2 * y**r))
-
-
-def _stack_substitution(
-    cls_: StructureClass, d0: AlgebraicSeries, y: int = 1
-) -> AlgebraicSeries:
-    """w = q^r D0^2 / (1 - q - q^r (D0^2 - 1)), the series each shape arc becomes."""
+    b = core_polys(cls_)[1].at_y(y)
     r = cls_.min_stack
-    qr = AlgebraicSeries(d0.delta, Polynomial.x_power(2 * r) * y**r)
-    q = AlgebraicSeries(d0.delta, Polynomial.x_power(2) * y)
+    qr = Polynomial.x_power(2 * r) * y**r
+    return (
+        AlgebraicSeries(delta, b, Polynomial([-1]), qr * 2, base),
+        AlgebraicSeries(delta, Polynomial.x_power(2) * y, base=base),
+        AlgebraicSeries(delta, qr, base=base),
+    )
+
+
+@lru_cache(maxsize=None)
+def _factor_base(cls_: StructureClass) -> tuple[Polynomial, ...]:
+    """The coprime base of the discriminant and of E, the norm of w's denominator, at y = 1.
+
+    Every denominator of D_g and of its marker derivatives at y = 1 is, up
+    to a constant and a power of x, a power product of these factors.
+    """
+    d0, q, qr = _elements(cls_, 1, ())
+    return coprime_base((d0.delta, (1 - q - qr * (d0 * d0 - 1)).norm()))
+
+
+def _element_jets(cls_: StructureClass) -> tuple[YJet, ...]:
+    """Jets at y = 1 of D0, q and q^r, reduced over the class's factor base.
+
+    D0 = (B - S) / (2 q^r) comes from the jets of B, q^r and S, with
+    S' = Delta' S / (2 Delta) and S'' = Delta'' S / (2 Delta) - Delta'^2 S / (4 Delta^2)
+    from Delta's y-jets.
+    """
+    delta, delta1, delta2 = discriminant_poly(cls_).y1_jets()
+    base = _factor_base(cls_)
+
+    def jet(poly: XYPolynomial) -> YJet:
+        return YJet(*(AlgebraicSeries(delta, p, base=base) for p in poly.y1_jets()))
+
+    none = Polynomial()
+    s = YJet(
+        AlgebraicSeries(delta, none, Polynomial([1]), base=base),
+        AlgebraicSeries(delta, none, delta1, delta * 2, base),
+        AlgebraicSeries(delta, none, delta2 * delta * 2 - delta1 * delta1, delta * delta * 4, base),
+    )
+    r = cls_.min_stack
+    qr = jet(XYPolynomial.monomial(2 * r, r))
+    d0 = (jet(core_polys(cls_)[1]) - s) / (qr * 2)
+    return d0, jet(XYPolynomial.monomial(2, 1)), qr
+
+
+def _stack_substitution(d0, q, qr):
+    """w = q^r D0^2 / (1 - q - q^r (D0^2 - 1)), the series each shape arc becomes."""
     return qr * d0 * d0 / (1 - q - qr * (d0 * d0 - 1))
 
 
-def _dg(cls_: StructureClass, genus: int, y: int = 1) -> AlgebraicSeries:
-    """The genus-g series D_g(x, y) at marker value y, arcs marked by y."""
-    _check_genus(genus)
-    d0 = _d0(cls_, y)
+def _genus_series(genus: int, d0, q, qr):
+    """D_g = D0 P_g(w) from D0, q and q^r: elements or their jets."""
     if genus == 0:
         return d0
-    _require_inflatable(cls_)
-    return d0 * _horner(shape_poly(genus), _stack_substitution(cls_, d0, y))
+    return d0 * _horner(shape_poly(genus), _stack_substitution(d0, q, qr))
+
+
+def _dg(cls_: StructureClass, genus: int, y: int = 1) -> AlgebraicSeries:
+    """The genus-g series D_g(x, y) at marker value y, arcs marked by y.
+
+    At y = 1 the elements are reduced over the class's factor base.  The
+    base is built from the discriminant at y = 1 only; at y >= 2 the plain
+    normal form measured faster than a base of that y's own.
+    """
+    _check_genus(genus)
+    if genus:
+        _require_inflatable(cls_)
+    base = _factor_base(cls_) if y == 1 else ()
+    return _genus_series(genus, *_elements(cls_, y, base))
 
 
 def d0_series(cls_: StructureClass, order: int) -> TruncatedSeries:
@@ -146,17 +206,7 @@ def d0_series(cls_: StructureClass, order: int) -> TruncatedSeries:
 
 def d0_jet(cls_: StructureClass, order: int) -> YJet:
     """Genus-0 series with the marker counting arcs."""
-    _check_order(order)
-    r = cls_.min_stack
-    a, b = core_polys(cls_)
-    inner = max(order, b.x_degree() + 1 - 2 * r)  # room for every term of B
-    wide = inner + 2 * r
-    aj = YJet.from_xy_poly(a, wide)
-    bj = YJet.from_xy_poly(b, wide)
-    disc = bj * bj - _arc_marker_jet(r, wide) * aj * 4
-    num = bj - disc.sqrt()
-    two = YJet.constant(2, 2 * r, 2 * r * (r - 1), inner)
-    return (num.shifted_down(2 * r) / two).truncate(order)
+    return dg_jet(cls_, 0, order)
 
 
 def dg_series(cls_: StructureClass, genus: int, order: int) -> TruncatedSeries:
@@ -166,17 +216,15 @@ def dg_series(cls_: StructureClass, genus: int, order: int) -> TruncatedSeries:
 
 
 def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
-    """Genus-g series with the marker counting arcs."""
+    """Genus-g series with the marker counting arcs.
+
+    The jet is computed exactly in Q(x)(S) and expanded only at the end.
+    """
     _check_order(order)
     _check_genus(genus)
-    if genus == 0:
-        return d0_jet(cls_, order)
-    _require_inflatable(cls_)
-    d0 = d0_jet(cls_, order)
-    arc1 = _arc_marker_jet(1, order)
-    arcr = _arc_marker_jet(cls_.min_stack, order)
-    w = arcr * d0 * d0 / (1 - arc1 - arcr * (d0 * d0 - 1))
-    return d0 * _horner(shape_poly(genus), w)
+    if genus:
+        _require_inflatable(cls_)
+    return _genus_series(genus, *_element_jets(cls_)).series(order)
 
 
 def _horner(poly: Polynomial, w):
@@ -309,8 +357,8 @@ def pk_marked_dg_jet(
         raise ValueError(f"block marking needs genus at least 1, got {genus}")
     _check_order(order)
     _require_inflatable(cls_)
-    d0 = _d0(cls_)
-    w = _stack_substitution(cls_, d0)
+    d0, q, qr = _elements(cls_, 1, _factor_base(cls_))
+    w = _stack_substitution(d0, q, qr)
     jets = marked_shape_poly(genus, kind).y1_jets()
     return YJet(*((d0 * _horner(p, w)).series(order) for p in jets))
 

@@ -14,9 +14,15 @@ Four layers:
   and two variables,
 * :class:`AlgebraicSeries`, an exact element (p + q*S) / d of Q(x)(S) with
   S = sqrt(delta) for a fixed integer polynomial delta with delta(0) = 1,
-  held untruncated and expanded to any order on request,
-* :class:`YJet`, a series-valued 2-jet in a marker variable, carrying the
-  value and the first two derivatives at marker value 1.
+  held untruncated and expanded to any order on request.  An element may
+  carry a factor base (see :func:`coprime_base`): primitive, squarefree,
+  pairwise coprime integer polynomials that every operation trial-divides
+  out of p, q and d together, which keeps the degrees small without a
+  general polynomial gcd,
+* :class:`YJet`, a 2-jet in a marker variable, carrying the value and the
+  first two derivatives at marker value 1.  Its components are either all
+  truncated series or all algebraic elements; an algebraic jet is exact
+  and is expanded with :meth:`YJet.series`.
 
 A joint distribution in x and the marker is not held as a series with
 polynomial coefficients: it is read off :class:`AlgebraicSeries` evaluated
@@ -31,8 +37,9 @@ different radicands, is an error rather than a silent re-truncation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from itertools import repeat
+from math import gcd, lcm
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
@@ -399,20 +406,129 @@ def _exact_quotient(num: int, den: int, what: str) -> int:
     return q
 
 
+def _trial_divide(num: list[int], f: list[int]) -> list[int] | None:
+    """num / f in Z[x] when f divides num, else None; f is primitive.
+
+    By Gauss's lemma a primitive divisor leaves an integer quotient, so a
+    leading coefficient that does not divide is already a failure.
+    """
+    if not num:
+        return num
+    rem = num[:]
+    lead, top = f[-1], len(f) - 1
+    quot = [0] * (len(rem) - top)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[i + top], lead)
+        if r:
+            return None
+        if c:
+            quot[i] = c
+            rem[i : i + top] = map(sub, rem[i : i + top], map(mul, repeat(c), f))
+    if any(rem[:top]):
+        return None
+    return quot
+
+
+def _divide_all(parts: list[list[int]], f: list[int]) -> list[list[int]] | None:
+    """Every polynomial of ``parts`` divided by f, or None unless f divides all."""
+    out = []
+    for cs in parts:
+        cs = _trial_divide(cs, f)
+        if cs is None:
+            return None
+        out.append(cs)
+    return out
+
+
+def _fraction_remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of polynomials over Q, low degree first, no trailing zeros."""
+    rem = a[:]
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        for j, bj in enumerate(b):
+            rem[i + j] -= c * bj
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def _primitive(coeffs: Sequence[Scalar]) -> Polynomial:
+    """The integer polynomial with coprime coefficients and a positive lead
+    that is a rational multiple of ``coeffs``."""
+    scale = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    content = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return Polynomial([c // content for c in ints])
+
+
+def _exact_factor(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f / g for primitive f and g with positive leads, where g divides f."""
+    quot = _trial_divide(f.coeffs, g.coeffs)
+    if quot is None:
+        raise ArithmeticError(f"{g} does not divide {f}")
+    return Polynomial(quot)
+
+
+def _poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The primitive greatest common divisor, by Euclid over Q."""
+    a, b = [Fraction(c) for c in f.coeffs], [Fraction(c) for c in g.coeffs]
+    while b:
+        a, b = b, _fraction_remainder(a, b)
+    return _primitive(a)
+
+
+def coprime_base(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
+    """Primitive, squarefree, pairwise coprime factors of nonzero ``polys``.
+
+    Every input is, up to a constant and a power of x, a product of powers
+    of the returned factors; none of them is divisible by x.  A factor
+    that is not squarefree splits into f/gcd(f, f') and gcd(f, f'); two
+    factors with a common divisor g split into g and their cofactors.  Each
+    split replaces factors by proper divisors, so the refinement ends.
+    """
+    todo = []
+    for p in polys:
+        low = next(i for i, c in enumerate(p.coeffs) if c)
+        todo.append(_primitive(p.coeffs[low:]))
+    base: list[Polynomial] = []
+    while todo:
+        f = todo.pop()
+        if f.degree < 1:
+            continue
+        g = _poly_gcd(f, f.derivative())
+        if g.degree > 0:
+            todo += [_exact_factor(f, g), g]
+            continue
+        for i, h in enumerate(base):
+            g = _poly_gcd(f, h)
+            if g.degree > 0:
+                del base[i]
+                todo += [_exact_factor(f, g), g, _exact_factor(h, g)]
+                break
+        else:
+            base.append(f)
+    return tuple(sorted(base, key=lambda f: (f.degree, f.coeffs)))
+
+
 class AlgebraicSeries:
     """An exact element (p + q*S) / d of Q(x)(S), where S = sqrt(delta).
 
     ``delta`` is a fixed integer polynomial with delta(0) = 1, so S is the
     power series with constant term 1.  p, q and d are integer polynomials
-    (d nonzero); after every operation they share no power of x and no
-    integer content.  Arithmetic is exact and never truncates; only
-    :meth:`series` expands the element, to any order, as a
-    :class:`TruncatedSeries` with integer coefficients.
+    (d nonzero); after every operation they share no power of x, no integer
+    content and no factor of ``base``, a tuple of primitive, pairwise
+    coprime integer polynomials (see :func:`coprime_base`) shared by all
+    elements that are combined, like ``delta``.  Each factor is
+    trial-divided out of p, q and d for as long as it divides all three.
+    Arithmetic is exact and never truncates; only :meth:`series` expands
+    the element, to any order, as a :class:`TruncatedSeries` with integer
+    coefficients.
 
-    Combining elements over different ``delta`` raises ``ValueError``.
+    Combining elements over different ``delta`` or ``base`` raises
+    ``ValueError``.
     """
 
-    __slots__ = ("delta", "p", "q", "d")
+    __slots__ = ("delta", "base", "p", "q", "d")
 
     def __init__(
         self,
@@ -420,6 +536,7 @@ class AlgebraicSeries:
         p: Polynomial,
         q: Polynomial | None = None,
         d: Polynomial | None = None,
+        base: tuple[Polynomial, ...] = (),
     ):
         q = Polynomial() if q is None else q
         d = Polynomial([1]) if d is None else d
@@ -431,15 +548,18 @@ class AlgebraicSeries:
             if not all(type(c) is int for c in poly.coeffs):
                 raise TypeError("coefficients must be ints")
         self.delta = delta
+        self.base = base
         if p.is_zero() and q.is_zero():
             self.p, self.q, self.d = p, q, Polynomial([1])
             return
         parts = (p.coeffs, q.coeffs, d.coeffs)
         low = min(next(i for i, c in enumerate(cs) if c) for cs in parts if cs)
         content = gcd(*(c for cs in parts for c in cs))
-        self.p, self.q, self.d = (
-            Polynomial([c // content for c in cs[low:]]) for cs in parts
-        )
+        parts = [[c // content for c in cs[low:]] for cs in parts]
+        for f in base:
+            while (divided := _divide_all(parts, f.coeffs)) is not None:
+                parts = divided
+        self.p, self.q, self.d = (Polynomial(cs) for cs in parts)
 
     def __repr__(self) -> str:
         return f"AlgebraicSeries(p={self.p}, q={self.q}, d={self.d}, delta={self.delta})"
@@ -450,17 +570,25 @@ class AlgebraicSeries:
                 raise ValueError(
                     f"radicand mismatch: {self.delta} vs {other.delta}"
                 )
+            if other.base != self.base:
+                raise ValueError(f"factor base mismatch: {self.base} vs {other.base}")
             return other
         if isinstance(other, int) and not isinstance(other, bool):
-            return AlgebraicSeries(self.delta, Polynomial([other]))
+            return AlgebraicSeries(self.delta, Polynomial([other]), base=self.base)
         raise TypeError(f"expected an AlgebraicSeries or int, got {type(other).__name__}")
+
+    def _new(self, p: Polynomial, q: Polynomial, d: Polynomial) -> AlgebraicSeries:
+        return AlgebraicSeries(self.delta, p, q, d, self.base)
+
+    def norm(self) -> Polynomial:
+        """p^2 - q^2 delta: the numerator times its conjugate p - qS."""
+        return self.p * self.p - self.q * self.q * self.delta
 
     def __add__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
         if type(other) is int:
-            return AlgebraicSeries(self.delta, self.p + self.d * other, self.q, self.d)
+            return self._new(self.p + self.d * other, self.q, self.d)
         o = self._lift(other)
-        return AlgebraicSeries(
-            self.delta,
+        return self._new(
             self.p * o.d + o.p * self.d,
             self.q * o.d + o.q * self.d,
             self.d * o.d,
@@ -469,7 +597,7 @@ class AlgebraicSeries:
     __radd__ = __add__
 
     def __neg__(self) -> AlgebraicSeries:
-        return AlgebraicSeries(self.delta, -self.p, -self.q, self.d)
+        return self._new(-self.p, -self.q, self.d)
 
     def __sub__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
         return self + (-self._lift(other))
@@ -479,8 +607,7 @@ class AlgebraicSeries:
 
     def __mul__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
         o = self._lift(other)
-        return AlgebraicSeries(
-            self.delta,
+        return self._new(
             self.p * o.p + self.q * o.q * self.delta,
             self.p * o.q + self.q * o.p,
             self.d * o.d,
@@ -491,11 +618,10 @@ class AlgebraicSeries:
     def __truediv__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
         """Division through the conjugate: 1/(p + qS) = (p - qS)/(p^2 - q^2 delta)."""
         o = self._lift(other)
-        norm = o.p * o.p - o.q * o.q * self.delta
+        norm = o.norm()
         if norm.is_zero():
             raise ZeroDivisionError("division by zero in Q(x)(S)")
-        return AlgebraicSeries(
-            self.delta,
+        return self._new(
             (self.p * o.p - self.q * o.q * self.delta) * o.d,
             (self.q * o.p - self.p * o.q) * o.d,
             self.d * norm,
@@ -819,14 +945,21 @@ class YJet:
     second partial derivatives with respect to the marker variable, all
     evaluated at marker value 1.  This is enough to extract exact means and
     variances of the marked statistic without carrying the full bivariate
-    expansion.
+    expansion.  The components are :class:`TruncatedSeries` of one order,
+    or exact :class:`AlgebraicSeries` that :meth:`series` expands; the
+    rules below are the same for both.
     """
 
     __slots__ = ("value", "d1", "d2")
 
-    def __init__(self, value: TruncatedSeries, d1: TruncatedSeries, d2: TruncatedSeries):
-        if value.order != d1.order or value.order != d2.order:
-            raise ValueError("jet components must share one truncation order")
+    def __init__(
+        self,
+        value: TruncatedSeries | AlgebraicSeries,
+        d1: TruncatedSeries | AlgebraicSeries,
+        d2: TruncatedSeries | AlgebraicSeries,
+    ):
+        if len({getattr(c, "order", None) for c in (value, d1, d2)}) > 1:
+            raise ValueError("jet components must share one truncation order or all be algebraic")
         self.value = value
         self.d1 = d1
         self.d2 = d2
@@ -923,12 +1056,9 @@ class YJet:
     def shift(self, k: int) -> YJet:
         return YJet(self.value.shift(k), self.d1.shift(k), self.d2.shift(k))
 
-    def shifted_down(self, k: int) -> YJet:
-        return YJet(
-            self.value.shifted_down(k),
-            self.d1.shifted_down(k),
-            self.d2.shifted_down(k),
-        )
+    def series(self, order: int) -> YJet:
+        """Expansion of an algebraic jet up to ``x**(order-1)``."""
+        return YJet(self.value.series(order), self.d1.series(order), self.d2.series(order))
 
     def truncate(self, order: int) -> YJet:
         return YJet(

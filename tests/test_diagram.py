@@ -416,3 +416,21 @@ def test_stack_collapsed_key_keeps_the_component_class(case):
         g = shadow.genus().genus
         expected = (labels[shadow] if g == 1 else "higher", g)
         assert classify_component(d, comp) == expected
+
+
+@pytest.mark.parametrize(
+    "n, arcs, indices",
+    [
+        (4, ((1, 4), (2, 3)), [0, 1]),  # nested, no crossing
+        (4, ((1, 2), (3, 4)), [0, 1]),  # side by side
+        (6, ((1, 3), (2, 5), (4, 6)), [0, 1]),  # part of a three-arc chain
+        (6, ((1, 3), (2, 5), (4, 6)), [1]),  # one arc that crosses others
+        (4, ((1, 3), (2, 4)), [0, 0]),
+        (4, ((1, 3), (2, 4)), [0, 2]),
+        (4, ((1, 3), (2, 4)), []),
+    ],
+)
+def test_classify_component_rejects_arcs_that_are_not_one_component(n, arcs, indices):
+    with pytest.raises(ValueError, match="crossing component"):
+        classify_component(Diagram(n, arcs), indices)
+    assert classify_component(Diagram(4, ((1, 3), (2, 4))), [1, 0]) == ("H", 1)

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from toporna.genfun import (
     pk_marked_dg_jet,
     structure_counts,
 )
+from toporna.genfun import _dg, _elements, _factor_base, _genus_series
 from toporna.oracle import enumerate_diagrams, full_census
 from toporna.recursions import MARK_KINDS, marked_shape_poly, shape_poly
 from toporna.series import TruncatedSeries, YJet, XYPolynomial
@@ -361,10 +364,10 @@ def _pk_reference(cls_, genus, kind, order):
 
     The same closed form as :func:`pk_marked_dg_jet`, D0 * P(w) for the value
     and both marker derivatives of the marked shape polynomial P, with D0
-    taken from the arc-marked jet.
+    taken from the chord-diagram route.
     """
     r = cls_.min_stack
-    d0 = d0_jet(cls_, order).value
+    d0 = dg_via_chords(cls_, 0, order).value
     x2r = TruncatedSeries.x_power(2 * r, order)
     x2 = TruncatedSeries.x_power(2, order)
     w = x2r * d0 * d0 / (1 - x2 - x2r * (d0 * d0 - 1))
@@ -392,6 +395,63 @@ def test_algebraic_families_match_truncated_route(r, data, genus, order):
         assert pk_marked_dg_jet(cls_, genus, kind, order) == _pk_reference(
             cls_, genus, kind, order
         )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    data=st.data(),
+    genus=st.integers(0, 2),
+    order=st.integers(1, 60),
+)
+def test_algebraic_arc_jet_matches_chord_route(r, data, genus, order):
+    """dg_jet, exact in Q(x)(S), against the truncated chord-diagram route."""
+    cls_ = StructureClass(data.draw(st.integers(1, r + 1), label="min_arc"), r)
+    assert dg_jet(cls_, genus, order) == dg_via_chords(cls_, genus, order)
+
+
+def _remainder(a, b):
+    a = a[:]
+    while len(a) >= len(b):
+        c, shift = a[-1] / b[-1], len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[shift + i] -= c * bi
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _gcd_degree(f, g):
+    a, b = [Fraction(c) for c in f.coeffs], [Fraction(c) for c in g.coeffs]
+    while b:
+        a, b = b, _remainder(a, b)
+    return len(a) - 1
+
+
+BASE_CLASSES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 3), (4, 3), (1, 4)]
+
+
+@pytest.mark.parametrize("lam, r", BASE_CLASSES)
+def test_factor_base_is_primitive_squarefree_and_coprime(lam, r):
+    base = _factor_base(StructureClass(lam, r))
+    assert base
+    for f in base:
+        assert f.degree >= 1 and f.coeff(0) != 0
+        assert gcd(*f.coeffs) == 1
+        assert _gcd_degree(f, f.derivative()) == 0
+    for f, h in combinations(base, 2):
+        assert _gcd_degree(f, h) == 0, (f, h)
+
+
+@pytest.mark.parametrize("lam, r", BASE_CLASSES)
+def test_class_base_reduction_keeps_the_expansion(lam, r):
+    cls_ = StructureClass(lam, r)
+    for genus in (0, 1, 2):
+        reduced = _dg(cls_, genus)
+        plain = _genus_series(genus, *_elements(cls_, 1, ()))
+        assert reduced.base and not plain.base
+        assert reduced.series(61) == plain.series(61), genus
+        assert reduced.d.degree <= plain.d.degree
 
 
 def test_scaled_type_h_mean_enters_the_five_percent_band_by_3600():

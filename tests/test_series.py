@@ -15,6 +15,7 @@ from toporna.series import (
     TruncatedSeries,
     XYPolynomial,
     YJet,
+    coprime_base,
     geometric,
     puiseux_expand,
 )
@@ -326,3 +327,66 @@ def test_algebraic_mixing_radicands_and_bad_orders_raise():
             a.series(order)
     with pytest.raises(ZeroDivisionError):
         a / AlgebraicSeries(MOTZKIN_DELTA, Polynomial())
+
+
+def test_coprime_base_splits_into_squarefree_coprime_factors():
+    one_plus_x, one_minus_x = Polynomial([1, 1]), Polynomial([1, -1])
+    cyclo = Polynomial([1, 1, 1])
+    first = one_plus_x * one_plus_x * one_minus_x * Polynomial.x_power(3) * 6
+    second = one_minus_x * cyclo * -1
+    assert coprime_base([first, second]) == (
+        Polynomial([-1, 1]),
+        Polynomial([1, 1]),
+        Polynomial([1, 1, 1]),
+    )
+    # the split is by gcds only: (1 - 3x)(1 + x) stays one factor
+    assert coprime_base([MOTZKIN_DELTA, MOTZKIN_DELTA * MOTZKIN_DELTA]) == (
+        Polynomial([-1, 2, 3]),
+    )
+
+
+def test_factor_base_reduction_keeps_the_expansion():
+    """Common base factors leave p, q and d; the element itself is unchanged."""
+    base = coprime_base([MOTZKIN_DELTA, Polynomial([1, 1, 1])])
+    rng = random.Random(13)
+    order = 25
+    for _ in range(40):
+        plain = random_element(rng)
+        common = Polynomial([1])
+        for f in base:
+            common = common * f if rng.random() < 0.7 else common
+        extra = Polynomial([1, 1, 1]) if rng.random() < 0.5 else Polynomial([1])
+        reduced = AlgebraicSeries(
+            MOTZKIN_DELTA, plain.p * common, plain.q * common, plain.d * common * extra, base
+        )
+        unreduced = AlgebraicSeries(
+            MOTZKIN_DELTA, plain.p * common, plain.q * common, plain.d * common * extra
+        )
+        assert reduced.series(order) == unreduced.series(order)
+        assert reduced.d.degree <= (plain.d * extra).degree
+        other = random_element(rng, unit=True)
+        lifted = AlgebraicSeries(MOTZKIN_DELTA, other.p, other.q, other.d, base)
+        assert (reduced / lifted * lifted).series(order) == unreduced.series(order)
+        assert (reduced * lifted).series(order) == (unreduced * other).series(order)
+
+
+def test_factor_base_and_radicand_must_match():
+    base = coprime_base([Polynomial([1, 1])])
+    a = AlgebraicSeries(MOTZKIN_DELTA, Polynomial([1]), base=base)
+    with pytest.raises(ValueError, match="factor base"):
+        a + AlgebraicSeries(MOTZKIN_DELTA, Polynomial([1]))
+    e = AlgebraicSeries(MOTZKIN_DELTA, Polynomial([1, 1]), Polynomial([2, 2]), Polynomial([1, 2, 1]), base)
+    assert (e.p, e.q, e.d) == (Polynomial([1]), Polynomial([2]), Polynomial([1, 1]))
+
+
+def test_algebraic_jet_expands_like_the_truncated_rules():
+    s = AlgebraicSeries(MOTZKIN_DELTA, Polynomial(), Polynomial([1]))
+    x = AlgebraicSeries(MOTZKIN_DELTA, Polynomial([0, 1]))
+    jet = YJet(s, x * 2, s * x)
+    order = 12
+    expanded = jet.series(order)
+    assert expanded.order == order
+    unit = YJet(s, x, x)
+    assert (jet * jet / unit).series(order) == expanded * expanded / unit.series(order)
+    with pytest.raises(ValueError):
+        YJet(s, s.series(order), s)
