@@ -13,7 +13,6 @@ data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp
 
@@ -24,8 +23,6 @@ from .series import Polynomial
 def _poly_eval(p: Polynomial, x):
     acc = mp.mpf(0)
     for c in reversed(p.coeffs):
-        if isinstance(c, Fraction):
-            c = mp.mpf(c.numerator) / c.denominator
         acc = acc * x + c
     return acc
 

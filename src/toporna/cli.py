@@ -131,10 +131,20 @@ def _text(value) -> str:
 # -- shared argument handling ----------------------------------------------
 
 
-def _class_of(args) -> StructureClass:
+def _class_of(args, genus: int = 0) -> StructureClass:
+    """The class of ``--lambda`` and ``--r``; at positive genus it must inflate."""
     _at_least("--lambda", args.lam, 1)
     _at_least("--r", args.r, 1)
-    return StructureClass(args.lam, args.r)
+    cls_ = StructureClass(args.lam, args.r)
+    if genus:
+        try:
+            genfun.require_inflatable(cls_)
+        except ValueError:
+            raise ValueError(
+                "--lambda must be at most --r + 1 at positive genus; "
+                f"got --lambda {args.lam}, --r {args.r}"
+            ) from None
+    return cls_
 
 
 def _base_meta(args, command: str, **extra) -> dict:
@@ -148,10 +158,16 @@ def _at_least(flag: str, value: int, least: int) -> None:
         raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
-def _check_ceiling(n: int, args) -> None:
-    if n > args.ceiling:
+def _ceiling(args) -> int:
+    if not 1 <= args.ceiling <= 24:
+        raise ValueError(f"--ceiling must lie in 1..24, got {args.ceiling}")
+    return args.ceiling
+
+
+def _check_ceiling(n: int, ceiling: int) -> None:
+    if n > ceiling:
         raise ValueError(
-            f"length {n} exceeds the enumeration ceiling {args.ceiling}; "
+            f"length {n} exceeds the enumeration ceiling {ceiling}; "
             "raise --ceiling (max 24) for larger brute-force runs"
         )
 
@@ -175,13 +191,14 @@ def _structures(args) -> list[tuple[str, object]]:
 def _cmd_count(args) -> int:
     _at_least("n", args.n, 0)
     _at_least("--genus", args.genus, 0)
-    cls_ = _class_of(args)
+    ceiling = _ceiling(args)
+    cls_ = _class_of(args, args.genus)
     meta = _base_meta(
         args, "count", n=args.n, genus=args.genus, min_arc=args.lam, min_stack=args.r
     )
     oracle_hist = None
     if args.oracle:
-        _check_ceiling(args.n, args)
+        _check_ceiling(args.n, ceiling)
         oracle_hist: dict[int, int] = {}
         for d in enumerate_diagrams(args.n, args.lam, args.r, genus=args.genus):
             oracle_hist[len(d.arcs)] = oracle_hist.get(len(d.arcs), 0) + 1
@@ -220,7 +237,7 @@ def _cmd_count(args) -> int:
 def _cmd_series(args) -> int:
     _at_least("--order", args.order, 1)
     _at_least("--genus", args.genus, 0)
-    cls_ = _class_of(args)
+    cls_ = _class_of(args, args.genus if args.family == "dg" else 0)
     meta = _base_meta(
         args,
         "series",
@@ -357,6 +374,7 @@ def _cmd_clt(args) -> int:
         raise ValueError(f"--digits must lie in 1..15, got {digits}")
     _at_least("--max-lambda", args.max_lam, 1)
     _at_least("--max-r", args.max_r, 1)
+    _at_least("--precision", args.precision, 15)
     if args.grid:
         meta = _base_meta(
             args, "clt", grid=True, max_arc=args.max_lam, max_stack=args.max_r
@@ -385,7 +403,7 @@ def _cmd_clt(args) -> int:
 def _cmd_expect(args) -> int:
     _at_least("--n", args.n, 0)
     _at_least("--genus", args.genus, 1)
-    cls_ = _class_of(args)
+    cls_ = _class_of(args, args.genus)
     meta = _base_meta(
         args,
         "expect",
@@ -413,7 +431,8 @@ def _cmd_sample(args) -> int:
     _at_least("--n", args.n, 0)
     _at_least("--genus", args.genus, 0)
     _at_least("--count", args.count, 1)
-    cls_ = _class_of(args)
+    ceiling = _ceiling(args)
+    cls_ = _class_of(args, 0 if args.enumerative else args.genus)
     method = "enumerative" if args.enumerative else "grammar"
     meta = _base_meta(
         args,
@@ -428,7 +447,7 @@ def _cmd_sample(args) -> int:
         method=method,
     )
     if args.enumerative:
-        _check_ceiling(args.n, args)
+        _check_ceiling(args.n, ceiling)
         draws = sample_enumerative(cls_, args.genus, args.n, args.count, args.seed)
     else:
         if args.n > GRAMMAR_LENGTH_CAP:
@@ -452,7 +471,8 @@ def _cmd_sample(args) -> int:
 def _cmd_census(args) -> int:
     _at_least("--n", args.n, 0)
     _at_least("--max-genus", args.max_genus, 0)
-    _check_ceiling(args.n, args)
+    _at_least("--threads", args.threads, 1)
+    _check_ceiling(args.n, _ceiling(args))
     cls_ = _class_of(args)
     meta = _base_meta(
         args,
@@ -501,6 +521,15 @@ def _class_flags(p: argparse.ArgumentParser, genus_default: int = 0) -> None:
     p.add_argument("--r", type=int, default=1, help="minimum stack size")
 
 
+def _ceiling_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--ceiling",
+        type=int,
+        default=18,
+        help="brute-force enumeration ceiling (maximum 24)",
+    )
+
+
 def _structure_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("structure", nargs="?", help="structure in dot-bracket form")
     p.add_argument("--file", help="read structures from a file, one per line")
@@ -510,17 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "csv", "plain"), default="plain"
-    )
-    common.add_argument(
-        "--precision", type=int, default=50, help="working digits (minimum 15)"
-    )
-    common.add_argument("--threads", type=int, default=1, help="worker cap")
-    common.add_argument("--seed", type=int, default=None, help="sampler seed")
-    common.add_argument(
-        "--ceiling",
-        type=int,
-        default=18,
-        help="brute-force enumeration ceiling (maximum 24)",
     )
     parser = argparse.ArgumentParser(
         prog="toporna",
@@ -536,6 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle", action="store_true", help="cross-check against enumeration"
     )
+    _ceiling_flag(p)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("series", parents=[common], help="emit series coefficients")
@@ -592,6 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-lambda", dest="max_lam", type=int, default=6)
     p.add_argument("--max-r", dest="max_r", type=int, default=6)
     p.add_argument("--digits", type=int, default=4, help="printed digits")
+    p.add_argument(
+        "--precision", type=int, default=50, help="working digits (minimum 15)"
+    )
     p.set_defaults(func=_cmd_clt)
 
     p = sub.add_parser(
@@ -614,31 +636,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stats", action="store_true", help="emit aggregate statistics only"
     )
+    p.add_argument("--seed", type=int, default=None, help="sampler seed")
+    _ceiling_flag(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("census", parents=[common], help="brute-force census by genus")
     p.add_argument("--n", type=int, required=True)
     _class_flags(p)
     p.add_argument("--max-genus", dest="max_genus", type=int, default=2)
+    p.add_argument("--threads", type=int, default=1, help="worker cap")
+    _ceiling_flag(p)
     p.set_defaults(func=_cmd_census)
 
     return parser
-
-
-def _validate_config(args) -> None:
-    if args.precision < 15:
-        raise ValueError("precision must be at least 15 digits")
-    if not 1 <= args.ceiling <= 24:
-        raise ValueError("ceiling must lie in 1..24")
-    if args.threads < 1:
-        raise ValueError("threads must be positive")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate_config(args)
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -464,37 +464,23 @@ def _assemble_forest(flat: list[ComponentBlock]) -> list[ComponentBlock]:
     """Rebuild parent-child links from spans (input sorted by (start, -end))."""
     roots: list[ComponentBlock] = []
     path: list[tuple[ComponentBlock, list[ComponentBlock]]] = []
+
+    def close() -> None:
+        """Pop the innermost open node and attach it, with its children, to its parent."""
+        finished, kids = path.pop()
+        closed = ComponentBlock(
+            finished.arc_indices, finished.span, finished.genus, finished.label, tuple(kids)
+        )
+        (path[-1][1] if path else roots).append(closed)
+
     for node in flat:
-        bucket: list[ComponentBlock] = []
         while path and not (
             path[-1][0].span[0] < node.span[0] and node.span[1] < path[-1][0].span[1]
         ):
-            finished, kids = path.pop()
-            closed = ComponentBlock(
-                finished.arc_indices,
-                finished.span,
-                finished.genus,
-                finished.label,
-                tuple(kids),
-            )
-            if path:
-                path[-1][1].append(closed)
-            else:
-                roots.append(closed)
-        path.append((node, bucket))
+            close()
+        path.append((node, []))
     while path:
-        finished, kids = path.pop()
-        closed = ComponentBlock(
-            finished.arc_indices,
-            finished.span,
-            finished.genus,
-            finished.label,
-            tuple(kids),
-        )
-        if path:
-            path[-1][1].append(closed)
-        else:
-            roots.append(closed)
+        close()
     return roots
 
 

@@ -31,9 +31,10 @@ loop-marked jets take the root of the loop grammar's genus-0 quadratic in
 closed form; one table of markers drives that root and the series each
 shape arc becomes.
 
-Everything here is exact; coefficients are ints (occasionally Fractions in
-intermediate steps).  Results are truncated power series in x, where x
-counts vertices.
+Everything here is exact: coefficients are ints, and every division on
+the way is exact or raises ``ArithmeticError``.  Results are truncated
+power series in x, where x counts vertices; only :func:`expected_marks`
+and :func:`marks_variance` return rationals.
 """
 
 from __future__ import annotations
@@ -69,7 +70,12 @@ class StructureClass:
             raise ValueError("min_stack must be at least 1")
 
 
-def _require_inflatable(cls_: StructureClass) -> None:
+def require_inflatable(cls_: StructureClass) -> None:
+    """Raise ``ValueError`` unless stacks of this class can inflate a shape arc.
+
+    Positive genus needs min_arc <= min_stack + 1; the genus-g series and
+    the sampler's chains are built on that inflation.
+    """
     if cls_.min_arc > cls_.min_stack + 1:
         raise ValueError(
             "genus inflation requires min_arc <= min_stack + 1; "
@@ -193,7 +199,7 @@ def _dg(cls_: StructureClass, genus: int, y: int = 1) -> AlgebraicSeries:
     """
     _check_genus(genus)
     if genus:
-        _require_inflatable(cls_)
+        require_inflatable(cls_)
     base = _factor_base(cls_) if y == 1 else ()
     return _genus_series(genus, *_elements(cls_, y, base))
 
@@ -223,7 +229,7 @@ def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
     _check_order(order)
     _check_genus(genus)
     if genus:
-        _require_inflatable(cls_)
+        require_inflatable(cls_)
     return _genus_series(genus, *_element_jets(cls_)).series(order)
 
 
@@ -256,7 +262,7 @@ def dg_via_chords(cls_: StructureClass, genus: int, order: int) -> YJet:
     _check_order(order)
     _check_genus(genus)
     if genus >= 1:
-        _require_inflatable(cls_)
+        require_inflatable(cls_)
     a, b = core_polys(cls_)
     wide = max(order, b.x_degree() + 1)  # room for every term of B
     aj = YJet.from_xy_poly(a, wide)
@@ -328,7 +334,7 @@ def loop_marked_dg_jet(
     if kind == "stem":
         raise ValueError("stem marking is only available at genus 0")
     marks = _loop_marks(kind, order)
-    _require_inflatable(cls_)
+    require_inflatable(cls_)
     z = loop_marked_d0_jet(cls_, kind, order)
     z2 = z * z
     x = TruncatedSeries.x(order)
@@ -356,7 +362,7 @@ def pk_marked_dg_jet(
     if genus < 1:
         raise ValueError(f"block marking needs genus at least 1, got {genus}")
     _check_order(order)
-    _require_inflatable(cls_)
+    require_inflatable(cls_)
     d0, q, qr = _elements(cls_, 1, _factor_base(cls_))
     w = _stack_substitution(d0, q, qr)
     jets = marked_shape_poly(genus, kind).y1_jets()

@@ -4,7 +4,7 @@ Everything in this module lives on the "matching" side of the theory: linear
 chord diagrams (no unpaired vertices) filtered by genus, the finite shape
 polynomials obtained by collapsing stacks, and the irreducible shadows that
 form the crossing cores of shapes.  All arithmetic is exact; counts are
-plain ints and polynomials carry int or Fraction coefficients.
+plain ints and polynomials carry int coefficients.
 
 The central recursion is the two-term one for chord diagram counts by genus,
 

@@ -22,7 +22,7 @@ from itertools import accumulate
 from mpmath import mp
 
 from .diagram import Diagram, new_tally, tally_structure
-from .genfun import StructureClass
+from .genfun import StructureClass, require_inflatable
 from .oracle import enumerate_diagrams, enumerate_shapes
 
 __all__ = [
@@ -68,11 +68,8 @@ class StructureSampler:
             raise ValueError("genus must be nonnegative")
         if max_len < 0:
             raise ValueError("max_len must be nonnegative")
-        if genus and cls_.min_arc > cls_.min_stack + 1:
-            raise ValueError(
-                "chain inflation needs min_arc <= min_stack + 1; "
-                f"got min_arc={cls_.min_arc}, min_stack={cls_.min_stack}"
-            )
+        if genus:
+            require_inflatable(cls_)
         self.cls_ = cls_
         self.genus = genus
         self.max_len = max_len

@@ -1,10 +1,13 @@
-"""Exact arithmetic for truncated power series and marker polynomials.
+"""Exact integer arithmetic for truncated power series and marker polynomials.
 
-Everything here works over the rationals.  Coefficients are stored as plain
-``int`` whenever they are integral and as :class:`fractions.Fraction`
-otherwise; the integer fast path matters because the counting sequences in
-this package are integers and Python multiplies machine-word ints far faster
-than Fractions.
+Every coefficient is a plain ``int``: the counting sequences in this package
+are integer sequences, so the kernel has one coefficient type.  The
+constructors of :class:`TruncatedSeries`, :class:`Polynomial`,
+:class:`XYPolynomial` and :class:`BivariateSeries` raise ``TypeError`` for
+any other coefficient, and every division (series by series, series by an
+int, the halving in a square root) is exact or raises ``ArithmeticError``.
+Rationals appear only at the library's boundary, in the exact means and
+variances of :mod:`toporna.genfun`.
 
 Four layers:
 
@@ -36,40 +39,26 @@ different radicands, is an error rather than a silent re-truncation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 from typing import Iterable, Sequence
 
-Scalar = int | Fraction
+
+def _ints(coeffs: Iterable[int]) -> list[int]:
+    """``coeffs`` as a new list; raises ``TypeError`` unless each is an int."""
+    data = list(coeffs)
+    bad = set(map(type, data)) - {int}
+    if bad:
+        raise TypeError(f"coefficients must be ints, got {bad.pop().__name__}")
+    return data
 
 
-def _norm(value: Scalar) -> Scalar:
-    """Collapse a Fraction with denominator 1 to a plain int."""
-    if type(value) is int:  # skips the slower abstract-class check on Fraction
-        return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return value
-
-
-def _div(num: Scalar, den: Scalar) -> Scalar:
-    """Exact division, staying in the int fast path when it divides evenly."""
-    if isinstance(num, int) and isinstance(den, int):
-        q, rem = divmod(num, den)
-        if rem == 0:
-            return q
-        return Fraction(num, den)
-    return _norm(Fraction(num) / Fraction(den))
-
-
-def _as_scalar(value: object) -> Scalar:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, Fraction):
-        return _norm(value)
-    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+def _exact_quotient(num: int, den: int, what: str) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"{what} is not an integer: remainder {rem} mod {den}")
+    return q
 
 
 class TruncatedSeries:
@@ -82,14 +71,14 @@ class TruncatedSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Sequence[Scalar], order: int):
+    def __init__(self, coeffs: Sequence[int], order: int):
         if order <= 0:
             raise ValueError("truncation order must be positive")
         if len(coeffs) > order:
             raise ValueError(
                 f"got {len(coeffs)} coefficients for truncation order {order}"
             )
-        data = [_norm(c) for c in coeffs]
+        data = _ints(coeffs)
         data.extend([0] * (order - len(data)))
         self.order = order
         self.coeffs = data
@@ -105,8 +94,8 @@ class TruncatedSeries:
         return cls([1], order)
 
     @classmethod
-    def constant(cls, value: Scalar, order: int) -> TruncatedSeries:
-        return cls([_as_scalar(value)], order)
+    def constant(cls, value: int, order: int) -> TruncatedSeries:
+        return cls([value], order)
 
     @classmethod
     def x(cls, order: int) -> TruncatedSeries:
@@ -123,7 +112,7 @@ class TruncatedSeries:
 
     # -- basics ------------------------------------------------------------
 
-    def coeff(self, n: int) -> Scalar:
+    def coeff(self, n: int) -> int:
         """Coefficient of ``x**n``; raises if ``n`` is beyond the order."""
         if n < 0:
             raise ValueError("negative exponent")
@@ -155,44 +144,40 @@ class TruncatedSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: TruncatedSeries | Scalar) -> TruncatedSeries:
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: TruncatedSeries | int) -> TruncatedSeries:
+        if not isinstance(other, TruncatedSeries):
             coeffs = self.coeffs[:]
-            coeffs[0] = _norm(coeffs[0] + other)
+            coeffs[0] += other
             return TruncatedSeries(coeffs, self.order)
         self._check(other)
         return TruncatedSeries(
-            [_norm(a + b) for a, b in zip(self.coeffs, other.coeffs)], self.order
+            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
         )
 
     __radd__ = __add__
 
-    def __sub__(self, other: TruncatedSeries | Scalar) -> TruncatedSeries:
-        if isinstance(other, (int, Fraction)):
+    def __sub__(self, other: TruncatedSeries | int) -> TruncatedSeries:
+        if not isinstance(other, TruncatedSeries):
             return self + (-other)
         self._check(other)
         return TruncatedSeries(
-            [_norm(a - b) for a, b in zip(self.coeffs, other.coeffs)], self.order
+            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
         )
 
-    def __rsub__(self, other: Scalar) -> TruncatedSeries:
+    def __rsub__(self, other: int) -> TruncatedSeries:
         return (-self) + other
 
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries([-c for c in self.coeffs], self.order)
 
-    def __mul__(self, other: TruncatedSeries | Scalar) -> TruncatedSeries:
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return TruncatedSeries.zero(self.order)
-            return TruncatedSeries(
-                [_norm(c * other) for c in self.coeffs], self.order
-            )
+    def __mul__(self, other: TruncatedSeries | int) -> TruncatedSeries:
+        if not isinstance(other, TruncatedSeries):
+            return TruncatedSeries([c * other for c in self.coeffs], self.order)
         self._check(other)
         n = self.order
         a = self.coeffs
         b = other.coeffs
-        out: list[Scalar] = [0] * n
+        out = [0] * n
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
@@ -200,17 +185,25 @@ class TruncatedSeries:
                 bj = b[j]
                 if bj != 0:
                     out[i + j] += ai * bj
-        return TruncatedSeries([_norm(c) for c in out], n)
+        return TruncatedSeries(out, n)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: TruncatedSeries | Scalar) -> TruncatedSeries:
-        """Series division; the divisor needs a nonzero constant term."""
-        if isinstance(other, (int, Fraction)):
+    def __truediv__(self, other: TruncatedSeries | int) -> TruncatedSeries:
+        """Exact series division; the divisor needs a nonzero constant term.
+
+        Raises:
+            ArithmeticError: if the quotient has a coefficient that is not
+                an integer.
+        """
+        if not isinstance(other, TruncatedSeries):
+            if type(other) is not int:
+                raise TypeError(f"expected an int divisor, got {type(other).__name__}")
             if other == 0:
                 raise ZeroDivisionError("division of a series by zero")
             return TruncatedSeries(
-                [_div(c, other) for c in self.coeffs], self.order
+                [_exact_quotient(c, other, "a quotient coefficient") for c in self.coeffs],
+                self.order,
             )
         self._check(other)
         b0 = other.coeffs[0]
@@ -221,7 +214,7 @@ class TruncatedSeries:
         n = self.order
         a = self.coeffs
         b = other.coeffs
-        q: list[Scalar] = [0] * n
+        q = [0] * n
         for m in range(n):
             acc = a[m]
             for k in range(1, m + 1):
@@ -230,7 +223,7 @@ class TruncatedSeries:
                     qk = q[m - k]
                     if qk != 0:
                         acc -= bk * qk
-            q[m] = _div(acc, b0)
+            q[m] = _exact_quotient(acc, b0, f"coefficient {m} of the quotient")
         return TruncatedSeries(q, n)
 
     def sqrt(self) -> TruncatedSeries:
@@ -238,12 +231,14 @@ class TruncatedSeries:
 
         Raises:
             ValueError: if the constant term is not 1.
+            ArithmeticError: if the root has a coefficient that is not an
+                integer.
         """
         if self.coeffs[0] != 1:
             raise ValueError("square root needs constant term 1")
         n = self.order
         f = self.coeffs
-        s: list[Scalar] = [0] * n
+        s = [0] * n
         s[0] = 1
         for m in range(1, n):
             acc = f[m]
@@ -253,7 +248,7 @@ class TruncatedSeries:
                     sj = s[m - i]
                     if sj != 0:
                         acc -= si * sj
-            s[m] = _div(acc, 2)
+            s[m] = _exact_quotient(acc, 2, f"coefficient {m} of the square root")
         return TruncatedSeries(s, n)
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
@@ -293,21 +288,21 @@ class TruncatedSeries:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs[:order], order)
 
-    def eval_at(self, x: Scalar) -> Scalar:
-        """Evaluate the truncated polynomial at an exact point."""
-        acc: Scalar = 0
+    def eval_at(self, x):
+        """Evaluate the truncated polynomial at an exact point: an int, or any rational."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return _norm(acc)
+        return acc
 
 
 class Polynomial:
-    """An exact univariate polynomial, stored dense with no trailing zeros."""
+    """An integer polynomial, stored dense with no trailing zeros."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        data = [_norm(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int] = ()):
+        data = _ints(coeffs)
         while data and data[-1] == 0:
             data.pop()
         self.coeffs = data
@@ -321,7 +316,7 @@ class Polynomial:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
 
-    def coeff(self, n: int) -> Scalar:
+    def coeff(self, n: int) -> int:
         if n < 0:
             raise ValueError("negative exponent")
         return self.coeffs[n] if n < len(self.coeffs) else 0
@@ -340,8 +335,8 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self.coeffs})"
 
-    def __add__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: Polynomial | int) -> Polynomial:
+        if not isinstance(other, Polynomial):
             other = Polynomial([other])
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial(
@@ -350,23 +345,23 @@ class Polynomial:
 
     __radd__ = __add__
 
-    def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+    def __sub__(self, other: Polynomial | int) -> Polynomial:
+        if not isinstance(other, Polynomial):
             other = Polynomial([other])
         return self + (-other)
 
-    def __rsub__(self, other: Scalar) -> Polynomial:
+    def __rsub__(self, other: int) -> Polynomial:
         return (-self) + other
 
     def __neg__(self) -> Polynomial:
         return Polynomial([-c for c in self.coeffs])
 
-    def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: Polynomial | int) -> Polynomial:
+        if not isinstance(other, Polynomial):
             return Polynomial([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Polynomial()
-        out: list[Scalar] = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -382,11 +377,12 @@ class Polynomial:
             return Polynomial()
         return Polynomial([0] * k + self.coeffs)
 
-    def __call__(self, x: Scalar) -> Scalar:
-        acc: Scalar = 0
+    def __call__(self, x):
+        """The value at an exact point: an int, or any rational."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return _norm(acc)
+        return acc
 
     def derivative(self) -> Polynomial:
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -397,13 +393,6 @@ class Polynomial:
                 f"polynomial of degree {self.degree} does not fit order {order}"
             )
         return TruncatedSeries(self.coeffs, order)
-
-
-def _exact_quotient(num: int, den: int, what: str) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"{what} is not an integer: remainder {rem} mod {den}")
-    return q
 
 
 def _trial_divide(num: list[int], f: list[int]) -> list[int] | None:
@@ -440,25 +429,30 @@ def _divide_all(parts: list[list[int]], f: list[int]) -> list[list[int]] | None:
     return out
 
 
-def _fraction_remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of polynomials over Q, low degree first, no trailing zeros."""
+def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of the pseudo-remainder of a by b over Z.
+
+    Each step scales the remainder by b's lead before it cancels the top
+    term, so every coefficient stays an integer; over Q the result is a
+    nonzero multiple of the remainder.  Low degree first, no trailing zeros.
+    """
     rem = a[:]
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + len(b) - 1] / b[-1]
-        for j, bj in enumerate(b):
-            rem[i + j] -= c * bj
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
+    lead, top = b[-1], len(b) - 1
+    while len(rem) > top:
+        c = rem.pop()
+        rem = [lead * r for r in rem]
+        k = len(rem) - top
+        rem[k:] = map(sub, rem[k:], map(mul, repeat(c), b[:top]))
+        while rem and rem[-1] == 0:
+            rem.pop()
+    content = gcd(*rem)
+    return [r // content for r in rem]
 
 
-def _primitive(coeffs: Sequence[Scalar]) -> Polynomial:
-    """The integer polynomial with coprime coefficients and a positive lead
-    that is a rational multiple of ``coeffs``."""
-    scale = lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    content = gcd(*ints) * (1 if ints[-1] > 0 else -1)
-    return Polynomial([c // content for c in ints])
+def _primitive(coeffs: Sequence[int]) -> Polynomial:
+    """``coeffs`` divided by their content, with the sign of a positive lead."""
+    content = gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
+    return Polynomial([c // content for c in coeffs])
 
 
 def _exact_factor(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -470,10 +464,10 @@ def _exact_factor(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The primitive greatest common divisor, by Euclid over Q."""
-    a, b = [Fraction(c) for c in f.coeffs], [Fraction(c) for c in g.coeffs]
+    """The primitive greatest common divisor, by Euclid on primitive pseudo-remainders."""
+    a, b = f.coeffs, g.coeffs
     while b:
-        a, b = b, _fraction_remainder(a, b)
+        a, b = b, _primitive_remainder(a, b)
     return _primitive(a)
 
 
@@ -544,9 +538,6 @@ class AlgebraicSeries:
             raise ValueError("the radicand needs constant term 1")
         if d.is_zero():
             raise ZeroDivisionError("zero denominator")
-        for poly in (delta, p, q, d):
-            if not all(type(c) is int for c in poly.coeffs):
-                raise TypeError("coefficients must be ints")
         self.delta = delta
         self.base = base
         if p.is_zero() and q.is_zero():
@@ -666,7 +657,7 @@ class AlgebraicSeries:
 
 
 class XYPolynomial:
-    """An exact polynomial in the main variable x and a marker variable y.
+    """An integer polynomial in the main variable x and a marker variable y.
 
     Terms live in a dict keyed by ``(x_exponent, y_exponent)``.  Zero
     coefficients are never stored.
@@ -674,21 +665,17 @@ class XYPolynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[tuple[int, int], Scalar] | None = None):
-        clean: dict[tuple[int, int], Scalar] = {}
-        if terms:
-            for key, val in terms.items():
-                v = _norm(val)
-                if v != 0:
-                    clean[key] = v
-        self.terms = clean
+    def __init__(self, terms: dict[tuple[int, int], int] | None = None):
+        terms = terms or {}
+        _ints(terms.values())
+        self.terms = {key: val for key, val in terms.items() if val}
 
     @classmethod
-    def constant(cls, value: Scalar) -> XYPolynomial:
+    def constant(cls, value: int) -> XYPolynomial:
         return cls({(0, 0): value})
 
     @classmethod
-    def monomial(cls, dx: int, dy: int, coeff: Scalar = 1) -> XYPolynomial:
+    def monomial(cls, dx: int, dy: int, coeff: int = 1) -> XYPolynomial:
         return cls({(dx, dy): coeff})
 
     def is_zero(self) -> bool:
@@ -705,11 +692,11 @@ class XYPolynomial:
         )
         return f"XYPolynomial({{{items}}})"
 
-    def sorted_terms(self) -> list[tuple[tuple[int, int], Scalar]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.terms.items())
 
-    def __add__(self, other: XYPolynomial | Scalar) -> XYPolynomial:
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: XYPolynomial | int) -> XYPolynomial:
+        if not isinstance(other, XYPolynomial):
             other = XYPolynomial.constant(other)
         terms = dict(self.terms)
         for key, val in other.terms.items():
@@ -718,12 +705,12 @@ class XYPolynomial:
 
     __radd__ = __add__
 
-    def __sub__(self, other: XYPolynomial | Scalar) -> XYPolynomial:
-        if isinstance(other, (int, Fraction)):
+    def __sub__(self, other: XYPolynomial | int) -> XYPolynomial:
+        if not isinstance(other, XYPolynomial):
             other = XYPolynomial.constant(other)
         return self + (-other)
 
-    def __rsub__(self, other: Scalar) -> XYPolynomial:
+    def __rsub__(self, other: int) -> XYPolynomial:
         return (-self) + other
 
     def __neg__(self) -> XYPolynomial:
@@ -731,7 +718,7 @@ class XYPolynomial:
 
     def mul(self, other: XYPolynomial, x_cap: int | None = None) -> XYPolynomial:
         """Product, optionally discarding terms with x-degree >= ``x_cap``."""
-        out: dict[tuple[int, int], Scalar] = {}
+        out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 i = i1 + i2
@@ -741,8 +728,8 @@ class XYPolynomial:
                 out[key] = out.get(key, 0) + c1 * c2
         return XYPolynomial(out)
 
-    def __mul__(self, other: XYPolynomial | Scalar) -> XYPolynomial:
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: XYPolynomial | int) -> XYPolynomial:
+        if not isinstance(other, XYPolynomial):
             return XYPolynomial(
                 {k: v * other for k, v in self.terms.items()}
             )
@@ -780,15 +767,15 @@ class XYPolynomial:
     def y_degree(self) -> int:
         return max((j for (_, j) in self.terms), default=-1)
 
-    def eval_exact(self, x: Scalar, y: Scalar) -> Scalar:
-        acc: Scalar = 0
+    def eval_exact(self, x: int, y: int) -> int:
+        acc = 0
         for (i, j), c in self.terms.items():
             acc += c * x**i * y**j
-        return _norm(acc)
+        return acc
 
-    def at_y(self, y: Scalar) -> Polynomial:
-        """Substitute an exact value for the marker variable."""
-        out: dict[int, Scalar] = {}
+    def at_y(self, y: int) -> Polynomial:
+        """Substitute an integer for the marker variable."""
+        out: dict[int, int] = {}
         for (i, j), c in self.terms.items():
             out[i] = out.get(i, 0) + c * y**j
         if not out:
@@ -807,7 +794,7 @@ class XYPolynomial:
         )
 
     def y_coefficient(self, j: int) -> Polynomial:
-        out: dict[int, Scalar] = {}
+        out: dict[int, int] = {}
         for (i, jj), c in self.terms.items():
             if jj == j:
                 out[i] = c
@@ -821,32 +808,32 @@ class XYPolynomial:
 
 # -- y-polynomial helpers for BivariateSeries ------------------------------
 
-def _pnorm(p: list[Scalar]) -> list[Scalar]:
+def _pnorm(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _padd(p: list[Scalar], q: list[Scalar], sign: int = 1) -> list[Scalar]:
+def _padd(p: list[int], q: list[int], sign: int = 1) -> list[int]:
     n = max(len(p), len(q))
     out = [
-        _norm((p[i] if i < len(p) else 0) + sign * (q[i] if i < len(q) else 0))
+        (p[i] if i < len(p) else 0) + sign * (q[i] if i < len(q) else 0)
         for i in range(n)
     ]
     return _pnorm(out)
 
 
-def _pmul(p: list[Scalar], q: list[Scalar]) -> list[Scalar]:
+def _pmul(p: list[int], q: list[int]) -> list[int]:
     if not p or not q:
         return []
-    out: list[Scalar] = [0] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
         for j, b in enumerate(q):
             if b != 0:
                 out[i + j] += a * b
-    return _pnorm([_norm(c) for c in out])
+    return _pnorm(out)
 
 
 class BivariateSeries:
@@ -856,17 +843,17 @@ class BivariateSeries:
     trailing zeros, empty list means zero).  No family in this package uses
     it; it is the reference the jet rules of :class:`YJet` are tested
     against, so it keeps only multiplication, division, the square root and
-    evaluation at an exact marker value.
+    evaluation at an integer marker value.
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Sequence[Sequence[Scalar]], order: int):
+    def __init__(self, coeffs: Sequence[Sequence[int]], order: int):
         if order <= 0:
             raise ValueError("truncation order must be positive")
         if len(coeffs) > order:
             raise ValueError("too many coefficients for the truncation order")
-        data = [_pnorm([_norm(c) for c in p]) for p in coeffs]
+        data = [_pnorm(_ints(p)) for p in coeffs]
         data.extend([[] for _ in range(order - len(data))])
         self.order = order
         self.coeffs = data
@@ -883,7 +870,7 @@ class BivariateSeries:
     def __mul__(self, other: BivariateSeries) -> BivariateSeries:
         self._check(other)
         n = self.order
-        out: list[list[Scalar]] = [[] for _ in range(n)]
+        out: list[list[int]] = [[] for _ in range(n)]
         for i, p in enumerate(self.coeffs):
             if not p:
                 continue
@@ -894,7 +881,7 @@ class BivariateSeries:
         return BivariateSeries(out, n)
 
     def __truediv__(self, other: BivariateSeries) -> BivariateSeries:
-        """Division; the divisor's constant term must be a nonzero rational."""
+        """Exact division; the divisor's constant term must be a nonzero int."""
         self._check(other)
         b0_poly = other.coeffs[0]
         if len(b0_poly) != 1:
@@ -903,38 +890,38 @@ class BivariateSeries:
             )
         b0 = b0_poly[0]
         n = self.order
-        q: list[list[Scalar]] = [[] for _ in range(n)]
+        q: list[list[int]] = [[] for _ in range(n)]
         for m in range(n):
             acc = list(self.coeffs[m])
             for k in range(1, m + 1):
                 bk = other.coeffs[k]
                 if bk and q[m - k]:
                     acc = _padd(acc, _pmul(bk, q[m - k]), -1)
-            q[m] = [_div(c, b0) for c in acc]
+            q[m] = [_exact_quotient(c, b0, f"coefficient {m} of the quotient") for c in acc]
         return BivariateSeries(q, n)
 
     def sqrt(self) -> BivariateSeries:
         if self.coeffs[0] != [1]:
             raise ValueError("square root needs constant term 1")
         n = self.order
-        s: list[list[Scalar]] = [[] for _ in range(n)]
+        s: list[list[int]] = [[] for _ in range(n)]
         s[0] = [1]
         for m in range(1, n):
             acc = list(self.coeffs[m])
             for i in range(1, m):
                 if s[i] and s[m - i]:
                     acc = _padd(acc, _pmul(s[i], s[m - i]), -1)
-            s[m] = [_div(c, 2) for c in acc]
+            s[m] = [_exact_quotient(c, 2, f"coefficient {m} of the square root") for c in acc]
         return BivariateSeries(s, n)
 
-    def at_y(self, y: Scalar) -> TruncatedSeries:
-        """Collapse the marker variable at an exact value."""
-        out: list[Scalar] = []
+    def at_y(self, y: int) -> TruncatedSeries:
+        """Collapse the marker variable at an integer value."""
+        out: list[int] = []
         for p in self.coeffs:
-            acc: Scalar = 0
+            acc = 0
             for c in reversed(p):
                 acc = acc * y + c
-            out.append(_norm(acc))
+            out.append(acc)
         return TruncatedSeries(out, self.order)
 
 
@@ -975,7 +962,7 @@ class YJet:
         return cls(value, TruncatedSeries.zero(n), TruncatedSeries.zero(n))
 
     @classmethod
-    def constant(cls, c0: Scalar, c1: Scalar, c2: Scalar, order: int) -> YJet:
+    def constant(cls, c0: int, c1: int, c2: int, order: int) -> YJet:
         return cls(
             TruncatedSeries.constant(c0, order),
             TruncatedSeries.constant(c1, order),
@@ -1003,8 +990,8 @@ class YJet:
             and self.d2 == other.d2
         )
 
-    def __add__(self, other: YJet | Scalar) -> YJet:
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: YJet | int) -> YJet:
+        if not isinstance(other, YJet):
             return YJet(self.value + other, self.d1, self.d2)
         return YJet(
             self.value + other.value, self.d1 + other.d1, self.d2 + other.d2
@@ -1012,21 +999,21 @@ class YJet:
 
     __radd__ = __add__
 
-    def __sub__(self, other: YJet | Scalar) -> YJet:
-        if isinstance(other, (int, Fraction)):
+    def __sub__(self, other: YJet | int) -> YJet:
+        if not isinstance(other, YJet):
             return YJet(self.value - other, self.d1, self.d2)
         return YJet(
             self.value - other.value, self.d1 - other.d1, self.d2 - other.d2
         )
 
-    def __rsub__(self, other: Scalar) -> YJet:
+    def __rsub__(self, other: int) -> YJet:
         return YJet(other - self.value, -self.d1, -self.d2)
 
     def __neg__(self) -> YJet:
         return YJet(-self.value, -self.d1, -self.d2)
 
-    def __mul__(self, other: YJet | Scalar) -> YJet:
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: YJet | int) -> YJet:
+        if not isinstance(other, YJet):
             return YJet(self.value * other, self.d1 * other, self.d2 * other)
         value = self.value * other.value
         d1 = self.d1 * other.value + self.value * other.d1
@@ -1039,8 +1026,8 @@ class YJet:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: YJet | Scalar) -> YJet:
-        if isinstance(other, (int, Fraction)):
+    def __truediv__(self, other: YJet | int) -> YJet:
+        if not isinstance(other, YJet):
             return YJet(self.value / other, self.d1 / other, self.d2 / other)
         value = self.value / other.value
         d1 = (self.d1 - value * other.d1) / other.value
@@ -1081,11 +1068,11 @@ def puiseux_expand(n: int, order: int) -> TruncatedSeries:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    coeffs: list[Scalar] = [0] * order
-    c: Scalar = 1
+    coeffs = [0] * order
+    c = 1
     coeffs[0] = c
     for k in range(1, order):
-        c = _div(c * 2 * (2 * n + 2 * k - 1), k)
+        c = _exact_quotient(c * 2 * (2 * n + 2 * k - 1), k, f"coefficient {k}")
         coeffs[k] = c
     return TruncatedSeries(coeffs, order)
 

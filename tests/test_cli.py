@@ -224,6 +224,59 @@ def test_error_exits(capsys):
 
 
 @pytest.mark.parametrize(
+    "case",
+    [
+        ("count", "3", "--genus", "5"),
+        ("count", "6", "--genus", "1", "--oracle"),
+        ("series", "dg", "--genus", "1", "--order", "10"),
+        ("expect", "--type", "H", "--n", "10"),
+        ("sample", "--n", "10", "--genus", "1", "--seed", "1"),
+    ],
+)
+def test_class_that_cannot_inflate_is_rejected_by_flag(capsys, case):
+    code, out, err = run(capsys, *case, "--lambda", "3", "--r", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --lambda must be at most --r + 1 at positive genus")
+    assert "got --lambda 3, --r 1" in err
+
+
+def test_class_that_cannot_inflate_still_serves_genus_zero_and_enumeration(capsys):
+    for case in (
+        ("count", "6", "--lambda", "3", "--r", "1"),
+        ("series", "d0", "--genus", "1", "--lambda", "3", "--r", "1"),
+        ("sample", "--n", "8", "--genus", "1", "--lambda", "3", "--r", "1", "--enumerative"),
+    ):
+        code, _, err = run(capsys, *case)
+        assert code == 0 and err == "", case
+
+
+@pytest.mark.parametrize(
+    "case, flag",
+    [
+        (("clt", "--precision", "5"), "--precision"),
+        (("clt", "--grid", "--precision", "14"), "--precision"),
+        (("census", "--n", "6", "--threads", "0"), "--threads"),
+        (("count", "5", "--ceiling", "30"), "--ceiling"),
+        (("sample", "--n", "5", "--ceiling", "0"), "--ceiling"),
+        (("census", "--n", "5", "--ceiling", "25"), "--ceiling"),
+    ],
+)
+def test_config_inputs_rejected_by_flag(capsys, case, flag):
+    code, out, err = run(capsys, *case)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
+
+
+def test_flags_belong_to_the_commands_that_read_them(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["genus", "(.)", "--threads", "4"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "case, flag",
     [
         (("census", "--n", "-1"), "--n"),

@@ -25,7 +25,7 @@ from toporna.genfun import (
 )
 from toporna.genfun import _dg, _elements, _factor_base, _genus_series
 from toporna.oracle import enumerate_diagrams, full_census
-from toporna.recursions import MARK_KINDS, marked_shape_poly, shape_poly
+from toporna.recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
 from toporna.series import TruncatedSeries, YJet, XYPolynomial
 
 PLAIN = StructureClass(1, 1)
@@ -408,6 +408,27 @@ def test_algebraic_arc_jet_matches_chord_route(r, data, genus, order):
     """dg_jet, exact in Q(x)(S), against the truncated chord-diagram route."""
     cls_ = StructureClass(data.draw(st.integers(1, r + 1), label="min_arc"), r)
     assert dg_jet(cls_, genus, order) == dg_via_chords(cls_, genus, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    data=st.data(),
+    genus=st.integers(0, 2),
+    order=st.integers(1, 60),
+)
+def test_truncated_routes_stay_integral(r, data, genus, order):
+    """The loop jets, the chord route and the three chord series divide exactly.
+
+    Every division of the integer kernel raises ``ArithmeticError`` unless
+    it is exact, so each call below completing is the check.
+    """
+    cls_ = StructureClass(data.draw(st.integers(1, r + 1), label="min_arc"), r)
+    for kind in LOOP_KINDS + (("stem",) if genus == 0 else ()):
+        loop_marked_dg_jet(cls_, genus, kind, order)
+    dg_via_chords(cls_, genus, order)
+    routes = {chord_series(genus, order, route) for route in ("recursion", "closed", "shapes")}
+    assert len(routes) == 1
 
 
 def _remainder(a, b):
