@@ -116,14 +116,16 @@ def arc_law(cls_: StructureClass, dps: int = 50) -> ArcLaw:
         return ArcLaw(rho, d1, d2, mean, variance)
 
 
-def mean_arc_grid(max_arc: int = 6, max_stack: int = 6) -> dict[tuple[int, int], float]:
-    """Mean-arc coefficients for every class with min_arc <= min_stack + 1."""
+def mean_arc_grid(
+    max_arc: int = 6, max_stack: int = 6, dps: int = 50
+) -> dict[tuple[int, int], float]:
+    """Mean-arc coefficients for every class with min_arc <= min_stack + 1, at ``dps`` digits."""
     out: dict[tuple[int, int], float] = {}
     for lam in range(1, max_arc + 1):
         for r in range(1, max_stack + 1):
             if lam > r + 1:
                 continue
-            out[(lam, r)] = float(arc_law(StructureClass(lam, r)).mean)
+            out[(lam, r)] = float(arc_law(StructureClass(lam, r), dps).mean)
     return out
 
 

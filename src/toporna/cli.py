@@ -377,9 +377,14 @@ def _cmd_clt(args) -> int:
     _at_least("--precision", args.precision, 15)
     if args.grid:
         meta = _base_meta(
-            args, "clt", grid=True, max_arc=args.max_lam, max_stack=args.max_r
+            args,
+            "clt",
+            grid=True,
+            max_arc=args.max_lam,
+            max_stack=args.max_r,
+            precision=args.precision,
         )
-        grid = asymptotics.mean_arc_grid(args.max_lam, args.max_r)
+        grid = asymptotics.mean_arc_grid(args.max_lam, args.max_r, args.precision)
         rows = [
             {"min_arc": lam, "min_stack": r, "mean": f"{grid[(lam, r)]:.{digits}f}"}
             for (lam, r) in sorted(grid)

@@ -31,9 +31,6 @@ Arc = tuple[int, int]
 #: Loop kinds tallied by :func:`loop_counts`, in report order.
 LOOP_KINDS = ("stack", "hairpin", "bulge", "interior", "multi")
 
-#: Crossing-block classes tallied by :func:`tally_structure`, in report order.
-PK_LABELS = ("H", "K", "L", "M", "higher")
-
 #: Bracket pairs available for dot-bracket output, lowest page first.
 PAGES: tuple[str, ...] = ("()", "[]", "{}", "<>") + tuple(
     chr(ord("A") + k) + chr(ord("a") + k) for k in range(26)
@@ -324,6 +321,9 @@ GENUS1_SHADOWS: dict[str, Diagram] = {
 }
 
 _SHADOW_LABELS = {d: name for name, d in GENUS1_SHADOWS.items()}
+
+#: Crossing-block classes tallied by :func:`tally_structure`, in report order.
+PK_LABELS = (*GENUS1_SHADOWS, "higher")
 
 
 @dataclass(frozen=True)

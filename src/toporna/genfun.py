@@ -15,21 +15,24 @@ the arc-marked jets :func:`d0_jet` and :func:`dg_jet`, are computed exactly
 in Q(x)(S), with S the square root of the discriminant at an integer marker
 value y, as :class:`~toporna.series.AlgebraicSeries`, and expanded only at
 the end.  An arc-marked jet holds D_g and its first two y-derivatives at
-y = 1 as three such elements; the jet of S comes from the discriminant's
-y-jets.  At y = 1 every element is reduced over the class's factor base:
-the coprime, squarefree factors of the discriminant Delta(x, 1) and of the
-norm of w's denominator, w being the series each shape arc becomes.  Every
-denominator is a power of x times a power product of that base, so trial
-division keeps the degrees small.  :func:`arc_distribution` evaluates
-D_g(x, y) at y = 1, ..., n/2 + 1 and interpolates the polynomial [x^n] D_g
-exactly.
+y = 1 as three such elements; D_0's jet is that of the root of its
+quadratic equation at the element D_0, by implicit differentiation in y,
+so no square root but S itself is taken.  At y = 1 every element is
+reduced over the class's factor base: the coprime, squarefree factors of
+the discriminant Delta(x, 1) and of the norm of w's denominator, w being
+the series each shape arc becomes.  Every denominator is a power of x
+times a power product of that base, so trial division keeps the degrees
+small.  :func:`arc_distribution` evaluates D_g(x, y) at y = 1, ..., n/2 + 1
+and interpolates the polynomial [x^n] D_g exactly.
 
 The chord-diagram route :func:`dg_via_chords` and the loop-marked jets
 stay on truncated-series arithmetic.  :func:`dg_via_chords` is the
 independent derivation the arc-marked jets are checked against.  The
-loop-marked jets take the root of the loop grammar's genus-0 quadratic in
-closed form; one table of markers drives that root and the series each
-shape arc becomes.
+loop-marked jets take the root of the loop grammar's genus-0 quadratic the
+same way: its value at y = 1 is read off the genus-0 element, which must
+solve the quadratic exactly, and its y-derivatives follow by implicit
+differentiation.  One table of markers drives that root and the series
+each shape arc becomes.
 
 Everything here is exact: coefficients are ints, and every division on
 the way is exact or raises ``ArithmeticError``.  Results are truncated
@@ -156,26 +159,18 @@ def _factor_base(cls_: StructureClass) -> tuple[Polynomial, ...]:
 def _element_jets(cls_: StructureClass) -> tuple[YJet, ...]:
     """Jets at y = 1 of D0, q and q^r, reduced over the class's factor base.
 
-    D0 = (B - S) / (2 q^r) comes from the jets of B, q^r and S, with
-    S' = Delta' S / (2 Delta) and S'' = Delta'' S / (2 Delta) - Delta'^2 S / (4 Delta^2)
-    from Delta's y-jets.
+    D0's jet is that of the root of q^r D^2 - B D + A = 0 at the element
+    D0, by implicit differentiation in y (:meth:`YJet.quadratic_root`).
     """
-    delta, delta1, delta2 = discriminant_poly(cls_).y1_jets()
-    base = _factor_base(cls_)
+    d0 = _elements(cls_, 1, _factor_base(cls_))[0]
 
     def jet(poly: XYPolynomial) -> YJet:
-        return YJet(*(AlgebraicSeries(delta, p, base=base) for p in poly.y1_jets()))
+        return YJet(*(AlgebraicSeries(d0.delta, p, base=d0.base) for p in poly.y1_jets()))
 
-    none = Polynomial()
-    s = YJet(
-        AlgebraicSeries(delta, none, Polynomial([1]), base=base),
-        AlgebraicSeries(delta, none, delta1, delta * 2, base),
-        AlgebraicSeries(delta, none, delta2 * delta * 2 - delta1 * delta1, delta * delta * 4, base),
-    )
+    a, b = core_polys(cls_)
     r = cls_.min_stack
     qr = jet(XYPolynomial.monomial(2 * r, r))
-    d0 = (jet(core_polys(cls_)[1]) - s) / (qr * 2)
-    return d0, jet(XYPolynomial.monomial(2, 1)), qr
+    return YJet.quadratic_root(qr, -jet(b), jet(a), d0), jet(XYPolynomial.monomial(2, 1)), qr
 
 
 def _stack_substitution(d0, q, qr):
@@ -297,8 +292,10 @@ def loop_marked_d0_jet(cls_: StructureClass, kind: str, order: int) -> YJet:
     l = 2 m_bulge run + m_interior run^2 and m = m_multi, the closed
     component C (a stack with everything it encloses) solves
     C (1 - C G) = s ((h + l C)(1 - C G) + m C^2 G^3),
-    a quadratic a C^2 + b C + k = 0 whose root without a constant term is
-    taken in closed form.  The series is 1 / (1 - x - C).
+    a quadratic a C^2 + b C + k = 0.  At y = 1 its root is C0 = 1 - x - 1/D0,
+    from the genus-0 element; the marker derivatives follow by implicit
+    differentiation (:meth:`YJet.quadratic_root`), which raises unless C0
+    solves the quadratic.  The series is 1 / (1 - x - C).
     """
     _check_order(order)
     marks = _loop_marks(kind, order)
@@ -313,7 +310,7 @@ def loop_marked_d0_jet(cls_: StructureClass, kind: str, order: int) -> YJet:
     loops = marks["bulge"] * run * 2 + marks["interior"] * run * run
     a = g + s * (marks["multi"] * g * g * g - loops * g)
     b = s * (loops - h * g) - 1
-    closed = (-b - (b * b - a * s * h * 4).sqrt()) / (a * 2)
+    closed = YJet.quadratic_root(a, b, s * h, (1 - 1 / _dg(cls_, 0)).series(order) - x)
     return one / (1 - YJet.plain(x) - closed)
 
 

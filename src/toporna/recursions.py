@@ -13,19 +13,25 @@ The central recursion is the two-term one for chord diagram counts by genus,
 seeded by the empty diagram.  A companion recursion produces the finite
 weight family ``shape_weights(g)`` whose entries expand the genus-g diagram
 series in the basis x^n (1-4x)^(-n-1/2) and, at the same time, give the
-shape polynomial in the basis x^n (1+x)^(n+1).
+shape polynomial in the basis x^n (1+x)^(n+1).  At genus 0 the series is
+Catalan's, the algebraic element (1 - sqrt(1 - 4x)) / (2x).
+
+The four genus-1 crossing types that can be marked, and the arc counts of
+their shadows, are read off :data:`toporna.diagram.GENUS1_SHADOWS`.
 """
 
 from __future__ import annotations
 
+from .diagram import GENUS1_SHADOWS
 from .series import (
+    AlgebraicSeries,
     Polynomial,
     TruncatedSeries,
     XYPolynomial,
     puiseux_expand,
 )
 
-MARK_KINDS = ("H", "K", "L", "M")
+MARK_KINDS = tuple(GENUS1_SHADOWS)
 
 _chord_cache: dict[tuple[int, int], int] = {}
 _weight_cache: dict[int, dict[int, int]] = {1: {2: 1}}
@@ -51,10 +57,6 @@ def chord_count(genus: int, arcs: int) -> int:
         raise ArithmeticError(f"chord recursion not divisible at g={genus}, n={n}")
     _chord_cache[key] = value
     return value
-
-
-def chord_count_row(genus: int, max_arcs: int) -> list[int]:
-    return [chord_count(genus, n) for n in range(max_arcs + 1)]
 
 
 def shape_weights(genus: int) -> dict[int, int]:
@@ -133,14 +135,10 @@ def marked_irreducible_poly(kind: str) -> XYPolynomial:
     """
     if kind not in MARK_KINDS:
         raise ValueError(f"unknown mark kind {kind!r}")
-    arcs_of = {"H": 2, "K": 3, "L": 3, "M": 4}
-    counts = {2: 1, 3: 2, 4: 1}
-    marked = arcs_of[kind]
-    terms: dict[tuple[int, int], int] = {(marked, 1): 1}
-    for n, c in counts.items():
-        rest = c - (1 if n == marked else 0)
-        if rest:
-            terms[(n, 0)] = rest
+    terms: dict[tuple[int, int], int] = {}
+    for name, shadow in GENUS1_SHADOWS.items():
+        key = (len(shadow.arcs), int(name == kind))
+        terms[key] = terms.get(key, 0) + 1
     return XYPolynomial(terms)
 
 
@@ -278,9 +276,9 @@ def _derive_irreducible(genus: int) -> Polynomial:
 
 
 def catalan_series(order: int) -> TruncatedSeries:
-    """Series of the Catalan numbers, from the closed form (1 - sqrt(1-4x))/2x."""
-    wide = TruncatedSeries([1, -4], order + 1).sqrt()
-    return ((1 - wide).shifted_down(1) / 2).truncate(order)
+    """Series of the Catalan numbers, from the closed form (1 - sqrt(1-4x))/2x in Q(x)(S)."""
+    one = Polynomial([1])
+    return AlgebraicSeries(Polynomial([1, -4]), one, -one, Polynomial([0, 2])).series(order)
 
 
 def chord_series(genus: int, order: int, route: str = "recursion") -> TruncatedSeries:

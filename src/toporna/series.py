@@ -5,7 +5,8 @@ are integer sequences, so the kernel has one coefficient type.  The
 constructors of :class:`TruncatedSeries`, :class:`Polynomial`,
 :class:`XYPolynomial` and :class:`BivariateSeries` raise ``TypeError`` for
 any other coefficient, and every division (series by series, series by an
-int, the halving in a square root) is exact or raises ``ArithmeticError``.
+int, each step of the recurrence for S below) is exact or raises
+``ArithmeticError``.
 Rationals appear only at the library's boundary, in the exact means and
 variances of :mod:`toporna.genfun`.
 
@@ -25,7 +26,10 @@ Four layers:
 * :class:`YJet`, a 2-jet in a marker variable, carrying the value and the
   first two derivatives at marker value 1.  Its components are either all
   truncated series or all algebraic elements; an algebraic jet is exact
-  and is expanded with :meth:`YJet.series`.
+  and is expanded with :meth:`YJet.series`.  A root of a quadratic is
+  taken by implicit differentiation (:meth:`YJet.quadratic_root`) from its
+  value at marker value 1, so S is the only square root the kernel
+  expands.
 
 A joint distribution in x and the marker is not held as a series with
 polynomial coefficients: it is read off :class:`AlgebraicSeries` evaluated
@@ -226,31 +230,6 @@ class TruncatedSeries:
             q[m] = _exact_quotient(acc, b0, f"coefficient {m} of the quotient")
         return TruncatedSeries(q, n)
 
-    def sqrt(self) -> TruncatedSeries:
-        """Square root of a series with constant term 1.
-
-        Raises:
-            ValueError: if the constant term is not 1.
-            ArithmeticError: if the root has a coefficient that is not an
-                integer.
-        """
-        if self.coeffs[0] != 1:
-            raise ValueError("square root needs constant term 1")
-        n = self.order
-        f = self.coeffs
-        s = [0] * n
-        s[0] = 1
-        for m in range(1, n):
-            acc = f[m]
-            for i in range(1, m):
-                si = s[i]
-                if si != 0:
-                    sj = s[m - i]
-                    if sj != 0:
-                        acc -= si * sj
-            s[m] = _exact_quotient(acc, 2, f"coefficient {m} of the square root")
-        return TruncatedSeries(s, n)
-
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """Substitute ``inner`` for the variable; ``inner`` must vanish at 0."""
         self._check(inner)
@@ -268,32 +247,11 @@ class TruncatedSeries:
         coeffs = [0] * min(k, self.order) + self.coeffs[: max(0, self.order - k)]
         return TruncatedSeries(coeffs, self.order)
 
-    def shifted_down(self, k: int) -> TruncatedSeries:
-        """Divide by ``x**k``; the first ``k`` coefficients must vanish.
-
-        The result is only determined up to ``x**(order-k-1)``, so its
-        truncation order shrinks by ``k``.
-        """
-        if k < 0:
-            raise ValueError("shift amount must be nonnegative")
-        if k >= self.order:
-            raise ValueError("cannot shift past the truncation order")
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError(f"series is not divisible by x**{k}")
-        return TruncatedSeries(self.coeffs[k:], self.order - k)
-
     def truncate(self, order: int) -> TruncatedSeries:
         """Drop down to a smaller truncation order."""
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs[:order], order)
-
-    def eval_at(self, x):
-        """Evaluate the truncated polynomial at an exact point: an int, or any rational."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 class Polynomial:
@@ -571,6 +529,10 @@ class AlgebraicSeries:
     def _new(self, p: Polynomial, q: Polynomial, d: Polynomial) -> AlgebraicSeries:
         return AlgebraicSeries(self.delta, p, q, d, self.base)
 
+    def is_zero(self) -> bool:
+        """True when p and q vanish; exact whenever delta is not a square."""
+        return self.p.is_zero() and self.q.is_zero()
+
     def norm(self) -> Polynomial:
         """p^2 - q^2 delta: the numerator times its conjugate p - qS."""
         return self.p * self.p - self.q * self.q * self.delta
@@ -737,20 +699,6 @@ class XYPolynomial:
 
     __rmul__ = __mul__
 
-    def pow(self, exponent: int, x_cap: int | None = None) -> XYPolynomial:
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = XYPolynomial.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result.mul(base, x_cap)
-            e >>= 1
-            if e:
-                base = base.mul(base, x_cap)
-        return result
-
     def partial_x(self) -> XYPolynomial:
         return XYPolynomial(
             {(i - 1, j): i * c for (i, j), c in self.terms.items() if i > 0}
@@ -766,12 +714,6 @@ class XYPolynomial:
 
     def y_degree(self) -> int:
         return max((j for (_, j) in self.terms), default=-1)
-
-    def eval_exact(self, x: int, y: int) -> int:
-        acc = 0
-        for (i, j), c in self.terms.items():
-            acc += c * x**i * y**j
-        return acc
 
     def at_y(self, y: int) -> Polynomial:
         """Substitute an integer for the marker variable."""
@@ -792,18 +734,6 @@ class XYPolynomial:
             self.partial_y().at_y(1),
             self.partial_y().partial_y().at_y(1),
         )
-
-    def y_coefficient(self, j: int) -> Polynomial:
-        out: dict[int, int] = {}
-        for (i, jj), c in self.terms.items():
-            if jj == j:
-                out[i] = c
-        if not out:
-            return Polynomial()
-        coeffs = [0] * (max(out) + 1)
-        for i, c in out.items():
-            coeffs[i] = c
-        return Polynomial(coeffs)
 
 
 # -- y-polynomial helpers for BivariateSeries ------------------------------
@@ -842,8 +772,8 @@ class BivariateSeries:
     Coefficient ``n`` is a list of y-coefficients (index = y-exponent, no
     trailing zeros, empty list means zero).  No family in this package uses
     it; it is the reference the jet rules of :class:`YJet` are tested
-    against, so it keeps only multiplication, division, the square root and
-    evaluation at an integer marker value.
+    against, so it keeps only multiplication, division and evaluation at an
+    integer marker value.
     """
 
     __slots__ = ("order", "coeffs")
@@ -900,20 +830,6 @@ class BivariateSeries:
             q[m] = [_exact_quotient(c, b0, f"coefficient {m} of the quotient") for c in acc]
         return BivariateSeries(q, n)
 
-    def sqrt(self) -> BivariateSeries:
-        if self.coeffs[0] != [1]:
-            raise ValueError("square root needs constant term 1")
-        n = self.order
-        s: list[list[int]] = [[] for _ in range(n)]
-        s[0] = [1]
-        for m in range(1, n):
-            acc = list(self.coeffs[m])
-            for i in range(1, m):
-                if s[i] and s[m - i]:
-                    acc = _padd(acc, _pmul(s[i], s[m - i]), -1)
-            s[m] = [_exact_quotient(c, 2, f"coefficient {m} of the square root") for c in acc]
-        return BivariateSeries(s, n)
-
     def at_y(self, y: int) -> TruncatedSeries:
         """Collapse the marker variable at an integer value."""
         out: list[int] = []
@@ -956,10 +872,9 @@ class YJet:
         return self.value.order
 
     @classmethod
-    def plain(cls, value: TruncatedSeries) -> YJet:
+    def plain(cls, value: TruncatedSeries | AlgebraicSeries) -> YJet:
         """Wrap a series that does not involve the marker."""
-        n = value.order
-        return cls(value, TruncatedSeries.zero(n), TruncatedSeries.zero(n))
+        return cls(value, value * 0, value * 0)
 
     @classmethod
     def constant(cls, c0: int, c1: int, c2: int, order: int) -> YJet:
@@ -1034,11 +949,29 @@ class YJet:
         d2 = (self.d2 - 2 * (d1 * other.d1) - value * other.d2) / other.value
         return YJet(value, d1, d2)
 
-    def sqrt(self) -> YJet:
-        value = self.value.sqrt()
-        d1 = self.d1 / (2 * value)
-        d2 = (self.d2 - 2 * (d1 * d1)) / (2 * value)
-        return YJet(value, d1, d2)
+    @classmethod
+    def quadratic_root(
+        cls, a: YJet, b: YJet, k: YJet, value: TruncatedSeries | AlgebraicSeries
+    ) -> YJet:
+        """The jet of the root z of a z^2 + b z + k = 0 whose value at y = 1 is ``value``.
+
+        With f = a z^2 + b z + k, implicit differentiation in the marker at
+        z = ``value`` gives z' = -f_y / f_z and
+        z'' = -(f_yy + 2 f_zy z' + 2 a z'^2) / f_z.  The components of a, b
+        and k are of ``value``'s kind, and f_z must be invertible.
+
+        Raises:
+            ArithmeticError: unless ``value`` is a root at y = 1.
+        """
+        az = a.value * value
+        if not ((az + b.value) * value + k.value).is_zero():
+            raise ArithmeticError("the value is not a root of the quadratic")
+        f_z = az * 2 + b.value
+        d1 = -(((a.d1 * value + b.d1) * value + k.d1) / f_z)
+        f_zy = a.d1 * value * 2 + b.d1
+        f_yy = (a.d2 * value + b.d2) * value + k.d2
+        d2 = -((f_yy + f_zy * d1 * 2 + a.value * d1 * d1 * 2) / f_z)
+        return cls(value, d1, d2)
 
     def shift(self, k: int) -> YJet:
         return YJet(self.value.shift(k), self.d1.shift(k), self.d2.shift(k))
@@ -1076,10 +1009,3 @@ def puiseux_expand(n: int, order: int) -> TruncatedSeries:
         coeffs[k] = c
     return TruncatedSeries(coeffs, order)
 
-
-def geometric(ratio_power: int, order: int) -> TruncatedSeries:
-    """The series ``1 / (1 - x**k)`` for a positive integer k."""
-    if ratio_power <= 0:
-        raise ValueError("the power must be positive")
-    coeffs = [1 if i % ratio_power == 0 else 0 for i in range(order)]
-    return TruncatedSeries(coeffs, order)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from toporna import asymptotics
 from toporna.cli import main
 from toporna.diagram import parse_structure
 from toporna.genfun import (
@@ -136,6 +137,26 @@ def test_clt_cell_and_grid(capsys):
     assert len(lines) == 27  # admissible cells with min_arc, min_stack <= 6
     assert "2,1,0.2764" in lines
     assert "6,6,0.3359" in lines
+
+
+def test_clt_grid_passes_precision_to_the_arc_law(capsys, monkeypatch):
+    seen = []
+    law = asymptotics.arc_law
+
+    def spy(cls_, dps=50):
+        seen.append(dps)
+        return law(cls_, dps)
+
+    monkeypatch.setattr(asymptotics, "arc_law", spy)
+    argv = ("clt", "--grid", "--max-lambda", "2", "--max-r", "1", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--precision", "30")
+    assert code == 0
+    doc = json.loads(out)
+    assert seen == [30, 30] and doc["meta"]["precision"] == "30"
+    seen.clear()
+    code, default, _ = run(capsys, *argv)
+    assert code == 0 and seen == [50, 50]
+    assert json.loads(default)["rows"] == doc["rows"]
 
 
 def test_expect_matches_library(capsys):

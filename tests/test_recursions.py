@@ -13,7 +13,6 @@ from toporna.recursions import (
     MARK_KINDS,
     catalan_series,
     chord_count,
-    chord_count_row,
     chord_series,
     irreducible_poly,
     marked_irreducible_poly,
@@ -58,9 +57,9 @@ def test_chord_counts_match_brute_force():
 
 
 def test_chord_count_rows():
-    assert chord_count_row(0, 7) == [1, 1, 2, 5, 14, 42, 132, 429]
-    assert chord_count_row(1, 7) == [0, 0, 1, 10, 70, 420, 2310, 12012]
-    assert chord_count_row(2, 6) == [0, 0, 0, 0, 21, 483, 6468]
+    assert [chord_count(0, n) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
+    assert [chord_count(1, n) for n in range(8)] == [0, 0, 1, 10, 70, 420, 2310, 12012]
+    assert [chord_count(2, n) for n in range(7)] == [0, 0, 0, 0, 21, 483, 6468]
     assert chord_count(3, 6) == 1485
 
 
@@ -180,7 +179,7 @@ def test_marked_shape_genus2_pin():
     expected = XYPolynomial.monomial(4, 0).mul(square).mul(inner)
     got = marked_shape_poly(2, "H")
     assert got == expected
-    assert got.eval_exact(1, 1) == 7392
+    assert got.at_y(1)(1) == 7392
 
 
 def test_marked_shape_genus2_matches_enumeration():

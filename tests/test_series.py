@@ -16,7 +16,6 @@ from toporna.series import (
     XYPolynomial,
     YJet,
     coprime_base,
-    geometric,
     puiseux_expand,
 )
 
@@ -78,9 +77,7 @@ def test_non_int_scalars_raise_type_error(compute, value):
     [
         lambda: TruncatedSeries([1], 4) / TruncatedSeries([2, 1], 4),  # 1 / (2 + x)
         lambda: TruncatedSeries([2, 3], 4) / 2,
-        lambda: TruncatedSeries([1, 1], 4).sqrt(),  # sqrt(1 + x) = 1 + x/2 - ...
         lambda: BivariateSeries([[1]], 3) / BivariateSeries([[2], [1]], 3),
-        lambda: BivariateSeries([[1], [0, 1]], 3).sqrt(),
     ],
 )
 def test_inexact_division_raises(compute):
@@ -111,8 +108,8 @@ def test_geometric_series_division():
     denom = one - TruncatedSeries.x(order)
     g = one / denom
     assert g.coeffs == [1] * order
-    assert g == geometric(1, order)
-    assert geometric(3, 7).coeffs == [1, 0, 0, 1, 0, 0, 1]
+    cubic = TruncatedSeries.one(7) / (1 - TruncatedSeries.x_power(3, 7))
+    assert cubic.coeffs == [1, 0, 0, 1, 0, 0, 1]
 
 
 def test_mul_div_roundtrip_random():
@@ -125,19 +122,22 @@ def test_mul_div_roundtrip_random():
 
 
 def test_sqrt_roundtrip_random():
+    """The S recurrence recovers g from the radicand g^2, for integer g with g(0) = 1."""
     rng = random.Random(77)
     for _ in range(25):
         order = rng.randint(3, 14)
-        g = random_series(rng, order, unit=True)
-        f = g * g
-        assert f.sqrt() == g * g.coeffs[0]
+        g = Polynomial([1] + [rng.randint(-6, 6) for _ in range(rng.randint(0, 6))])
+        assert AlgebraicSeries(g * g, Polynomial(), Polynomial([1])).series(order) == g.to_series(
+            max(order, g.degree + 1)
+        ).truncate(order)
     with pytest.raises(ValueError):
-        TruncatedSeries([2, 1], 4).sqrt()
+        AlgebraicSeries(Polynomial([4, 1]), Polynomial(), Polynomial([1]))
 
 
 def test_compose():
     order = 8
-    outer = geometric(1, order)
+    one = TruncatedSeries.one(order)
+    outer = one / (1 - TruncatedSeries.x(order))
     inner = TruncatedSeries.x(order) * 2
     # 1 / (1 - 2x)
     assert outer.compose(inner).coeffs == [2**k for k in range(order)]
@@ -145,21 +145,12 @@ def test_compose():
         outer.compose(TruncatedSeries.one(order))
 
 
-def test_shift_and_shifted_down():
+def test_shift():
     s = TruncatedSeries([1, 2, 3], 5)
-    up = s.shift(2)
-    assert up.coeffs == [0, 0, 1, 2, 3]
-    down = up.shifted_down(2)
-    assert down.order == 3
-    assert down.coeffs == [1, 2, 3]
+    assert s.shift(2).coeffs == [0, 0, 1, 2, 3]
+    assert s.shift(4).coeffs == [0, 0, 0, 0, 1]
     with pytest.raises(ValueError):
-        s.shifted_down(1)
-
-
-def test_eval_at():
-    s = TruncatedSeries([1, 1, 1], 3)
-    assert s.eval_at(Fraction(1, 2)) == Fraction(7, 4)
-    assert s.eval_at(2) == 7
+        s.shift(-1)
 
 
 def test_puiseux_half_integer_base_case():
@@ -199,16 +190,18 @@ def test_polynomial_basics():
 def test_xy_polynomial_arith_and_partials():
     x = XYPolynomial.monomial(1, 0)
     y = XYPolynomial.monomial(0, 1)
-    p = (x + y).pow(3)
+    p = (x + y).mul(x + y).mul(x + y)
     assert p.terms == {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}
     assert p.partial_x().terms == {(2, 0): 3, (1, 1): 6, (0, 2): 3}
     assert p.partial_y().terms == {(2, 0): 3, (1, 1): 6, (0, 2): 3}
-    assert p.eval_exact(2, 3) == 125
+    assert p.at_y(3)(2) == 125
 
 
 def test_xy_polynomial_pow_with_cap():
     x = XYPolynomial.monomial(1, 0)
-    p = (1 + x).pow(6, x_cap=3)
+    p = XYPolynomial.constant(1)
+    for _ in range(6):
+        p = p.mul(1 + x, x_cap=3)
     assert p.terms == {(0, 0): 1, (1, 0): 6, (2, 0): 15}
 
 
@@ -241,6 +234,15 @@ def jet_of(s: BivariateSeries) -> YJet:
     return YJet(s.at_y(1), d1.at_y(1), d2.at_y(1))
 
 
+def bivariate_negated_sum(*parts: BivariateSeries) -> BivariateSeries:
+    """-(p1 + p2 + ...), coefficient by coefficient."""
+    out = []
+    for cs in zip(*(p.coeffs for p in parts)):
+        width = max(map(len, cs))
+        out.append([-sum(c[j] for c in cs if j < len(c)) for j in range(width)])
+    return BivariateSeries(out, parts[0].order)
+
+
 def test_jet_product_rule_against_bivariate():
     rng = random.Random(5)
     for _ in range(20):
@@ -260,16 +262,43 @@ def test_jet_quotient_rule_against_bivariate():
         assert jet_of(f) / jet_of(g) == jet_of(f / g)
 
 
-def test_jet_sqrt_rule_against_bivariate():
+def test_jet_quadratic_root_rule_against_bivariate():
+    """The jet of a known bivariate root z of a z^2 + b z + k, with k = -(a z^2 + b z)."""
     rng = random.Random(7)
     for _ in range(20):
         order = rng.randint(3, 10)
-        g = random_bivariate(rng, order)
-        g.coeffs[0] = [1]
-        f = g * g
-        root = f.sqrt()
-        assert root == g
-        assert jet_of(f).sqrt() == jet_of(root)
+        z, a, b = (random_bivariate(rng, order) for _ in range(3))
+        b.coeffs[0] = [rng.choice([1, -1])]
+        z.coeffs[0] = []  # f_z = 2 a z + b then has the unit constant term of b
+        k = bivariate_negated_sum(a * z * z, b * z)
+        root = YJet.quadratic_root(jet_of(a), jet_of(b), jet_of(k), z.at_y(1))
+        assert root == jet_of(z)
+
+
+def test_algebraic_jet_quadratic_root_matches_the_truncated_rule():
+    """The rule on algebraic jets expands to the rule on their truncated expansions."""
+    rng = random.Random(8)
+    order = 20
+    for _ in range(10):
+        z, a, b = (YJet(*(random_element(rng) for _ in range(3))) for _ in range(3))
+        b = YJet(b.value + 1 - b.value.series(1).coeff(0), b.d1, b.d2)
+        z = YJet(z.value - z.value.series(1).coeff(0), z.d1, z.d2)
+        k = -(a * z * z + b * z)
+        root = YJet.quadratic_root(a, b, k, z.value)
+        assert root.series(order) == z.series(order)
+        truncated = [j.series(order) for j in (a, b, k)]
+        assert YJet.quadratic_root(*truncated, z.value.series(order)) == z.series(order)
+
+
+@pytest.mark.parametrize("algebraic", [False, True])
+def test_quadratic_root_rejects_a_value_that_is_not_a_root(algebraic):
+    s = AlgebraicSeries(MOTZKIN_DELTA, Polynomial(), Polynomial([1]))
+    one = s * 0 + 1 if algebraic else TruncatedSeries.one(5)
+    a, b, k = YJet.plain(one), YJet.plain(one * -3), YJet.plain(one * 2)
+    # (z - 1)(z - 2) = 0: neither S nor 1 + x^4 (modulo x^5) is a root
+    value = s if algebraic else one + TruncatedSeries.x_power(4, 5)
+    with pytest.raises(ArithmeticError, match="not a root"):
+        YJet.quadratic_root(a, b, k, value)
 
 
 def test_jet_marker_power():
@@ -288,9 +317,7 @@ def test_bivariate_at_y_matches_exact_eval():
     for y in (3, -2):
         collapsed = s.at_y(y)
         for n in range(3):
-            assert collapsed.coeff(n) == p.y_coefficient(0).coeff(n) + sum(
-                p.y_coefficient(j).coeff(n) * y**j for j in range(1, 4)
-            )
+            assert collapsed.coeff(n) == p.at_y(y).coeff(n)
 
 
 # (1 - x)^2 - 4x^2, the discriminant of the unconstrained class
@@ -313,7 +340,9 @@ def random_element(rng: random.Random, *, unit: bool = False) -> AlgebraicSeries
 def test_algebraic_square_root_expansion():
     s = AlgebraicSeries(MOTZKIN_DELTA, Polynomial(), Polynomial([1]))
     order = 30
-    assert s.series(order) == MOTZKIN_DELTA.to_series(order).sqrt()
+    expansion = s.series(order)
+    assert expansion.coeff(0) == 1
+    assert expansion * expansion == MOTZKIN_DELTA.to_series(order)
     assert (s * s).series(order) == MOTZKIN_DELTA.to_series(order)
 
 
