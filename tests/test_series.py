@@ -77,7 +77,10 @@ def test_non_int_scalars_raise_type_error(compute, value):
     [
         lambda: TruncatedSeries([1], 4) / TruncatedSeries([2, 1], 4),  # 1 / (2 + x)
         lambda: TruncatedSeries([2, 3], 4) / 2,
+        # sqrt(1 + x) = 1 + x/2 - ...: the S recurrence hits a half
+        lambda: AlgebraicSeries(Polynomial([1, 1]), Polynomial(), Polynomial([1])).series(4),
         lambda: BivariateSeries([[1]], 3) / BivariateSeries([[2], [1]], 3),
+        lambda: YJet.marker_power(2, 3) / 2,
     ],
 )
 def test_inexact_division_raises(compute):
