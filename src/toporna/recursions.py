@@ -105,7 +105,9 @@ def shape_poly(genus: int) -> Polynomial:
 
 
 _BUILTIN_IRREDUCIBLE = {
-    1: Polynomial([0, 0, 1, 2, 1]),
+    1: sum(
+        (Polynomial.x_power(len(d.arcs)) for d in GENUS1_SHADOWS.values()), Polynomial()
+    ),
     2: Polynomial([0, 0, 0, 0, 17, 160, 566, 1004, 961, 476, 96]),
 }
 
@@ -113,9 +115,10 @@ _BUILTIN_IRREDUCIBLE = {
 def irreducible_poly(genus: int, *, derived: bool = False) -> Polynomial:
     """Generating polynomial of genus-g irreducible shadows, counted by arcs.
 
-    Genus 1 and 2 ship as fixed polynomials; pass ``derived=True`` (or ask
-    for genus >= 3) to compute the polynomial by inverting the shape
-    recursion instead.
+    Genus 1 is read off :data:`toporna.diagram.GENUS1_SHADOWS` and genus 2
+    ships as a fixed polynomial; pass ``derived=True`` (or ask for
+    genus >= 3) to compute the polynomial by inverting the shape recursion
+    instead.
     """
     if genus < 1:
         raise ValueError("irreducible shadows require genus >= 1")

@@ -141,16 +141,13 @@ class StructureSampler:
         p2 = [sum(d0[a] * d0[m - a] for a in range(m + 1)) for m in range(top + 1)]
         p2m1 = list(p2)
         p2m1[0] -= 1
-        geo = [0] * (top + 1)
-        for m in range(top + 1):
-            if m == 0:
-                geo[0] = 1
-                continue
-            geo[m] = sum(
-                p2m1[m - 2 * s - t] * geo[t]
-                for s in range(r, m // 2 + 1)
-                for t in range(m - 2 * s + 1)
-            )
+        # sum over s before t: h[u] = sum_{s>=r} p2m1[u-2s] = h[u-2] + p2m1[u-2r]
+        h = [0] * (top + 1)
+        for u in range(2 * r, top + 1):
+            h[u] = h[u - 2] + p2m1[u - 2 * r]
+        geo = [1] + [0] * top
+        for m in range(1, top + 1):
+            geo[m] = sum(h[m - t] * geo[t] for t in range(m))
         pg = [sum(p2[a] * geo[m - a] for a in range(m + 1)) for m in range(top + 1)]
         pmg = [sum(p2m1[a] * geo[m - a] for a in range(m + 1)) for m in range(top + 1)]
         chain = [

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -203,6 +204,23 @@ def test_sample_deterministic_and_valid(capsys):
     doc = json.loads(out)
     assert doc["meta"]["method"] == "enumerative"
     assert all(parse_structure(t).genus().genus == 1 for t in doc["samples"])
+
+
+def test_seeded_sampling_output_is_pinned(capsys):
+    requests = [
+        "sample --n 200 --genus 1 --count 200 --seed 5",
+        "sample --n 150 --genus 0 --lambda 2 --r 2 --count 200 --seed 6",
+        "sample --n 14 --genus 2 --count 50 --seed 7",
+        "sample --n 104 --genus 1 --count 300 --seed 8 --stats --format json",
+    ]
+    text = ""
+    for request in requests:
+        code, out, err = run(capsys, *request.split())
+        assert code == 0 and err == ""
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c3205a12a1a9ea507fb43a5f2b7afd128587db5c41fb1e413fda6a40a7df3036"
+    )
 
 
 def test_sample_stats(capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from toporna.diagram import (
     GENUS1_SHADOWS,
+    PAGES,
     PK_LABELS,
     Diagram,
     _classify_arcs,
@@ -300,9 +301,9 @@ def test_arcs_cross():
 
 
 @st.composite
-def _partner_array(draw):
-    """A random partial matching on n <= 14 vertices, as ``(n, partner)``."""
-    n = draw(st.integers(0, 14))
+def _partner_array(draw, max_n=14):
+    """A random partial matching on n <= max_n vertices, as ``(n, partner)``."""
+    n = draw(st.integers(0, max_n))
     order = draw(st.permutations(range(1, n + 1)))
     partner = [0] * (n + 1)
     for t in range(draw(st.integers(0, n // 2))):
@@ -434,3 +435,43 @@ def test_classify_component_rejects_arcs_that_are_not_one_component(n, arcs, ind
     with pytest.raises(ValueError, match="crossing component"):
         classify_component(Diagram(n, arcs), indices)
     assert classify_component(Diagram(4, ((1, 3), (2, 4))), [1, 0]) == ("H", 1)
+
+
+def _emit_by_pair_scan(diagram: Diagram) -> str:
+    """Lowest-free-page emission that tests each arc against every placed arc."""
+    pages: list[list] = []
+    assignment = {}
+    for arc in diagram.arcs:
+        for idx, placed in enumerate(pages):
+            if all(not arcs_cross(arc, other) for other in placed):
+                placed.append(arc)
+                assignment[arc] = idx
+                break
+        else:
+            if len(pages) >= len(PAGES):
+                raise ValueError(f"diagram needs more than {len(PAGES)} bracket pages")
+            pages.append([arc])
+            assignment[arc] = len(pages) - 1
+    chars = ["."] * diagram.n
+    for (i, j), page in assignment.items():
+        chars[i - 1], chars[j - 1] = PAGES[page]
+    return "".join(chars)
+
+
+@given(_partner_array(max_n=60))
+def test_emit_matches_pair_scan(case):
+    d = Diagram.from_partner(*case)
+    assert emit_structure(d) == _emit_by_pair_scan(d)
+
+
+def test_emit_rejects_too_many_pages_like_pair_scan():
+    # forty mutually crossing arcs need forty pages
+    d = Diagram(80, tuple((k, k + 40) for k in range(1, 41)))
+    with pytest.raises(ValueError) as scan:
+        _emit_by_pair_scan(d)
+    with pytest.raises(ValueError, match="more than 30 bracket pages") as emitted:
+        emit_structure(d)
+    assert str(emitted.value) == str(scan.value)
+    # thirty of them still fit, one per page
+    d = Diagram(60, tuple((k, k + 30) for k in range(1, 31)))
+    assert emit_structure(d) == _emit_by_pair_scan(d)

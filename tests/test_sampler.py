@@ -38,6 +38,47 @@ def test_dp_counts_match_series():
         assert got == structure_counts(cls_, genus, top + 1), (cls_, genus)
 
 
+def _cubic_chain_tables(sampler: StructureSampler) -> dict[str, list]:
+    """The chain tables by the direct triple sum for geo, from the sampler's d0."""
+    r = sampler.cls_.min_stack
+    top = sampler.max_len
+    d0 = sampler._d0
+
+    def conv(u, v):
+        return [sum(u[a] * v[m - a] for a in range(m + 1)) for m in range(top + 1)]
+
+    p2 = conv(d0, d0)
+    p2m1 = [p2[0] - 1] + p2[1:]
+    geo = [1] + [0] * top
+    for m in range(1, top + 1):
+        geo[m] = sum(
+            p2m1[m - 2 * s - t] * geo[t]
+            for s in range(r, m // 2 + 1)
+            for t in range(m - 2 * s + 1)
+        )
+    pg, pmg = conv(p2, geo), conv(p2m1, geo)
+    chain = [sum(pg[m - 2 * s] for s in range(r, m // 2 + 1)) for m in range(top + 1)]
+    cp = [[1] + [0] * top]
+    for _ in range(sampler._k_cap):
+        cp.append(conv(cp[-1], chain))
+    lead = [conv(d0, po) for po in cp]
+    total = [
+        sum(len(v) * lead[k][m] for k, v in sampler._shapes.items())
+        for m in range(top + 1)
+    ]
+    return {
+        "geo": geo, "pg": pg, "pmg": pmg, "chain": chain,
+        "cp": cp, "lead": lead, "total": total,
+    }
+
+
+@pytest.mark.parametrize("lam, r", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 3)])
+def test_chain_tables_match_cubic_recurrence(lam, r):
+    sampler = StructureSampler(StructureClass(lam, r), 1, 120)
+    for name, table in _cubic_chain_tables(sampler).items():
+        assert getattr(sampler, "_" + name) == table, name
+
+
 def test_shape_inventory_sizes():
     # the enumerated inventory agrees with the shape-count polynomial
     sampler = StructureSampler(PLAIN, 1, 14)
