@@ -145,6 +145,12 @@ def _elements(
     )
 
 
+# A cached element holds 10-35 kB (traced at (4,3), genus 2, where unreduced
+# elements at y >= 2 reach degree 242), and arc_distribution adds one per y,
+# so these caches are bounded.
+_CLASS_CACHE = 64
+
+
 @lru_cache(maxsize=None)
 def _factor_base(cls_: StructureClass) -> tuple[Polynomial, ...]:
     """The coprime base of the discriminant and of E, the norm of w's denominator, at y = 1.
@@ -156,6 +162,7 @@ def _factor_base(cls_: StructureClass) -> tuple[Polynomial, ...]:
     return coprime_base((d0.delta, (1 - q - qr * (d0 * d0 - 1)).norm()))
 
 
+@lru_cache(maxsize=_CLASS_CACHE)
 def _element_jets(cls_: StructureClass) -> tuple[YJet, ...]:
     """Jets at y = 1 of D0, q and q^r, reduced over the class's factor base.
 
@@ -185,12 +192,14 @@ def _genus_series(genus: int, d0, q, qr):
     return d0 * _horner(shape_poly(genus), _stack_substitution(d0, q, qr))
 
 
-def _dg(cls_: StructureClass, genus: int, y: int = 1) -> AlgebraicSeries:
+@lru_cache(maxsize=_CLASS_CACHE)
+def _dg(cls_: StructureClass, genus: int, y: int) -> AlgebraicSeries:
     """The genus-g series D_g(x, y) at marker value y, arcs marked by y.
 
     At y = 1 the elements are reduced over the class's factor base.  The
     base is built from the discriminant at y = 1 only; at y >= 2 the plain
-    normal form measured faster than a base of that y's own.
+    normal form measured faster than a base of that y's own.  Every
+    argument is positional, so a call has one cache key.
     """
     _check_genus(genus)
     if genus:
@@ -202,7 +211,7 @@ def _dg(cls_: StructureClass, genus: int, y: int = 1) -> AlgebraicSeries:
 def d0_series(cls_: StructureClass, order: int) -> TruncatedSeries:
     """Genus-0 structure counts by length (marker set to 1)."""
     _check_order(order)
-    return _dg(cls_, 0).series(order)
+    return _dg(cls_, 0, 1).series(order)
 
 
 def d0_jet(cls_: StructureClass, order: int) -> YJet:
@@ -213,7 +222,7 @@ def d0_jet(cls_: StructureClass, order: int) -> YJet:
 def dg_series(cls_: StructureClass, genus: int, order: int) -> TruncatedSeries:
     """Genus-g structure counts by length."""
     _check_order(order)
-    return _dg(cls_, genus).series(order)
+    return _dg(cls_, genus, 1).series(order)
 
 
 def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
@@ -222,10 +231,16 @@ def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
     The jet is computed exactly in Q(x)(S) and expanded only at the end.
     """
     _check_order(order)
+    return _genus_jet(cls_, genus).series(order)
+
+
+@lru_cache(maxsize=_CLASS_CACHE)
+def _genus_jet(cls_: StructureClass, genus: int) -> YJet:
+    """D_g's jet at y = 1 as elements of Q(x)(S), before expansion."""
     _check_genus(genus)
     if genus:
         require_inflatable(cls_)
-    return _genus_series(genus, *_element_jets(cls_)).series(order)
+    return _genus_series(genus, *_element_jets(cls_))
 
 
 def _horner(poly: Polynomial, w):
@@ -310,7 +325,7 @@ def loop_marked_d0_jet(cls_: StructureClass, kind: str, order: int) -> YJet:
     loops = marks["bulge"] * run * 2 + marks["interior"] * run * run
     a = g + s * (marks["multi"] * g * g * g - loops * g)
     b = s * (loops - h * g) - 1
-    closed = YJet.quadratic_root(a, b, s * h, (1 - 1 / _dg(cls_, 0)).series(order) - x)
+    closed = YJet.quadratic_root(a, b, s * h, (1 - 1 / _dg(cls_, 0, 1)).series(order) - x)
     return one / (1 - YJet.plain(x) - closed)
 
 

@@ -252,12 +252,13 @@ def _matching_search(
                 continue
             new_crossed = False
             touched: list[int] = []
-            for t, (i, j) in enumerate(arcs):
-                if i < v < j < u:
-                    new_crossed = True
-                    if not crossed[t]:
-                        crossed[t] = True
-                        touched.append(t)
+            if require_crossing:
+                for t, (i, j) in enumerate(arcs):
+                    if i < v < j < u:
+                        new_crossed = True
+                        if not crossed[t]:
+                            crossed[t] = True
+                            touched.append(t)
             partner[v] = u
             partner[u] = v
             arcs.append((v, u))

@@ -7,6 +7,13 @@ fillers spliced into the gap after each inflated endpoint.  Every
 discrete choice uses exact integer weights from DP tables, so draws are
 uniform by construction and no floating point enters the pipeline.
 
+Each choice reads a cumulative weight list from one of the declared
+weight tables, which fill themselves per length on first use, and costs
+one call of :func:`_choose`: rejection on ``getrandbits`` below the total,
+then a bisection.  That is the rule ``random.Random.randrange`` follows,
+so a seeded stream picks what ``bisect_right(cum, rng.randrange(total))``
+would.
+
 The enumerative fallback materializes the whole family first and is only
 meant for cross-checks at small lengths.  :func:`empirical_stats` tallies
 the draws with :func:`toporna.diagram.tally_structure`, the census row
@@ -17,7 +24,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import neg
 
 from mpmath import mp
 
@@ -34,14 +42,42 @@ __all__ = [
 ]
 
 
-def _draw(rng: random.Random, cum: list[int]) -> int:
-    """Index into a cumulative integer weight list, exactly."""
-    return bisect_right(cum, rng.randrange(cum[-1]))
+def _choose(getrandbits, cum) -> int:
+    """Index into a cumulative integer weight list, exactly.
+
+    r is drawn below the total by rejection on ``total.bit_length()``
+    random bits and the index is the number of entries at most r, so index
+    i is drawn with probability (cum[i] - cum[i - 1]) / total.
+    """
+    total = cum[-1]
+    k = total.bit_length()
+    r = getrandbits(k)
+    while r >= total:
+        r = getrandbits(k)
+    return bisect_right(cum, r)
+
+
+class _Cumulative(dict):
+    """Cumulative weight lists keyed by an int, each built on first use.
+
+    ``weights`` must not reach the sampler that owns the table, or every
+    sampler becomes a reference cycle that only the cycle collector frees.
+    """
+
+    __slots__ = ("_weights",)
+
+    def __init__(self, weights):
+        super().__init__()
+        self._weights = weights
+
+    def __missing__(self, key: int) -> list[int]:
+        cum = self[key] = list(accumulate(self._weights(key)))
+        return cum
 
 
 def _tokens_to_diagram(tokens: list[int]) -> Diagram:
     # 0 is an unpaired vertex, +k opens arc k, -k closes it
-    first: dict[int, int] = {}
+    first = [0] * (len(tokens) + 1)
     arcs = []
     for pos, tok in enumerate(tokens, start=1):
         if tok > 0:
@@ -73,13 +109,10 @@ class StructureSampler:
         self.cls_ = cls_
         self.genus = genus
         self.max_len = max_len
-        self._cum: dict[tuple, list[int]] = {}
         self._build_secondary()
         if genus:
             self._build_inventory()
             self._build_chains()
-        else:
-            self._total = list(self._d0)
 
     # -- table construction ------------------------------------------------
 
@@ -121,11 +154,24 @@ class StructureSampler:
             else:
                 d0[m] = d0[m - 1] + sum(comp[t] * d0[m - t] for t in range(2, m + 1))
         gtl = list(accumulate(tl))
-        self._hp, self._comp, self._bl, self._inter = hp, comp, bl, inter
-        self._tl, self._cgtl, self._multi, self._body = tl, cgtl, multi, body
-        self._gtl = gtl
-        self._gdt = [1 + v for v in gtl]
         self._d0 = d0
+        # The choices of secondary emission, keyed by the length left.
+        self._seq = _Cumulative(
+            lambda m: [d0[m - 1]] + [comp[t] * d0[m - t] for t in range(2, m + 1)]
+        )
+        self._comp = _Cumulative(lambda t: [body[t - 2 * s] for s in range(r, t // 2 + 1)])
+        self._body = _Cumulative(lambda u: [hp[u], bl[u], bl[u], inter[u], multi[u]])
+        self._gapc = _Cumulative(lambda u: [comp[u - a] for a in range(1, u + 1)])
+        self._gap2 = _Cumulative(lambda u: [bl[u - a] for a in range(1, u + 1)])
+        self._mgap = _Cumulative(lambda u: [cgtl[u - a] for a in range(u + 1)])
+        self._munit = _Cumulative(lambda v: [comp[t] * gtl[v - t] for t in range(v + 1)])
+        self._ugap = _Cumulative(lambda v: [tl[v - b] for b in range(v + 1)])
+        self._tunit = _Cumulative(
+            lambda v: [comp[t] * (1 + gtl[v - t]) for t in range(v + 1)]
+        )
+        self._tgap = _Cumulative(
+            lambda v: [(1 if b == v else 0) + tl[v - b] for b in range(v + 1)]
+        )
 
     def _build_inventory(self) -> None:
         r = self.cls_.min_stack
@@ -133,6 +179,7 @@ class StructureSampler:
         self._shapes: dict[int, list[Diagram]] = {}
         for shape, _ in enumerate_shapes(self._k_cap, genus=self.genus):
             self._shapes.setdefault(len(shape.arcs), []).append(shape)
+        self._ks = sorted(self._shapes)
 
     def _build_chains(self) -> None:
         r = self.cls_.min_stack
@@ -159,24 +206,27 @@ class StructureSampler:
             cp.append(
                 [sum(prev[a] * chain[m - a] for a in range(m + 1)) for m in range(top + 1)]
             )
-        lead = [
-            [sum(d0[a] * po[m - a] for a in range(m + 1)) for m in range(top + 1)]
+        self._geo, self._pg, self._pmg, self._chain, self._cp = geo, pg, pmg, chain, cp
+        # The choices of shape assembly: the prefix before k chains of n
+        # vertices, and the length of the next chain when j chains share rem.
+        prefix = [
+            _Cumulative(lambda n, po=po: [d0[m] * po[n - m] for m in range(n + 1)])
             for po in cp
         ]
-        self._p2, self._p2m1, self._geo = p2, p2m1, geo
-        self._pg, self._pmg, self._chain = pg, pmg, chain
-        self._cp, self._lead = cp, lead
-        self._total = [
-            sum(len(v) * lead[k][m] for k, v in self._shapes.items())
-            for m in range(top + 1)
+        self._prefix = prefix
+        self._part = [
+            _Cumulative(lambda rem, po=po: [chain[c] * po[rem - c] for c in range(rem + 1)])
+            for po in cp
         ]
-
-    def _cum_for(self, key: tuple, build) -> list[int]:
-        cum = self._cum.get(key)
-        if cum is None:
-            cum = list(accumulate(build()))
-            self._cum[key] = cum
-        return cum
+        sizes = [(k, len(self._shapes[k])) for k in self._ks]
+        # the number of structures of length n on the shapes with k arcs
+        self._k = _Cumulative(lambda n: [size * prefix[k][n][-1] for k, size in sizes])
+        # The choices of one stem chain, keyed by the vertices left.
+        self._stack0 = _Cumulative(lambda c: [pg[c - 2 * s] for s in range(r, c // 2 + 1)])
+        self._numer = _Cumulative(lambda m: [p2[a] * geo[m - a] for a in range(m + 1)])
+        self._stack = _Cumulative(lambda m: [pmg[m - 2 * s] for s in range(r, m // 2 + 1)])
+        self._junc = _Cumulative(lambda m: [p2m1[t] * geo[m - t] for t in range(m + 1)])
+        self._split = _Cumulative(lambda m: [d0[a] * d0[m - a] for a in range(m + 1)])
 
     # -- public interface --------------------------------------------------
 
@@ -184,15 +234,18 @@ class StructureSampler:
         """Number of structures of length ``n`` (tables must cover it)."""
         if not 0 <= n <= self.max_len:
             raise ValueError(f"length {n} outside table range 0..{self.max_len}")
-        return self._total[n]
+        if not self.genus:
+            return self._d0[n]
+        cum = self._k[n]
+        return cum[-1] if cum else 0
 
     def sample(self, n: int, rng: random.Random) -> Diagram:
         if self.count(n) == 0:
             raise ValueError(f"no structures of length {n} at genus {self.genus}")
-        fresh = iter(range(1, n + 2)).__next__
+        fresh = iter(range(1, n + 2))  # arc keys, in the order arcs open
         if self.genus == 0:
-            return _tokens_to_diagram(self._seq_tokens(n, fresh, rng))
-        return _tokens_to_diagram(self._positive_tokens(n, fresh, rng))
+            return _tokens_to_diagram(self._seq_tokens(n, fresh, rng.getrandbits))
+        return _tokens_to_diagram(self._positive_tokens(n, fresh, rng.getrandbits))
 
     def sample_many(self, n: int, draws: int, seed=None) -> list[Diagram]:
         """Draw ``draws`` structures with a private ``random.Random(seed)``."""
@@ -201,37 +254,22 @@ class StructureSampler:
 
     # -- positive-genus assembly -------------------------------------------
 
-    def _positive_tokens(self, n: int, fresh, rng: random.Random) -> list[int]:
-        ks = sorted(self._shapes)
-        cum = self._cum_for(
-            ("k", n),
-            lambda: [len(self._shapes[k]) * self._lead[k][n] for k in ks],
-        )
-        k = ks[_draw(rng, cum)]
+    def _positive_tokens(self, n: int, fresh, bits) -> list[int]:
+        k = self._ks[_choose(bits, self._k[n])]
         pool = self._shapes[k]
-        shape = pool[rng.randrange(len(pool))]
-        cum = self._cum_for(
-            ("prefix", k, n),
-            lambda: [self._d0[m] * self._cp[k][n - m] for m in range(n + 1)],
-        )
-        m0 = _draw(rng, cum)
+        shape = pool[_choose(bits, range(1, len(pool) + 1))]
+        m0 = _choose(bits, self._prefix[k][n])
         rem = n - m0
         lens = []
         for j in range(k - 1, 0, -1):
-            cum = self._cum_for(
-                ("part", j, rem),
-                lambda j=j, rem=rem: [
-                    self._chain[c] * self._cp[j][rem - c] for c in range(rem + 1)
-                ],
-            )
-            c = _draw(rng, cum)
+            c = _choose(bits, self._part[j][rem])
             lens.append(c)
             rem -= c
         lens.append(rem)
-        blocks = [self._chain_blocks(c, fresh, rng) for c in lens]
+        blocks = [self._chain_blocks(c, fresh, bits) for c in lens]
         left_index = {arc[0]: i for i, arc in enumerate(shape.arcs)}
         partner = shape.partner()
-        tokens = self._seq_tokens(m0, fresh, rng)
+        tokens = self._seq_tokens(m0, fresh, bits)
         for v in range(1, shape.n + 1):
             if partner[v] > v:
                 tokens.extend(blocks[left_index[v]][0])
@@ -239,7 +277,7 @@ class StructureSampler:
                 tokens.extend(blocks[left_index[partner[v]]][1])
         return tokens
 
-    def _chain_blocks(self, c: int, fresh, rng: random.Random):
+    def _chain_blocks(self, c: int, fresh, bits):
         """Sample one stem chain of ``c`` vertices as (opens, closes) tokens.
 
         A chain is a run of stacks inflating a single shape arc.  The
@@ -249,40 +287,20 @@ class StructureSampler:
         stacks maximal.
         """
         r = self.cls_.min_stack
-        cum = self._cum_for(
-            ("stack0", c),
-            lambda: [self._pg[c - 2 * s] for s in range(r, c // 2 + 1)],
-        )
-        stacks = [r + _draw(rng, cum)]
+        stacks = [r + _choose(bits, self._stack0[c])]
         rem = c - 2 * stacks[0]
-        cum = self._cum_for(
-            ("numer", rem),
-            lambda rem=rem: [self._p2[m] * self._geo[rem - m] for m in range(rem + 1)],
-        )
-        m = _draw(rng, cum)
-        fl, fr = self._pair_tokens(m, fresh, rng)
+        m = _choose(bits, self._numer[rem])
+        fl, fr = self._pair_tokens(m, fresh, bits)
         rem -= m
         juncs = []
         while rem:
-            cum = self._cum_for(
-                ("stack", rem),
-                lambda rem=rem: [
-                    self._pmg[rem - 2 * s] for s in range(r, rem // 2 + 1)
-                ],
-            )
-            s = r + _draw(rng, cum)
+            s = r + _choose(bits, self._stack[rem])
             rem -= 2 * s
-            cum = self._cum_for(
-                ("junc", rem),
-                lambda rem=rem: [
-                    self._p2m1[t] * self._geo[rem - t] for t in range(rem + 1)
-                ],
-            )
-            t = _draw(rng, cum)
-            juncs.append(self._pair_tokens(t, fresh, rng))
+            t = _choose(bits, self._junc[rem])
+            juncs.append(self._pair_tokens(t, fresh, bits))
             stacks.append(s)
             rem -= t
-        keylists = [[fresh() for _ in range(s)] for s in stacks]
+        keylists = [list(islice(fresh, s)) for s in stacks]
         opens: list[int] = []
         for t, keys in enumerate(keylists):
             opens.extend(keys)
@@ -291,151 +309,74 @@ class StructureSampler:
         opens.extend(fl)
         closes: list[int] = []
         for t in range(len(keylists) - 1, -1, -1):
-            closes.extend(-k for k in reversed(keylists[t]))
+            closes.extend(map(neg, reversed(keylists[t])))
             closes.extend(juncs[t - 1][1] if t else fr)
         return opens, closes
 
-    def _pair_tokens(self, m: int, fresh, rng: random.Random):
-        cum = self._cum_for(
-            ("split", m),
-            lambda: [self._d0[a] * self._d0[m - a] for a in range(m + 1)],
-        )
-        a = _draw(rng, cum)
-        return self._seq_tokens(a, fresh, rng), self._seq_tokens(m - a, fresh, rng)
+    def _pair_tokens(self, m: int, fresh, bits):
+        a = _choose(bits, self._split[m])
+        return self._seq_tokens(a, fresh, bits), self._seq_tokens(m - a, fresh, bits)
 
     # -- secondary emission ------------------------------------------------
 
-    def _seq_tokens(self, m: int, fresh, rng: random.Random) -> list[int]:
+    def _seq_tokens(self, m: int, fresh, bits) -> list[int]:
         out: list[int] = []
+        seq = self._seq
         while m:
-            cum = self._cum_for(
-                ("seq", m),
-                lambda m=m: [self._d0[m - 1]]
-                + [self._comp[t] * self._d0[m - t] for t in range(2, m + 1)],
-            )
-            idx = _draw(rng, cum)
+            idx = _choose(bits, seq[m])
             if idx == 0:
                 out.append(0)
                 m -= 1
             else:
                 t = idx + 1
-                self._comp_tokens(t, out, fresh, rng)
+                self._comp_tokens(t, out, fresh, bits)
                 m -= t
         return out
 
-    def _comp_tokens(self, t: int, out, fresh, rng: random.Random) -> None:
-        r = self.cls_.min_stack
-        cum = self._cum_for(
-            ("comp", t),
-            lambda: [self._body[t - 2 * s] for s in range(r, t // 2 + 1)],
-        )
-        s = r + _draw(rng, cum)
-        keys = [fresh() for _ in range(s)]
+    def _comp_tokens(self, t: int, out, fresh, bits) -> None:
+        s = self.cls_.min_stack + _choose(bits, self._comp[t])
+        keys = list(islice(fresh, s))
         out.extend(keys)
-        self._body_tokens(t - 2 * s, out, fresh, rng)
-        out.extend(-k for k in reversed(keys))
+        self._body_tokens(t - 2 * s, out, fresh, bits)
+        out.extend(map(neg, reversed(keys)))
 
-    def _body_tokens(self, u: int, out, fresh, rng: random.Random) -> None:
-        cum = self._cum_for(
-            ("body", u),
-            lambda: [
-                self._hp[u],
-                self._bl[u],
-                self._bl[u],
-                self._inter[u],
-                self._multi[u],
-            ],
-        )
-        branch = _draw(rng, cum)
+    def _body_tokens(self, u: int, out, fresh, bits) -> None:
+        branch = _choose(bits, self._body[u])
         if branch == 0:
             out.extend([0] * u)
         elif branch in (1, 2):
-            a = 1 + _draw(
-                rng,
-                self._cum_for(
-                    ("gapc", u),
-                    lambda: [self._comp[u - a] for a in range(1, u + 1)],
-                ),
-            )
+            a = 1 + _choose(bits, self._gapc[u])
             if branch == 1:
                 out.extend([0] * a)
-                self._comp_tokens(u - a, out, fresh, rng)
+                self._comp_tokens(u - a, out, fresh, bits)
             else:
-                self._comp_tokens(u - a, out, fresh, rng)
+                self._comp_tokens(u - a, out, fresh, bits)
                 out.extend([0] * a)
         elif branch == 3:
-            a = 1 + _draw(
-                rng,
-                self._cum_for(
-                    ("gap2", u),
-                    lambda: [self._bl[u - a] for a in range(1, u + 1)],
-                ),
-            )
+            a = 1 + _choose(bits, self._gap2[u])
             v = u - a
-            b = 1 + _draw(
-                rng,
-                self._cum_for(
-                    ("gapc", v),
-                    lambda v=v: [self._comp[v - b] for b in range(1, v + 1)],
-                ),
-            )
+            b = 1 + _choose(bits, self._gapc[v])
             out.extend([0] * a)
-            self._comp_tokens(v - b, out, fresh, rng)
+            self._comp_tokens(v - b, out, fresh, bits)
             out.extend([0] * b)
         else:
-            a = _draw(
-                rng,
-                self._cum_for(
-                    ("mgap", u),
-                    lambda: [self._cgtl[u - a] for a in range(u + 1)],
-                ),
-            )
+            a = _choose(bits, self._mgap[u])
             out.extend([0] * a)
             v = u - a
-            t = _draw(
-                rng,
-                self._cum_for(
-                    ("munit", v),
-                    lambda v=v: [
-                        self._comp[t] * self._gtl[v - t] for t in range(v + 1)
-                    ],
-                ),
-            )
-            self._comp_tokens(t, out, fresh, rng)
+            t = _choose(bits, self._munit[v])
+            self._comp_tokens(t, out, fresh, bits)
             v -= t
-            b = _draw(
-                rng,
-                self._cum_for(
-                    ("ugap", v),
-                    lambda v=v: [self._tl[v - b] for b in range(v + 1)],
-                ),
-            )
+            b = _choose(bits, self._ugap[v])
             out.extend([0] * b)
-            self._tail_tokens(v - b, out, fresh, rng)
+            self._tail_tokens(v - b, out, fresh, bits)
 
-    def _tail_tokens(self, v: int, out, fresh, rng: random.Random) -> None:
+    def _tail_tokens(self, v: int, out, fresh, bits) -> None:
         # one or more further (component, gap) units of a multiloop
         while v:
-            t = _draw(
-                rng,
-                self._cum_for(
-                    ("tunit", v),
-                    lambda v=v: [
-                        self._comp[t] * self._gdt[v - t] for t in range(v + 1)
-                    ],
-                ),
-            )
-            self._comp_tokens(t, out, fresh, rng)
+            t = _choose(bits, self._tunit[v])
+            self._comp_tokens(t, out, fresh, bits)
             v -= t
-            b = _draw(
-                rng,
-                self._cum_for(
-                    ("tgap", v),
-                    lambda v=v: [
-                        (1 if b == v else 0) + self._tl[v - b] for b in range(v + 1)
-                    ],
-                ),
-            )
+            b = _choose(bits, self._tgap[v])
             out.extend([0] * b)
             v -= b
 

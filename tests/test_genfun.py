@@ -23,7 +23,7 @@ from toporna.genfun import (
     pk_marked_dg_jet,
     structure_counts,
 )
-from toporna.genfun import _dg, _elements, _factor_base, _genus_series
+from toporna.genfun import _dg, _elements, _factor_base, _genus_jet, _genus_series
 from toporna.oracle import enumerate_diagrams, full_census
 from toporna.recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
 from toporna.series import TruncatedSeries, YJet, XYPolynomial
@@ -227,6 +227,15 @@ def test_dg_two_routes_match():
             assert dg_jet(cls_, g, order) == dg_via_chords(cls_, g, order), (
                 cls_, g, order
             )
+
+
+def test_repeated_dg_jet_reuses_the_class_algebra():
+    cls_ = StructureClass(3, 2)
+    first = dg_jet(cls_, 2, 20)
+    hits = _genus_jet.cache_info().hits
+    assert dg_jet(cls_, 2, 25).truncate(20) == first
+    assert _genus_jet.cache_info().hits == hits + 1
+    assert all(f.cache_info().maxsize for f in (_genus_jet, _dg))
 
 
 def test_marked_series_values_reduce_to_plain():
@@ -468,7 +477,7 @@ def test_factor_base_is_primitive_squarefree_and_coprime(lam, r):
 def test_class_base_reduction_keeps_the_expansion(lam, r):
     cls_ = StructureClass(lam, r)
     for genus in (0, 1, 2):
-        reduced = _dg(cls_, genus)
+        reduced = _dg(cls_, genus, 1)
         plain = _genus_series(genus, *_elements(cls_, 1, ()))
         assert reduced.base and not plain.base
         assert reduced.series(61) == plain.series(61), genus

@@ -1,7 +1,11 @@
 """Tests for the uniform structure sampler."""
 
+import gc
 import random
+import weakref
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -11,6 +15,7 @@ from toporna.oracle import enumerate_diagrams
 from toporna.recursions import shape_poly
 from toporna.sampler import (
     StructureSampler,
+    _choose,
     chi_square,
     chi_square_pvalue,
     sample_enumerative,
@@ -75,8 +80,59 @@ def _cubic_chain_tables(sampler: StructureSampler) -> dict[str, list]:
 @pytest.mark.parametrize("lam, r", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 3)])
 def test_chain_tables_match_cubic_recurrence(lam, r):
     sampler = StructureSampler(StructureClass(lam, r), 1, 120)
-    for name, table in _cubic_chain_tables(sampler).items():
+    tables = _cubic_chain_tables(sampler)
+    lead, total = tables.pop("lead"), tables.pop("total")
+    for name, table in tables.items():
         assert getattr(sampler, "_" + name) == table, name
+    # the shape-size weights are read from the lead column only at n
+    for m in range(sampler.max_len + 1):
+        weights = [len(sampler._shapes[k]) * lead[k][m] for k in sampler._ks]
+        assert sampler._k[m] == list(accumulate(weights)), m
+        assert sampler.count(m) == total[m], m
+
+
+def test_choose_hits_each_index_by_its_weight():
+    """Every bit pattern below the total lands on one index; the rest are redrawn."""
+    weights = [3, 0, 5, 1, 0, 4]
+    cum = list(accumulate(weights))
+    width = cum[-1].bit_length()
+    patterns = iter([7, 15, 0, 13, 2, 14, 12, 9, 1, 4, 10, 3, 8, 5, 11, 6])
+    asked = []
+
+    def getrandbits(k):
+        asked.append(k)
+        return next(patterns)
+
+    hits = [0] * len(weights)
+    for _ in range(cum[-1]):
+        hits[_choose(getrandbits, cum)] += 1
+    assert hits == weights
+    assert asked == [width] * 2**width
+    assert next(patterns, None) is None
+
+
+def test_choose_follows_randrange():
+    """Seeded choices are those of bisecting randrange's draw below the total."""
+    cum = list(accumulate([5, 0, 2**70 + 3, 1, 17]))
+    ours, theirs = random.Random(3), random.Random(3)
+    for total in (cum, [1], [1, 2], [6, 7]):
+        for _ in range(200):
+            assert _choose(ours.getrandbits, total) == bisect_right(
+                total, theirs.randrange(total[-1])
+            )
+
+
+def test_used_sampler_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        for genus, n in ((0, 30), (1, 40)):
+            sampler = StructureSampler(PLAIN, genus, n)
+            sampler.sample_many(n, 20, seed=1)
+            ref = weakref.ref(sampler)
+            del sampler
+            assert ref() is None, genus
+    finally:
+        gc.enable()
 
 
 def test_shape_inventory_sizes():
