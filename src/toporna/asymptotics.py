@@ -17,14 +17,6 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .genfun import StructureClass, discriminant_poly
-from .series import Polynomial
-
-
-def _poly_eval(p: Polynomial, x):
-    acc = mp.mpf(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 #: The root is first bracketed on the grid k / SCAN_STEPS.
@@ -61,14 +53,14 @@ def singularity(cls_: StructureClass, dps: int = 50):
         target = mp.mpf(10) ** (-(dps + 10))
         t = (lo + hi) / 2
         while hi - lo > target:
-            value = _poly_eval(poly, t)
+            value = poly(t)
             if value == 0:
                 return t
             if value < 0:
                 hi = t
             else:
                 lo = t
-            step = value / _poly_eval(slope, t)
+            step = value / slope(t)
             if lo < t - step < hi:
                 t -= step
                 if abs(step) < target:
@@ -104,12 +96,10 @@ def arc_law(cls_: StructureClass, dps: int = 50) -> ArcLaw:
     pyy = disc.partial_y().partial_y().at_y(1)
     with mp.workdps(dps + 15):
         rho = singularity(cls_, dps)
-        vx = _poly_eval(px, rho)
-        vy = _poly_eval(py, rho)
+        vx = px(rho)
+        vy = py(rho)
         d1 = -vy / vx
-        d2 = -(_poly_eval(pxx, rho) * d1 * d1
-               + 2 * _poly_eval(pxy, rho) * d1
-               + _poly_eval(pyy, rho)) / vx
+        d2 = -(pxx(rho) * d1 * d1 + 2 * pxy(rho) * d1 + pyy(rho)) / vx
         ratio = d1 / rho
         mean = -ratio
         variance = ratio * ratio - (d2 + d1) / rho

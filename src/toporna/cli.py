@@ -26,7 +26,7 @@ from .diagram import (
 )
 from .genfun import StructureClass
 from .oracle import enumerate_diagrams, full_census
-from .sampler import StructureSampler, empirical_stats, sample_enumerative
+from .sampler import StructureSampler, empirical_stats, inventory_cap, sample_enumerative
 
 GENERATOR_ID = "python-random-mt19937"
 GRAMMAR_LENGTH_CAP = 200
@@ -459,7 +459,7 @@ def _cmd_sample(args) -> int:
             raise ValueError(
                 f"grammar sampling is capped at length {GRAMMAR_LENGTH_CAP}"
             )
-        if args.genus >= 2 and min(6 * args.genus - 1, args.n // (2 * args.r)) > 8:
+        if args.genus >= 2 and inventory_cap(args.genus, args.n, args.r) > 8:
             raise ValueError(
                 "the shape inventory beyond 8 arcs at genus >= 2 is too large "
                 "to enumerate; lower n or use a larger --r"
@@ -476,7 +476,6 @@ def _cmd_sample(args) -> int:
 def _cmd_census(args) -> int:
     _at_least("--n", args.n, 0)
     _at_least("--max-genus", args.max_genus, 0)
-    _at_least("--threads", args.threads, 1)
     _check_ceiling(args.n, _ceiling(args))
     cls_ = _class_of(args)
     meta = _base_meta(
@@ -486,14 +485,9 @@ def _cmd_census(args) -> int:
         min_arc=args.lam,
         min_stack=args.r,
         max_genus=args.max_genus,
-        threads=args.threads,
     )
     rows_by_genus = full_census(
-        args.n,
-        cls_.min_arc,
-        cls_.min_stack,
-        max_genus=args.max_genus,
-        processes=args.threads if args.threads > 1 else None,
+        args.n, cls_.min_arc, cls_.min_stack, max_genus=args.max_genus
     )
     rows = []
     for g, row in sorted(rows_by_genus.items()):
@@ -513,8 +507,11 @@ def _cmd_census(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _class_flags(p: argparse.ArgumentParser, genus_default: int = 0) -> None:
-    p.add_argument("--genus", type=int, default=genus_default, help="target genus")
+def _genus_flag(p: argparse.ArgumentParser, default: int = 0) -> None:
+    p.add_argument("--genus", type=int, default=default, help="target genus")
+
+
+def _class_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--lambda",
         dest="lam",
@@ -554,6 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", parents=[common], help="count structures of one length")
     p.add_argument("n", type=int, help="number of vertices")
+    _genus_flag(p)
     _class_flags(p)
     p.add_argument("--arcs", action="store_true", help="break down by arc number")
     p.add_argument(
@@ -569,11 +567,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="secondary, fixed-genus, or chord-matching series",
     )
     p.add_argument("--order", type=int, default=20, help="truncation order")
+    _genus_flag(p)
     _class_flags(p)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("shapes", parents=[common], help="shape-count polynomial")
-    _class_flags(p, genus_default=1)
+    _genus_flag(p, default=1)
     p.add_argument(
         "--mark",
         choices=recursions.MARK_KINDS,
@@ -584,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "irreducibles", parents=[common], help="irreducible shadow polynomial"
     )
-    _class_flags(p, genus_default=1)
+    _genus_flag(p, default=1)
     p.add_argument(
         "--derived",
         action="store_true",
@@ -626,12 +625,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--type", required=True, choices=recursions.MARK_KINDS)
     p.add_argument("--n", type=int, required=True)
-    _class_flags(p, genus_default=1)
+    _genus_flag(p, default=1)
+    _class_flags(p)
     p.set_defaults(func=_cmd_expect)
 
     p = sub.add_parser("sample", parents=[common], help="draw uniform structures")
     p.add_argument("--n", type=int, required=True)
-    _class_flags(p, genus_default=0)
+    _genus_flag(p)
+    _class_flags(p)
     p.add_argument("--count", type=int, default=10)
     p.add_argument(
         "--enumerative",
@@ -649,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     _class_flags(p)
     p.add_argument("--max-genus", dest="max_genus", type=int, default=2)
-    p.add_argument("--threads", type=int, default=1, help="worker cap")
     _ceiling_flag(p)
     p.set_defaults(func=_cmd_census)
 

@@ -16,16 +16,18 @@ Each finished structure is tallied into its genus row by
 statistics use.  Census results are plain nested dicts so tests can
 compare them wholesale against coefficient data from the generating
 function modules.
+
+Shapes come from a smaller search over stack-free perfect matchings
+without 1-arcs that takes the same genus step.  Shadows are not searched
+for separately: they are the shapes whose crossing components all have at
+least two arcs.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Iterator
 
 from .diagram import (
-    LOOP_KINDS,
-    PK_LABELS,
     Arc,
     Diagram,
     _corner_face,
@@ -40,7 +42,6 @@ def _structures(
     min_arc: int,
     min_stack: int,
     max_genus: int,
-    first_choice: int | None = None,
 ) -> Iterator[tuple[int, list[int], list[Arc]]]:
     """Yield ``(genus, partner, arcs)`` for every valid structure on ``n`` vertices.
 
@@ -48,8 +49,6 @@ def _structures(
     search, so copy what must outlive a step.  The deterministic order
     pairs the lowest free vertex last, so the empty diagram comes first.
     Structures of genus above ``max_genus`` are pruned during the search.
-    ``first_choice`` restricts the decision at vertex 1 (0 for unpaired,
-    otherwise the partner vertex); used to split the tree across workers.
     """
     partner = [0] * (n + 1)
     run_len = [0] * (n + 1)
@@ -95,40 +94,7 @@ def _structures(
             partner[v] = 0
             partner[u] = 0
 
-    if first_choice is None:
-        yield from descend(1, 0)
-    elif first_choice == 0:
-        yield from descend(2, 0)
-    else:
-        u = first_choice
-        if u == 2 and (min_arc > 1 or min_stack > 1):
-            return  # a lone 1-arc can never satisfy these side conditions
-        partner[1] = u
-        partner[u] = 1
-        run_len[1] = 1
-        arcs.append((1, u))
-        yield from descend(2, 0)
-
-
-def _census_worker(args) -> dict[int, dict]:
-    n, min_arc, min_stack, max_genus, choice = args
-    rows = {g: new_tally() for g in range(max_genus + 1)}
-    for genus, partner, arcs in _structures(n, min_arc, min_stack, max_genus, choice):
-        tally_structure(n, partner, arcs, rows[genus])
-    return rows
-
-
-def _merge_rows(target: dict[int, dict], extra: dict[int, dict]) -> None:
-    for g, row in extra.items():
-        mine = target[g]
-        mine["count"] += row["count"]
-        mine["arcs"] += row["arcs"]
-        for k, v in row["arc_hist"].items():
-            mine["arc_hist"][k] = mine["arc_hist"].get(k, 0) + v
-        for k in LOOP_KINDS:
-            mine["loops"][k] += row["loops"][k]
-        for k in PK_LABELS:
-            mine["pk"][k] += row["pk"][k]
+    yield from descend(1, 0)
 
 
 def _check_class(min_arc: int, min_stack: int) -> None:
@@ -142,7 +108,6 @@ def full_census(
     min_arc: int = 1,
     min_stack: int = 1,
     max_genus: int = 2,
-    processes: int | None = None,
 ) -> dict[int, dict]:
     """Census of all valid structures on ``n`` vertices, split by genus.
 
@@ -154,21 +119,14 @@ def full_census(
         min_arc: hairpin-closing arcs must span at least this far.
         min_stack: every maximal stack needs at least this many arcs.
         max_genus: structures of larger genus are pruned during the search.
-        processes: optional worker count; the tree is split on the first
-            vertex's decision.
     """
     _check_class(min_arc, min_stack)
     if max_genus < 0:
         raise ValueError(f"max_genus must be nonnegative, got {max_genus}")
-    if processes and processes > 1 and n >= 2:
-        rows = {g: new_tally() for g in range(max_genus + 1)}
-        tasks = [(n, min_arc, min_stack, max_genus, 0)]
-        tasks += [(n, min_arc, min_stack, max_genus, u) for u in range(2, n + 1)]
-        with multiprocessing.Pool(processes) as pool:
-            for part in pool.imap_unordered(_census_worker, tasks):
-                _merge_rows(rows, part)
-        return rows
-    return _census_worker((n, min_arc, min_stack, max_genus, None))
+    rows = {g: new_tally() for g in range(max_genus + 1)}
+    for genus, partner, arcs in _structures(n, min_arc, min_stack, max_genus):
+        tally_structure(n, partner, arcs, rows[genus])
+    return rows
 
 
 def count_table(
@@ -211,32 +169,15 @@ def enumerate_diagrams(
 
 
 def _matching_search(
-    num_arcs: int,
-    require_crossing: bool,
-    max_genus: int | None,
+    num_arcs: int, max_genus: int | None
 ) -> Iterator[tuple[Diagram, int]]:
-    """Enumerate stack-free perfect matchings without 1-arcs.
-
-    With ``require_crossing`` every arc must cross another arc, which
-    yields exactly the standalone shadows; without it the noncrossing
-    arcs survive and the results are the shapes.
-    """
+    """Enumerate stack-free perfect matchings without 1-arcs: the shapes."""
     n = 2 * num_arcs
-    if num_arcs == 0:
-        yield Diagram(0), 0
-        return
     partner = [0] * (n + 1)
     arcs: list[Arc] = []
-    crossed: list[bool] = []
 
     def descend(v: int, genus: int) -> Iterator[tuple[Diagram, int]]:
         while v <= n and partner[v]:
-            if require_crossing and partner[v] < v:
-                idx = next(
-                    t for t, (i, j) in enumerate(arcs) if j == v
-                )
-                if not crossed[idx]:
-                    return
             v += 1
         if v > n:
             yield Diagram(n, tuple(arcs)), genus
@@ -250,26 +191,13 @@ def _matching_search(
             g2 = genus if on_face is None or on_face[u] else genus + 1
             if max_genus is not None and g2 > max_genus:
                 continue
-            new_crossed = False
-            touched: list[int] = []
-            if require_crossing:
-                for t, (i, j) in enumerate(arcs):
-                    if i < v < j < u:
-                        new_crossed = True
-                        if not crossed[t]:
-                            crossed[t] = True
-                            touched.append(t)
             partner[v] = u
             partner[u] = v
             arcs.append((v, u))
-            crossed.append(new_crossed)
             yield from descend(v + 1, g2)
-            crossed.pop()
             arcs.pop()
             partner[v] = 0
             partner[u] = 0
-            for t in touched:
-                crossed[t] = False
 
     yield from descend(1, 0)
 
@@ -287,7 +215,7 @@ def enumerate_shapes(
     if genus is not None and max_genus is None:
         max_genus = genus
     for k in range(max_arcs + 1):
-        for d, g in _matching_search(k, False, max_genus):
+        for d, g in _matching_search(k, max_genus):
             if genus is None or g == genus:
                 yield d, g
 
@@ -299,16 +227,14 @@ def enumerate_shadows(
 ) -> Iterator[tuple[Diagram, int]]:
     """Yield all shadows with up to ``max_arcs`` arcs as (diagram, genus).
 
-    Shadows are shapes in which every arc crosses another arc.  Filter by
+    Shadows are the shapes in which every arc crosses another arc, that is
+    whose crossing components all have at least two arcs.  Filter by
     :func:`toporna.diagram.crossing_components` for irreducible ones.  The
     search beyond 7 arcs gets expensive; callers gate that explicitly.
     """
-    if genus is not None and max_genus is None:
-        max_genus = genus
-    for k in range(max_arcs + 1):
-        for d, g in _matching_search(k, True, max_genus):
-            if genus is None or g == genus:
-                yield d, g
+    for d, g in enumerate_shapes(max_arcs, genus, max_genus):
+        if all(len(comp) > 1 for comp in crossing_components(d)):
+            yield d, g
 
 
 def irreducible_shadow_counts(

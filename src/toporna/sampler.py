@@ -37,6 +37,7 @@ __all__ = [
     "StructureSampler",
     "empirical_stats",
     "sample_enumerative",
+    "inventory_cap",
     "chi_square",
     "chi_square_pvalue",
 ]
@@ -87,6 +88,16 @@ def _tokens_to_diagram(tokens: list[int]) -> Diagram:
     return Diagram(len(tokens), tuple(arcs))
 
 
+def inventory_cap(genus: int, max_len: int, min_stack: int) -> int:
+    """Most shape arcs in the inventory of a genus-``genus`` sampler.
+
+    Each shape arc inflates to a stack of at least ``min_stack`` arcs, so
+    at most ``max_len // (2 * min_stack)`` fit; shapes of genus g have
+    fewer than 6g arcs.
+    """
+    return min(6 * genus - 1, max_len // (2 * min_stack))
+
+
 class StructureSampler:
     """Exact uniform sampler over structures of one genus.
 
@@ -94,9 +105,8 @@ class StructureSampler:
     each draw costs a handful of weighted choices plus the recursion into
     secondary fillers.  For positive genus the shape inventory is
     enumerated up front, and that enumeration grows quickly with the
-    number of admissible shape arcs (``max_len // (2 * min_stack)``
-    capped at one below six times the genus), so keep ``max_len`` modest
-    at genus two and beyond.
+    number of admissible shape arcs (:func:`inventory_cap`), so keep
+    ``max_len`` modest at genus two and beyond.
     """
 
     def __init__(self, cls_: StructureClass, genus: int, max_len: int):
@@ -174,8 +184,7 @@ class StructureSampler:
         )
 
     def _build_inventory(self) -> None:
-        r = self.cls_.min_stack
-        self._k_cap = min(6 * self.genus - 1, self.max_len // (2 * r))
+        self._k_cap = inventory_cap(self.genus, self.max_len, self.cls_.min_stack)
         self._shapes: dict[int, list[Diagram]] = {}
         for shape, _ in enumerate_shapes(self._k_cap, genus=self.genus):
             self._shapes.setdefault(len(shape.arcs), []).append(shape)

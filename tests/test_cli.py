@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toporna import asymptotics
 from toporna.cli import main
@@ -295,7 +298,7 @@ def test_class_that_cannot_inflate_still_serves_genus_zero_and_enumeration(capsy
     [
         (("clt", "--precision", "5"), "--precision"),
         (("clt", "--grid", "--precision", "14"), "--precision"),
-        (("census", "--n", "6", "--threads", "0"), "--threads"),
+        (("census", "--n", "5", "--ceiling", "0"), "--ceiling"),
         (("count", "5", "--ceiling", "30"), "--ceiling"),
         (("sample", "--n", "5", "--ceiling", "0"), "--ceiling"),
         (("census", "--n", "5", "--ceiling", "25"), "--ceiling"),
@@ -309,10 +312,21 @@ def test_config_inputs_rejected_by_flag(capsys, case, flag):
 
 
 def test_flags_belong_to_the_commands_that_read_them(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["genus", "(.)", "--threads", "4"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+    for case in (
+        ("genus", "(.)", "--threads", "4"),
+        ("census", "--n", "6", "--threads", "2"),
+        ("census", "--n", "6", "--genus", "1"),
+        ("clt", "--genus", "1"),
+        ("shapes", "--lambda", "2"),
+        ("shapes", "--r", "2"),
+        ("irreducibles", "--lambda", "2"),
+        ("irreducibles", "--r", "2"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(case))
+        assert exit_info.value.code == 2, case
+        flag = " ".join(case[-2:])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err, case
 
 
 @pytest.mark.parametrize(
@@ -413,3 +427,44 @@ def test_count_prints_beyond_the_int_digit_limit(capsys):
     code, out, err = run(capsys, "count", "10000", "--genus", "2", "--format", "json")
     assert code == 0 and err == ""
     assert json.loads(out)["values"]["count"] == text
+
+
+def _argv(*parts):
+    """Requests made of fixed words and drawn values, as an argv list."""
+    drawn = [p if isinstance(p, st.SearchStrategy) else st.just(p) for p in parts]
+    return st.tuples(*drawn).map(lambda words: [str(w) for w in words])
+
+
+_LENGTH = st.integers(-2, 12)
+_SMALL = st.integers(-1, 3)
+_CLASS = ("--lambda", _SMALL, "--r", _SMALL)
+_REQUESTS = st.one_of(
+    _argv("count", _LENGTH, "--genus", _SMALL, *_CLASS).flatmap(
+        lambda argv: st.sampled_from(
+            [argv, argv + ["--arcs"], argv + ["--oracle"], argv + ["--arcs", "--oracle"]]
+        )
+    ),
+    _argv("series", st.sampled_from(("d0", "dg", "cg")), "--order", _LENGTH,
+          "--genus", _SMALL, *_CLASS),
+    _argv("expect", "--type", st.sampled_from("HKLM"), "--n", _LENGTH,
+          "--genus", _SMALL, *_CLASS),
+    _argv("sample", "--n", _LENGTH, "--genus", _SMALL, *_CLASS,
+          "--count", _SMALL, "--seed", 1),
+    _argv("census", "--n", _LENGTH, "--max-genus", _SMALL, *_CLASS),
+    _argv("shapes", "--genus", _SMALL),
+    _argv("irreducibles", "--genus", _SMALL),
+    _argv("clt", *_CLASS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_REQUESTS)
+def test_bounded_integer_arguments_never_traceback(argv):
+    """Every request answers or is refused with exit status 2, never raises."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the request
+            code = exc.code
+    assert code in (0, 2), argv
