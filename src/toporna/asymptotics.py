@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .genfun import StructureClass, discriminant_poly
+from .series import Polynomial
 
 
 #: The root is first bracketed on the grid k / SCAN_STEPS.
@@ -36,15 +37,8 @@ def singularity(cls_: StructureClass, dps: int = 50):
     """
     poly = discriminant_poly(cls_).at_y(1)
     top = poly.degree
-    scaled = [c * SCAN_STEPS ** (top - i) for i, c in enumerate(poly.coeffs)]
-
-    def scaled_value(k: int) -> int:
-        acc = 0
-        for c in reversed(scaled):
-            acc = acc * k + c
-        return acc
-
-    k = next((k for k in range(1, 2 * SCAN_STEPS) if scaled_value(k) < 0), None)
+    scaled = Polynomial([c * SCAN_STEPS ** (top - i) for i, c in enumerate(poly.coeffs)])
+    k = next((k for k in range(1, 2 * SCAN_STEPS) if scaled(k) < 0), None)
     if k is None:
         raise ArithmeticError("no sign change found below x = 2")
     slope = poly.derivative()

@@ -30,6 +30,7 @@ from .sampler import StructureSampler, empirical_stats, inventory_cap, sample_en
 
 GENERATOR_ID = "python-random-mt19937"
 GRAMMAR_LENGTH_CAP = 200
+CEILING_MAX = 24
 
 
 # -- output plumbing -------------------------------------------------------
@@ -159,8 +160,8 @@ def _at_least(flag: str, value: int, least: int) -> None:
 
 
 def _ceiling(args) -> int:
-    if not 1 <= args.ceiling <= 24:
-        raise ValueError(f"--ceiling must lie in 1..24, got {args.ceiling}")
+    if not 1 <= args.ceiling <= CEILING_MAX:
+        raise ValueError(f"--ceiling must lie in 1..{CEILING_MAX}, got {args.ceiling}")
     return args.ceiling
 
 
@@ -168,7 +169,7 @@ def _check_ceiling(n: int, ceiling: int) -> None:
     if n > ceiling:
         raise ValueError(
             f"length {n} exceeds the enumeration ceiling {ceiling}; "
-            "raise --ceiling (max 24) for larger brute-force runs"
+            f"raise --ceiling (max {CEILING_MAX}) for larger brute-force runs"
         )
 
 
@@ -528,7 +529,7 @@ def _ceiling_flag(p: argparse.ArgumentParser) -> None:
         "--ceiling",
         type=int,
         default=18,
-        help="brute-force enumeration ceiling (maximum 24)",
+        help=f"brute-force enumeration ceiling (maximum {CEILING_MAX})",
     )
 
 

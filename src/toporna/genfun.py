@@ -189,7 +189,7 @@ def _genus_series(genus: int, d0, q, qr):
     """D_g = D0 P_g(w) from D0, q and q^r: elements or their jets."""
     if genus == 0:
         return d0
-    return d0 * _horner(shape_poly(genus), _stack_substitution(d0, q, qr))
+    return d0 * shape_poly(genus)(_stack_substitution(d0, q, qr))
 
 
 @lru_cache(maxsize=_CLASS_CACHE)
@@ -243,26 +243,6 @@ def _genus_jet(cls_: StructureClass, genus: int) -> YJet:
     return _genus_series(genus, *_element_jets(cls_))
 
 
-def _horner(poly: Polynomial, w):
-    """``poly`` evaluated at ``w``, a YJet or an AlgebraicSeries."""
-    acc = w * 0
-    for c in reversed(poly.coeffs):
-        acc = acc * w + c
-    return acc
-
-
-def _dseries(f: TruncatedSeries) -> TruncatedSeries:
-    """Derivative, top coefficient dropped to keep the truncation order.
-
-    The missing top term only matters when the result is composed with an
-    inner series of valuation 1, which never happens here: all inner series
-    start at x^2 or later.
-    """
-    coeffs = [(n + 1) * f.coeff(n + 1) for n in range(f.order - 1)]
-    coeffs.append(0)
-    return TruncatedSeries(coeffs, f.order)
-
-
 def dg_via_chords(cls_: StructureClass, genus: int, order: int) -> YJet:
     """Genus-g series computed through the chord-diagram series instead.
 
@@ -278,10 +258,12 @@ def dg_via_chords(cls_: StructureClass, genus: int, order: int) -> YJet:
     aj = YJet.from_xy_poly(a, wide)
     bj = YJet.from_xy_poly(b, wide)
     u = _arc_marker_jet(cls_.min_stack, wide) * aj / (bj * bj)
-    outer = chord_series(genus, wide + 2, "recursion")
-    f1 = _dseries(outer).truncate(wide)
-    f2 = _dseries(_dseries(outer)).truncate(wide)
-    f0 = outer.truncate(wide)
+    # Each derivative loses the top known term, so C_g is taken two terms
+    # wider.  A lost term would only matter when composed with an inner
+    # series of valuation 1; every inner series here starts at x^2 or later.
+    outer = Polynomial(chord_series(genus, wide + 2, "recursion").coeffs)
+    derivatives = (outer, outer.derivative(), outer.derivative().derivative())
+    f0, f1, f2 = (TruncatedSeries(f.coeffs[:wide], wide) for f in derivatives)
     value = f0.compose(u.value)
     slope = f1.compose(u.value)
     d1 = slope * u.d1
@@ -357,7 +339,7 @@ def loop_marked_dg_jet(
     loops = marks["multi"] * (z2 - 1 - run * 2 - run * run)
     loops = loops + marks["bulge"] * run * 2 + marks["interior"] * run * run
     w = arcs * z2 / (1 - x2 - arcs * loops)
-    return z * _horner(shape_poly(genus), w)
+    return z * shape_poly(genus)(w)
 
 
 def pk_marked_dg_jet(
@@ -378,7 +360,7 @@ def pk_marked_dg_jet(
     d0, q, qr = _elements(cls_, 1, _factor_base(cls_))
     w = _stack_substitution(d0, q, qr)
     jets = marked_shape_poly(genus, kind).y1_jets()
-    return YJet(*((d0 * _horner(p, w)).series(order) for p in jets))
+    return YJet(*((d0 * p(w)).series(order) for p in jets))
 
 
 def structure_counts(cls_: StructureClass, genus: int, order: int) -> list[int]:
@@ -402,13 +384,10 @@ def arc_distribution(cls_: StructureClass, genus: int, n: int) -> list[int]:
     for step in range(1, top):
         for i in range(top - 1, step - 1, -1):
             diffs[i] = _exact_quotient(diffs[i] - diffs[i - 1], step, "a divided difference")
-    counts: list[int] = []
-    for k in reversed(range(top)):  # Horner in the Newton basis: times (y - k - 1), plus diffs[k]
-        counts = [a - (k + 1) * b for a, b in zip([0] + counts, counts + [0])]
-        counts[0] += diffs[k]
-    while counts and not counts[-1]:
-        counts.pop()
-    return counts
+    counts = Polynomial()
+    for k in reversed(range(top)):  # Horner in the Newton basis
+        counts = Polynomial([-k - 1, 1]) * counts + diffs[k]
+    return counts.coeffs
 
 
 def expected_marks(jet: YJet, n: int) -> Fraction:

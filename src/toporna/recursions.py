@@ -28,12 +28,13 @@ from .series import (
     Polynomial,
     TruncatedSeries,
     XYPolynomial,
+    _exact_factor,
     puiseux_expand,
 )
 
 MARK_KINDS = tuple(GENUS1_SHADOWS)
 
-_chord_cache: dict[tuple[int, int], int] = {}
+_chord_rows: list[list[int]] = [[1, 1]]  # row g holds c_g(0), c_g(1), ...
 _weight_cache: dict[int, dict[int, int]] = {1: {2: 1}}
 _marked_cache: dict[str, list[XYPolynomial]] = {}
 _derived_cache: list[Polynomial] = []
@@ -43,20 +44,19 @@ def chord_count(genus: int, arcs: int) -> int:
     """Number of linear chord diagrams with ``arcs`` chords and given genus."""
     if genus < 0 or arcs < 2 * genus:
         return 0
-    if arcs == 0:
-        return 1
-    key = (genus, arcs)
-    cached = _chord_cache.get(key)
-    if cached is not None:
-        return cached
-    n = arcs
-    total = 2 * (2 * n - 1) * chord_count(genus, n - 1)
-    total += (n - 1) * (2 * n - 1) * (2 * n - 3) * chord_count(genus - 1, n - 2)
-    value, rem = divmod(total, n + 1)
-    if rem:
-        raise ArithmeticError(f"chord recursion not divisible at g={genus}, n={n}")
-    _chord_cache[key] = value
-    return value
+    while len(_chord_rows) <= genus:
+        _chord_rows.append([0, 0])
+    for g in range(genus + 1):  # bottom-up, so no call recurses however large
+        row = _chord_rows[g]
+        for n in range(len(row), arcs - 2 * (genus - g) + 1):
+            total = 2 * (2 * n - 1) * row[n - 1]
+            if g:
+                total += (n - 1) * (2 * n - 1) * (2 * n - 3) * _chord_rows[g - 1][n - 2]
+            value, rem = divmod(total, n + 1)
+            if rem:
+                raise ArithmeticError(f"chord recursion not divisible at g={g}, n={n}")
+            row.append(value)
+    return _chord_rows[genus][arcs]
 
 
 def shape_weights(genus: int) -> dict[int, int]:
@@ -248,19 +248,6 @@ def _compose_x(
     return acc
 
 
-def _poly_exact_div_1px(p: Polynomial) -> Polynomial:
-    """Exact division by (1 + x); raises if the remainder is nonzero."""
-    out: list = []
-    carry = 0
-    for c in p.coeffs:
-        q = c - carry
-        out.append(q)
-        carry = q
-    if out and out[-1] != 0:
-        raise ArithmeticError("polynomial is not divisible by 1 + x")
-    return Polynomial(out[:-1])
-
-
 def _derive_irreducible(genus: int) -> Polynomial:
     cap = 6 * genus
     x = XYPolynomial.monomial(1, 0)
@@ -275,7 +262,7 @@ def _derive_irreducible(genus: int) -> Polynomial:
         val = val - XYPolynomial({(0, 0): 1, (1, 0): 1}).mul(inner[genus - j], cap)
     if val.y_degree() != 0:
         raise ArithmeticError("unexpected marker content in shadow inversion")
-    return _poly_exact_div_1px(val.at_y(1))
+    return _exact_factor(val.at_y(1), Polynomial([1, 1]))
 
 
 def catalan_series(order: int) -> TruncatedSeries:
@@ -309,8 +296,5 @@ def chord_series(genus: int, order: int, route: str = "recursion") -> TruncatedS
         c0 = catalan_series(order)
         xc2 = (c0 * c0).shift(1)
         inner = xc2 / (1 - xc2)
-        acc = TruncatedSeries.zero(order)
-        for c in reversed(shape_poly(genus).coeffs):
-            acc = acc * inner + c
-        return c0 * acc
+        return c0 * shape_poly(genus)(inner)
     raise ValueError(f"unknown route {route!r}")

@@ -32,6 +32,7 @@ from mpmath import mp
 from .diagram import Diagram, new_tally, tally_structure
 from .genfun import StructureClass, require_inflatable
 from .oracle import enumerate_diagrams, enumerate_shapes
+from .series import _convolve, _quotient
 
 __all__ = [
     "StructureSampler",
@@ -98,15 +99,35 @@ def inventory_cap(genus: int, max_len: int, min_stack: int) -> int:
     return min(6 * genus - 1, max_len // (2 * min_stack))
 
 
+_SHAPES: dict[tuple[int, int], tuple[Diagram, ...]] = {}  # keyed by (genus, arcs)
+
+
+def _shape_inventory(genus: int, k_cap: int) -> dict[int, tuple[Diagram, ...]]:
+    """The genus-``genus`` shapes with at most ``k_cap`` arcs, keyed by arc count.
+
+    Every sampler in the process shares them: the inventory depends on
+    nothing else.  :func:`~toporna.oracle.enumerate_shapes` yields them by
+    arc count in turn, so a cached tuple is in the order a fresh search
+    gives, and the seeded shape choice is unchanged.
+    """
+    if (genus, k_cap) not in _SHAPES:
+        found: dict[int, list[Diagram]] = {k: [] for k in range(k_cap + 1)}
+        for shape, _ in enumerate_shapes(k_cap, genus=genus):
+            found[len(shape.arcs)].append(shape)
+        for k, pool in found.items():
+            _SHAPES.setdefault((genus, k), tuple(pool))
+    return {k: pool for k in range(k_cap + 1) if (pool := _SHAPES[(genus, k)])}
+
+
 class StructureSampler:
     """Exact uniform sampler over structures of one genus.
 
     Tables cover lengths up to ``max_len`` and are built once; afterwards
     each draw costs a handful of weighted choices plus the recursion into
-    secondary fillers.  For positive genus the shape inventory is
-    enumerated up front, and that enumeration grows quickly with the
-    number of admissible shape arcs (:func:`inventory_cap`), so keep
-    ``max_len`` modest at genus two and beyond.
+    secondary fillers.  For positive genus the shape inventory is read
+    from a per-process cache or enumerated, and enumeration grows quickly
+    with the number of admissible shape arcs (:func:`inventory_cap`), so
+    keep ``max_len`` modest at genus two and beyond.
     """
 
     def __init__(self, cls_: StructureClass, genus: int, max_len: int):
@@ -157,12 +178,8 @@ class StructureSampler:
             comp[m] = sum(body[m - 2 * s] for s in range(r, m // 2 + 1))
             cg[m] = (cg[m - 1] if m else 0) + comp[m]
             tl[m] = sum(cg[v] * (1 if v == m else tl[m - v]) for v in range(2, m + 1))
-        d0 = [0] * (top + 1)
-        for m in range(top + 1):
-            if m == 0:
-                d0[0] = 1
-            else:
-                d0[m] = d0[m - 1] + sum(comp[t] * d0[m - t] for t in range(2, m + 1))
+        # a segment is a sequence of vertices and components: 1 / (1 - x - comp)
+        d0 = _quotient([1], [1, -1] + [-c for c in comp[2:]], top + 1)
         gtl = list(accumulate(tl))
         self._d0 = d0
         # The choices of secondary emission, keyed by the length left.
@@ -185,36 +202,28 @@ class StructureSampler:
 
     def _build_inventory(self) -> None:
         self._k_cap = inventory_cap(self.genus, self.max_len, self.cls_.min_stack)
-        self._shapes: dict[int, list[Diagram]] = {}
-        for shape, _ in enumerate_shapes(self._k_cap, genus=self.genus):
-            self._shapes.setdefault(len(shape.arcs), []).append(shape)
+        self._shapes = _shape_inventory(self.genus, self._k_cap)
         self._ks = sorted(self._shapes)
 
     def _build_chains(self) -> None:
         r = self.cls_.min_stack
         top = self.max_len
         d0 = self._d0
-        p2 = [sum(d0[a] * d0[m - a] for a in range(m + 1)) for m in range(top + 1)]
+        p2 = _convolve(d0, d0, top + 1)
         p2m1 = list(p2)
         p2m1[0] -= 1
-        # sum over s before t: h[u] = sum_{s>=r} p2m1[u-2s] = h[u-2] + p2m1[u-2r]
-        h = [0] * (top + 1)
-        for u in range(2 * r, top + 1):
-            h[u] = h[u - 2] + p2m1[u - 2 * r]
-        geo = [1] + [0] * top
-        for m in range(1, top + 1):
-            geo[m] = sum(h[m - t] * geo[t] for t in range(m))
-        pg = [sum(p2[a] * geo[m - a] for a in range(m + 1)) for m in range(top + 1)]
-        pmg = [sum(p2m1[a] * geo[m - a] for a in range(m + 1)) for m in range(top + 1)]
-        chain = [
-            sum(pg[m - 2 * s] for s in range(r, m // 2 + 1)) for m in range(top + 1)
-        ]
+
+        def stacked(f: list[int]) -> list[int]:  # f x^(2r) / (1 - x^2): a stack of r or more arcs
+            return _quotient([0] * (2 * r) + f, [1, 0, -1], top + 1)
+
+        h = stacked(p2m1)
+        geo = _quotient([1], [1] + [-c for c in h[1:]], top + 1)  # 1 / (1 - h)
+        pg = _convolve(p2, geo, top + 1)
+        pmg = _convolve(p2m1, geo, top + 1)
+        chain = stacked(pg)
         cp = [[1] + [0] * top]
         for _ in range(self._k_cap):
-            prev = cp[-1]
-            cp.append(
-                [sum(prev[a] * chain[m - a] for a in range(m + 1)) for m in range(top + 1)]
-            )
+            cp.append(_convolve(cp[-1], chain, top + 1))
         self._geo, self._pg, self._pmg, self._chain, self._cp = geo, pg, pmg, chain, cp
         # The choices of shape assembly: the prefix before k chains of n
         # vertices, and the length of the next chain when j chains share rem.

@@ -10,6 +10,13 @@ int, each step of the recurrence for S below) is exact or raises
 Rationals appear only at the library's boundary, in the exact means and
 variances of :mod:`toporna.genfun`.
 
+Under the classes sits the kernel: :func:`_convolve` (product),
+:func:`_quotient` (power-series quotient), :func:`_exact_factor` (exact
+polynomial division) and :meth:`Polynomial.__call__` (Horner's rule).  All
+products, quotients and evaluations of the package live only there, the
+sampler's tables included, except the marker-polynomial rings of
+:class:`BivariateSeries` and :mod:`toporna.recursions`.
+
 Four layers:
 
 * :class:`TruncatedSeries`, a univariate power series known up to a fixed
@@ -63,6 +70,45 @@ def _exact_quotient(num: int, den: int, what: str) -> int:
     if rem:
         raise ArithmeticError(f"{what} is not an integer: remainder {rem} mod {den}")
     return q
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], n: int | None = None) -> list[int]:
+    """The first ``n`` coefficients of the product a*b, or all of them when n is None.
+
+    Schoolbook, skipping zero coefficients; the operand with fewer nonzero
+    coefficients drives the outer loop, so a sparse factor costs a few rows.
+    """
+    if n is None:
+        n = len(a) + len(b) - 1 if a and b else 0
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for k, bj in enumerate(b[: n - i], i):
+                if bj:
+                    out[k] += ai * bj
+    return out
+
+
+def _quotient(num: Sequence[int], den: Sequence[int], order: int) -> list[int]:
+    """The first ``order`` coefficients of num / den, by recurrence on den's tail.
+
+    Each division by den[0] is exact or raises ``ArithmeticError``; trailing
+    zeros of den cost nothing.
+    """
+    head, tail = den[0], list(den[1:])
+    if head == 0:
+        raise ZeroDivisionError("series division requires a nonzero constant term")
+    while tail and not tail[-1]:
+        tail.pop()
+    num = list(num[:order]) + [0] * (order - len(num))
+    out = [0] * order
+    for m in range(order):
+        span = min(m, len(tail))
+        acc = num[m] - sum(map(mul, tail[:span], reversed(out[m - span : m])))
+        out[m] = _exact_quotient(acc, head, f"coefficient {m} of the quotient")
+    return out
 
 
 class TruncatedSeries:
@@ -178,18 +224,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries([c * other for c in self.coeffs], self.order)
         self._check(other)
-        n = self.order
-        a = self.coeffs
-        b = other.coeffs
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(n - i):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-        return TruncatedSeries(out, n)
+        return TruncatedSeries(_convolve(self.coeffs, other.coeffs, self.order), self.order)
 
     __rmul__ = __mul__
 
@@ -210,35 +245,14 @@ class TruncatedSeries:
                 self.order,
             )
         self._check(other)
-        b0 = other.coeffs[0]
-        if b0 == 0:
-            raise ZeroDivisionError(
-                "series division requires a nonzero constant term"
-            )
-        n = self.order
-        a = self.coeffs
-        b = other.coeffs
-        q = [0] * n
-        for m in range(n):
-            acc = a[m]
-            for k in range(1, m + 1):
-                bk = b[k]
-                if bk != 0:
-                    qk = q[m - k]
-                    if qk != 0:
-                        acc -= bk * qk
-            q[m] = _exact_quotient(acc, b0, f"coefficient {m} of the quotient")
-        return TruncatedSeries(q, n)
+        return TruncatedSeries(_quotient(self.coeffs, other.coeffs, self.order), self.order)
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """Substitute ``inner`` for the variable; ``inner`` must vanish at 0."""
         self._check(inner)
         if inner.coeffs[0] != 0:
             raise ValueError("composition needs an inner series with no constant term")
-        acc = TruncatedSeries.zero(self.order)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        return Polynomial(self.coeffs)(inner)
 
     def shift(self, k: int) -> TruncatedSeries:
         """Multiply by ``x**k``, truncating at the same order."""
@@ -317,16 +331,7 @@ class Polynomial:
     def __mul__(self, other: Polynomial | int) -> Polynomial:
         if not isinstance(other, Polynomial):
             return Polynomial([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -336,8 +341,14 @@ class Polynomial:
         return Polynomial([0] * k + self.coeffs)
 
     def __call__(self, x):
-        """The value at an exact point: an int, or any rational."""
-        acc = 0
+        """The value at ``x`` by Horner's rule.
+
+        ``x`` is a number (an int, a rational or an mpmath float) or a ring
+        element: a :class:`TruncatedSeries`, a :class:`YJet` or an
+        :class:`AlgebraicSeries`.  The sum starts from ``x * 0``, so the
+        zero polynomial returns the zero of x's kind.
+        """
+        acc = x * 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -414,7 +425,7 @@ def _primitive(coeffs: Sequence[int]) -> Polynomial:
 
 
 def _exact_factor(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g for primitive f and g with positive leads, where g divides f."""
+    """f / g for a primitive g; raises ``ArithmeticError`` unless g divides f."""
     quot = _trial_divide(f.coeffs, g.coeffs)
     if quot is None:
         raise ArithmeticError(f"{g} does not divide {f}")
@@ -602,20 +613,12 @@ class AlgebraicSeries:
         for m in range(1, length):
             acc = sum(c * (3 * j - 2 * m) * s[m - j] for j, c in steps if j <= m)
             s[m] = _exact_quotient(acc, 2 * m, f"coefficient {m} of the square root")
-        num = self.p.coeffs[:length] + [0] * max(0, length - len(self.p.coeffs))
-        for i, qi in enumerate(self.q.coeffs[:length]):
-            if qi:
-                num[i:] = [a + qi * b for a, b in zip(num[i:], s)]
+        num = _convolve(self.q.coeffs, s, length)
+        for i, pi in enumerate(self.p.coeffs[:length]):
+            num[i] += pi
         if any(num[:low]):
             raise ArithmeticError(f"not a power series: the denominator has x**{low}")
-        num = num[low:]
-        head, tail = dc[low], dc[low + 1 :]
-        out = [0] * order
-        for m in range(order):
-            span = min(m, len(tail))
-            acc = num[m] - sum(map(mul, tail[:span], reversed(out[m - span : m])))
-            out[m] = _exact_quotient(acc, head, f"coefficient {m} of the quotient")
-        return TruncatedSeries(out, order)
+        return TruncatedSeries(_quotient(num[low:], dc[low:], order), order)
 
 
 class XYPolynomial:
@@ -717,14 +720,9 @@ class XYPolynomial:
 
     def at_y(self, y: int) -> Polynomial:
         """Substitute an integer for the marker variable."""
-        out: dict[int, int] = {}
+        coeffs = [0] * (self.x_degree() + 1)
         for (i, j), c in self.terms.items():
-            out[i] = out.get(i, 0) + c * y**j
-        if not out:
-            return Polynomial()
-        coeffs = [0] * (max(out) + 1)
-        for i, c in out.items():
-            coeffs[i] = c
+            coeffs[i] += c * y**j
         return Polynomial(coeffs)
 
     def y1_jets(self) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -750,19 +748,6 @@ def _padd(p: list[int], q: list[int], sign: int = 1) -> list[int]:
         (p[i] if i < len(p) else 0) + sign * (q[i] if i < len(q) else 0)
         for i in range(n)
     ]
-    return _pnorm(out)
-
-
-def _pmul(p: list[int], q: list[int]) -> list[int]:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b != 0:
-                out[i + j] += a * b
     return _pnorm(out)
 
 
@@ -807,7 +792,7 @@ class BivariateSeries:
             for j in range(n - i):
                 q = other.coeffs[j]
                 if q:
-                    out[i + j] = _padd(out[i + j], _pmul(p, q))
+                    out[i + j] = _padd(out[i + j], _convolve(p, q))
         return BivariateSeries(out, n)
 
     def __truediv__(self, other: BivariateSeries) -> BivariateSeries:
@@ -826,19 +811,13 @@ class BivariateSeries:
             for k in range(1, m + 1):
                 bk = other.coeffs[k]
                 if bk and q[m - k]:
-                    acc = _padd(acc, _pmul(bk, q[m - k]), -1)
+                    acc = _padd(acc, _convolve(bk, q[m - k]), -1)
             q[m] = [_exact_quotient(c, b0, f"coefficient {m} of the quotient") for c in acc]
         return BivariateSeries(q, n)
 
     def at_y(self, y: int) -> TruncatedSeries:
         """Collapse the marker variable at an integer value."""
-        out: list[int] = []
-        for p in self.coeffs:
-            acc = 0
-            for c in reversed(p):
-                acc = acc * y + c
-            out.append(acc)
-        return TruncatedSeries(out, self.order)
+        return TruncatedSeries([Polynomial(p)(y) for p in self.coeffs], self.order)
 
 
 class YJet:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from toporna import recursions
 from toporna.diagram import (
     Diagram,
     classify_component,
@@ -61,6 +62,13 @@ def test_chord_count_rows():
     assert [chord_count(1, n) for n in range(8)] == [0, 0, 1, 10, 70, 420, 2310, 12012]
     assert [chord_count(2, n) for n in range(7)] == [0, 0, 0, 0, 21, 483, 6468]
     assert chord_count(3, 6) == 1485
+
+
+def test_cold_chord_count_fills_rows_without_recursing(monkeypatch):
+    monkeypatch.setattr(recursions, "_chord_rows", [[1, 1]])
+    assert chord_count(1, 3000) == chord_series(1, 3001, "closed").coeff(3000)
+    assert chord_count(2, 2000) == chord_series(2, 2001, "closed").coeff(2000)
+    assert chord_count(0, 1500) == catalan_series(1501).coeff(1500)
 
 
 def test_shape_weights_values():

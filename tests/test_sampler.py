@@ -11,7 +11,7 @@ import pytest
 
 from toporna.diagram import satisfies_constraints
 from toporna.genfun import StructureClass, arc_distribution, structure_counts
-from toporna.oracle import enumerate_diagrams
+from toporna.oracle import enumerate_diagrams, enumerate_shapes
 from toporna.recursions import shape_poly
 from toporna.sampler import (
     StructureSampler,
@@ -142,6 +142,16 @@ def test_shape_inventory_sizes():
     poly = shape_poly(1)
     expect = {k: poly.coeffs[k] for k in range(len(poly.coeffs)) if poly.coeffs[k]}
     assert sizes == expect == {2: 1, 3: 3, 4: 3, 5: 1}
+
+
+def test_shape_inventory_is_shared_and_in_search_order():
+    small, large = StructureSampler(PLAIN, 2, 10), StructureSampler(PLAIN, 2, 12)
+    fresh: dict[int, list] = {}
+    for shape, _ in enumerate_shapes(6, genus=2):
+        fresh.setdefault(len(shape.arcs), []).append(shape)
+    assert {k: list(v) for k, v in large._shapes.items()} == fresh
+    assert all(type(v) is tuple and v is large._shapes[k] for k, v in small._shapes.items())
+    assert sorted(small._shapes) == [4, 5]
 
 
 def test_samples_valid_and_deterministic():

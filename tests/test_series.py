@@ -15,6 +15,8 @@ from toporna.series import (
     TruncatedSeries,
     XYPolynomial,
     YJet,
+    _convolve,
+    _quotient,
     coprime_base,
     puiseux_expand,
 )
@@ -146,6 +148,74 @@ def test_compose():
     assert outer.compose(inner).coeffs == [2**k for k in range(order)]
     with pytest.raises(ValueError):
         outer.compose(TruncatedSeries.one(order))
+
+
+def naive_product(a: list[int], b: list[int], n: int) -> list[int]:
+    out = [0] * n
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j < n:
+                out[i + j] += ai * bj
+    return out
+
+
+def sparse_coeffs(rng: random.Random, size: int) -> list[int]:
+    """Random ints, about half of them zero, sometimes with trailing zeros."""
+    return [rng.choice([0, rng.randint(-9, 9)]) for _ in range(size)] + [0] * rng.randint(0, 2)
+
+
+def test_convolve_matches_the_double_loop():
+    rng = random.Random(15)
+    for _ in range(200):
+        a = sparse_coeffs(rng, rng.randint(0, 9))
+        b = sparse_coeffs(rng, rng.randint(0, 9))
+        full = len(a) + len(b) - 1 if a and b else 0
+        assert _convolve(a, b) == naive_product(a, b, full)
+        for n in (0, 1, full // 2, full, full + 3):  # n beyond the product pads with zeros
+            assert _convolve(a, b, n) == naive_product(a, b, n), (a, b, n)
+    assert _convolve([], [1, 2]) == _convolve([3], []) == []
+    assert _convolve([], [1, 2], 3) == _convolve([0, 0], [1, 2], 3) == [0, 0, 0]
+
+
+def test_quotient_matches_the_double_loop():
+    rng = random.Random(16)
+    for _ in range(200):
+        order = rng.randint(1, 12)
+        den = [rng.choice([1, -1])] + sparse_coeffs(rng, rng.randint(0, order + 2))
+        num = sparse_coeffs(rng, rng.randint(0, order + 2))
+        out: list[int] = []
+        for m in range(order):
+            acc = num[m] if m < len(num) else 0
+            for k in range(1, min(m, len(den) - 1) + 1):
+                acc -= den[k] * out[m - k]
+            out.append(acc * den[0])
+        assert _quotient(num, den, order) == out, (num, den)
+        # a constant term other than a unit divides every product exactly
+        den[0] = rng.choice([2, -3])
+        assert _quotient(naive_product(out, den, order), den, order) == out
+    # trailing zeros of the divisor change nothing; a short numerator is padded
+    assert _quotient([1], [1, -1, 0, 0, 0, 0], 5) == [1, 1, 1, 1, 1]
+    assert _quotient([2, 0, 0], [2, -2], 4) == [1, 1, 1, 1]
+
+
+def test_quotient_that_is_not_integral_raises():
+    with pytest.raises(ArithmeticError, match="coefficient 1 of the quotient"):
+        _quotient([2, 1], [2, 0, 0], 3)
+    with pytest.raises(ZeroDivisionError):
+        _quotient([1], [0, 1], 2)
+
+
+def test_zero_polynomial_evaluates_to_the_zero_of_its_argument():
+    zero = Polynomial()
+    series = TruncatedSeries([1, 2, 3], 4)
+    assert zero(series) == TruncatedSeries.zero(4)
+    jet = YJet(series, series, series)
+    assert zero(jet) == YJet.plain(TruncatedSeries.zero(4))
+    element = AlgebraicSeries(MOTZKIN_DELTA, Polynomial([1]), Polynomial([2]))
+    assert isinstance(zero(element), AlgebraicSeries) and zero(element).is_zero()
+    assert zero(Fraction(1, 3)) == 0 and zero(5) == 0
+    # and a nonzero polynomial agrees with the series arithmetic it stands for
+    assert Polynomial([1, -2, 1])(series) == (1 - series) * (1 - series)
 
 
 def test_shift():
