@@ -11,28 +11,36 @@ variances of the marked statistic.
 
 Two kinds of family live here.  The algebraic ones, :func:`d0_series`,
 :func:`dg_series`, :func:`arc_distribution`, :func:`pk_marked_dg_jet` and
-the arc-marked jets :func:`d0_jet` and :func:`dg_jet`, are computed exactly
-in Q(x)(S), with S the square root of the discriminant at an integer marker
-value y, as :class:`~toporna.series.AlgebraicSeries`, and expanded only at
-the end.  An arc-marked jet holds D_g and its first two y-derivatives at
-y = 1 as three such elements; D_0's jet is that of the root of its
-quadratic equation at the element D_0, by implicit differentiation in y,
-so no square root but S itself is taken.  At y = 1 every element is
-reduced over the class's factor base: the coprime, squarefree factors of
-the discriminant Delta(x, 1) and of the norm of w's denominator, w being
-the series each shape arc becomes.  Every denominator is a power of x
-times a power product of that base, so trial division keeps the degrees
-small.  :func:`arc_distribution` evaluates D_g(x, y) at y = 1, ..., n/2 + 1
-and interpolates the polynomial [x^n] D_g exactly.
+the arc-marked jets :func:`d0_jet` and :func:`dg_jet`, are closed forms in
+Q(x)(S), with S the square root of the discriminant Delta = B^2 - 4 q^r A
+at an integer marker value y, held as
+:class:`~toporna.series.AlgebraicSeries` and expanded only at the end.
+The closed form comes from the chord-diagram route in three lines:
+
+* D_g = (A/B) C_g(u) with u = q^r A / B^2, where q = x^2 y;
+* C_g(u) = sum_n w(n) u^n (1 - 4u)^(-n-1/2), w being the shape weights of
+  genus g (:func:`~toporna.recursions.shape_weights`, Harer-Zagier);
+* 1 - 4u = Delta / B^2, so for g >= 1 every power of B cancels and
+  D_g = P Delta^(-N-1/2), P = sum_n w(n) A^(n+1) q^(rn) Delta^(N-n), N = 3g - 1.
+
+P is one :class:`~toporna.series.XYPolynomial` per class and genus, and
+D_g at y is the single element P S / Delta^(N+1).  At genus 0,
+D0 = (B - S) / (2 q^r).  The marker jets at y = 1 come from exact
+y-derivatives of P and Delta, each again a polynomial times S over a power
+of Delta.  The block-marked jets read D_g = D0 P_g(w) with w = (B - S)/(2S),
+the series each shape arc becomes, formed as one element whose denominator
+is a constant times x^(2r) times a power of Delta.  No element is ever
+divided by another.  :func:`arc_distribution` evaluates D_g(x, y) at
+y = 1, ..., n/2 + 1 and interpolates the polynomial [x^n] D_g exactly.
 
 The chord-diagram route :func:`dg_via_chords` and the loop-marked jets
 stay on truncated-series arithmetic.  :func:`dg_via_chords` is the
-independent derivation the arc-marked jets are checked against.  The
-loop-marked jets take the root of the loop grammar's genus-0 quadratic the
-same way: its value at y = 1 is read off the genus-0 element, which must
-solve the quadratic exactly, and its y-derivatives follow by implicit
-differentiation.  One table of markers drives that root and the series
-each shape arc becomes.
+independent derivation the arc-marked jets are checked against: it reads
+the chord counts, not the shape weights.  The loop-marked jets take the
+root of the loop grammar's genus-0 quadratic by implicit differentiation
+(:meth:`~toporna.series.YJet.quadratic_root`) from its value at y = 1,
+read off the closed form of D0.  One table of markers drives that root and
+the series each shape arc becomes.
 
 Everything here is exact: coefficients are ints, and every division on
 the way is exact or raises ``ArithmeticError``.  Results are truncated
@@ -47,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diagram import LOOP_KINDS
-from .recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
+from .recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly, shape_weights
 from .series import (
     AlgebraicSeries,
     Polynomial,
@@ -55,7 +63,6 @@ from .series import (
     XYPolynomial,
     YJet,
     _exact_quotient,
-    coprime_base,
 )
 
 
@@ -126,86 +133,55 @@ def _check_genus(genus: int) -> None:
         raise ValueError(f"genus must be nonnegative, got {genus}")
 
 
-def _elements(
-    cls_: StructureClass, y: int, base: tuple[Polynomial, ...]
-) -> tuple[AlgebraicSeries, ...]:
-    """D0, q = x^2 y and q^r at marker value y, as elements of Q(x)(S).
-
-    D0 = (B - S) / (2 q^r) is the genus-0 series, with S^2 the
-    discriminant at y; ``base`` is the factor base the elements carry.
-    """
-    delta = discriminant_poly(cls_).at_y(y)
-    b = core_polys(cls_)[1].at_y(y)
-    r = cls_.min_stack
-    qr = Polynomial.x_power(2 * r) * y**r
-    return (
-        AlgebraicSeries(delta, b, Polynomial([-1]), qr * 2, base),
-        AlgebraicSeries(delta, Polynomial.x_power(2) * y, base=base),
-        AlgebraicSeries(delta, qr, base=base),
-    )
+def _power(p: Polynomial, k: int) -> Polynomial:
+    out = Polynomial([1])
+    for _ in range(k):
+        out = out * p
+    return out
 
 
-# A cached element holds 10-35 kB (traced at (4,3), genus 2, where unreduced
-# elements at y >= 2 reach degree 242), and arc_distribution adds one per y,
-# so these caches are bounded.
+# arc_distribution adds one cached element per marker value y, so these
+# caches are bounded.
 _CLASS_CACHE = 64
 
 
-@lru_cache(maxsize=None)
-def _factor_base(cls_: StructureClass) -> tuple[Polynomial, ...]:
-    """The coprime base of the discriminant and of E, the norm of w's denominator, at y = 1.
-
-    Every denominator of D_g and of its marker derivatives at y = 1 is, up
-    to a constant and a power of x, a power product of these factors.
-    """
-    d0, q, qr = _elements(cls_, 1, ())
-    return coprime_base((d0.delta, (1 - q - qr * (d0 * d0 - 1)).norm()))
-
-
 @lru_cache(maxsize=_CLASS_CACHE)
-def _element_jets(cls_: StructureClass) -> tuple[YJet, ...]:
-    """Jets at y = 1 of D0, q and q^r, reduced over the class's factor base.
+def _radical_numerator(cls_: StructureClass, genus: int) -> tuple[XYPolynomial, int]:
+    """P and N with D_g = P Delta^(-N-1/2), for genus g >= 1.
 
-    D0's jet is that of the root of q^r D^2 - B D + A = 0 at the element
-    D0, by implicit differentiation in y (:meth:`YJet.quadratic_root`).
+    P = sum_n w(n) A^(n+1) (x^2 y)^(rn) Delta^(N-n), with w the shape
+    weights of genus g and N the largest n they support, 3g - 1.
     """
-    d0 = _elements(cls_, 1, _factor_base(cls_))[0]
-
-    def jet(poly: XYPolynomial) -> YJet:
-        return YJet(*(AlgebraicSeries(d0.delta, p, base=d0.base) for p in poly.y1_jets()))
-
-    a, b = core_polys(cls_)
-    r = cls_.min_stack
-    qr = jet(XYPolynomial.monomial(2 * r, r))
-    return YJet.quadratic_root(qr, -jet(b), jet(a), d0), jet(XYPolynomial.monomial(2, 1)), qr
-
-
-def _stack_substitution(d0, q, qr):
-    """w = q^r D0^2 / (1 - q - q^r (D0^2 - 1)), the series each shape arc becomes."""
-    return qr * d0 * d0 / (1 - q - qr * (d0 * d0 - 1))
-
-
-def _genus_series(genus: int, d0, q, qr):
-    """D_g = D0 P_g(w) from D0, q and q^r: elements or their jets."""
-    if genus == 0:
-        return d0
-    return d0 * shape_poly(genus)(_stack_substitution(d0, q, qr))
+    weights = shape_weights(genus)
+    a = core_polys(cls_)[0]
+    delta = discriminant_poly(cls_)
+    u = a.mul(XYPolynomial.monomial(2 * cls_.min_stack, cls_.min_stack))
+    top = max(weights)
+    acc, power = XYPolynomial(), XYPolynomial.constant(1)
+    for n in range(top + 1):  # after step n, acc = sum_(k <= n) w(k) u^k Delta^(n-k)
+        acc = acc.mul(delta) + power * weights.get(n, 0)
+        if n < top:
+            power = power.mul(u)
+    return a.mul(acc), top
 
 
 @lru_cache(maxsize=_CLASS_CACHE)
 def _dg(cls_: StructureClass, genus: int, y: int) -> AlgebraicSeries:
     """The genus-g series D_g(x, y) at marker value y, arcs marked by y.
 
-    At y = 1 the elements are reduced over the class's factor base.  The
-    base is built from the discriminant at y = 1 only; at y >= 2 the plain
-    normal form measured faster than a base of that y's own.  Every
-    argument is positional, so a call has one cache key.
+    D0 = (B - S) / (2 q^r); at positive genus D_g = (0 + P S) / Delta^(N+1)
+    (see :func:`_radical_numerator`).  Every argument is positional, so a
+    call has one cache key.
     """
     _check_genus(genus)
     if genus:
         require_inflatable(cls_)
-    base = _factor_base(cls_) if y == 1 else ()
-    return _genus_series(genus, *_elements(cls_, y, base))
+    delta = discriminant_poly(cls_).at_y(y)
+    if genus == 0:
+        qr = Polynomial.x_power(2 * cls_.min_stack) * y**cls_.min_stack
+        return AlgebraicSeries(delta, core_polys(cls_)[1].at_y(y), Polynomial([-1]), qr * 2)
+    p, top = _radical_numerator(cls_, genus)
+    return AlgebraicSeries(delta, Polynomial(), p.at_y(y), _power(delta, top + 1))
 
 
 def d0_series(cls_: StructureClass, order: int) -> TruncatedSeries:
@@ -234,13 +210,41 @@ def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
     return _genus_jet(cls_, genus).series(order)
 
 
+def _radical_jet(p: XYPolynomial, m: int, delta: XYPolynomial) -> YJet:
+    """The jet at y = 1 of P Delta^(-m-1/2), as three elements of Q(x)(S).
+
+    The rule d/dy (P Delta^(-m-1/2)) = Q Delta^(-m-3/2) / 2, with
+    Q = 2 P_y Delta - (2m + 1) P Delta_y, applied twice: the first
+    derivative is Q S / (2 Delta^(m+2)) and the second
+    (2 Q_y Delta - (2m + 3) Q Delta_y) S / (4 Delta^(m+3)).
+    """
+    (p0, p1, p2), (d0, d1, d2) = p.y1_jets(), delta.y1_jets()
+    q0 = p1 * d0 * 2 - p0 * d1 * (2 * m + 1)
+    q1 = p2 * d0 * 2 + p1 * d1 * (1 - 2 * m) - p0 * d2 * (2 * m + 1)  # Q_y
+    q2 = q1 * d0 * 2 - q0 * d1 * (2 * m + 3)
+    return YJet(*(
+        AlgebraicSeries(d0, Polynomial(), num, _power(d0, m + 1 + i) * 2**i)
+        for i, num in enumerate((p0, q0, q2))
+    ))
+
+
 @lru_cache(maxsize=_CLASS_CACHE)
 def _genus_jet(cls_: StructureClass, genus: int) -> YJet:
-    """D_g's jet at y = 1 as elements of Q(x)(S), before expansion."""
+    """D_g's jet at y = 1 as elements of Q(x)(S), before expansion.
+
+    At genus 0, D0 = y^(-r) (B - S) / (2 x^(2r)): the jet of B - S times
+    that of y^(-r), which is (1, -r, r(r + 1)), over 2 x^(2r).
+    """
     _check_genus(genus)
+    delta = discriminant_poly(cls_)
     if genus:
         require_inflatable(cls_)
-    return _genus_series(genus, *_element_jets(cls_))
+        return _radical_jet(*_radical_numerator(cls_, genus), delta)
+    r, d = cls_.min_stack, delta.at_y(1)
+    b = YJet(*(AlgebraicSeries(d, p) for p in core_polys(cls_)[1].y1_jets()))
+    c = AlgebraicSeries(d, Polynomial([1]), None, Polynomial.x_power(2 * r) * 2)
+    b_minus_s = b + _radical_jet(XYPolynomial.constant(-1), -1, delta)
+    return b_minus_s * YJet(c, c * -r, c * (r * (r + 1)))
 
 
 def dg_via_chords(cls_: StructureClass, genus: int, order: int) -> YJet:
@@ -289,8 +293,9 @@ def loop_marked_d0_jet(cls_: StructureClass, kind: str, order: int) -> YJet:
     l = 2 m_bulge run + m_interior run^2 and m = m_multi, the closed
     component C (a stack with everything it encloses) solves
     C (1 - C G) = s ((h + l C)(1 - C G) + m C^2 G^3),
-    a quadratic a C^2 + b C + k = 0.  At y = 1 its root is C0 = 1 - x - 1/D0,
-    from the genus-0 element; the marker derivatives follow by implicit
+    a quadratic a C^2 + b C + k = 0.  At y = 1 its root is
+    C0 = 1 - x - 1/D0 = 1 - x - (B + S) / (2A), an element of Q(x)(S)
+    because (B - S)(B + S) = 4 x^(2r) A; the marker derivatives follow by implicit
     differentiation (:meth:`YJet.quadratic_root`), which raises unless C0
     solves the quadratic.  The series is 1 / (1 - x - C).
     """
@@ -307,7 +312,9 @@ def loop_marked_d0_jet(cls_: StructureClass, kind: str, order: int) -> YJet:
     loops = marks["bulge"] * run * 2 + marks["interior"] * run * run
     a = g + s * (marks["multi"] * g * g * g - loops * g)
     b = s * (loops - h * g) - 1
-    closed = YJet.quadratic_root(a, b, s * h, (1 - 1 / _dg(cls_, 0, 1)).series(order) - x)
+    a1, b1 = (p.at_y(1) for p in core_polys(cls_))
+    inverse = AlgebraicSeries(discriminant_poly(cls_).at_y(1), b1, Polynomial([1]), a1 * 2)
+    closed = YJet.quadratic_root(a, b, s * h, (1 - inverse).series(order) - x)
     return one / (1 - YJet.plain(x) - closed)
 
 
@@ -349,7 +356,9 @@ def pk_marked_dg_jet(
 
     ``kind`` selects one of the four genus-1 block types (see
     :data:`toporna.recursions.MARK_KINDS`).  Arcs are unmarked here; only
-    whole blocks whose shadow matches the requested type count.
+    whole blocks whose shadow matches the requested type count.  The value
+    and both marker derivatives are D0 p(w) for the value and derivatives p
+    of the marked shape polynomial at y = 1 (see :func:`_inflated`).
     """
     if kind not in MARK_KINDS:
         raise ValueError(f"unknown block kind {kind!r}")
@@ -357,10 +366,32 @@ def pk_marked_dg_jet(
         raise ValueError(f"block marking needs genus at least 1, got {genus}")
     _check_order(order)
     require_inflatable(cls_)
-    d0, q, qr = _elements(cls_, 1, _factor_base(cls_))
-    w = _stack_substitution(d0, q, qr)
+    delta = discriminant_poly(cls_).at_y(1)
+    b = core_polys(cls_)[1].at_y(1)
     jets = marked_shape_poly(genus, kind).y1_jets()
-    return YJet(*((d0 * p(w)).series(order) for p in jets))
+    return YJet(*(_inflated(p, b, delta, cls_.min_stack).series(order) for p in jets))
+
+
+def _inflated(poly: Polynomial, b: Polynomial, delta: Polynomial, r: int) -> AlgebraicSeries:
+    """D0 poly(w) at y = 1 as one element of Q(x)(S).
+
+    w = (B - S) / (2S) = (B S - Delta) / (2 Delta) is the series each shape
+    arc becomes.  With D0 = (B - S) / (2 x^(2r)) and K = deg poly, D0 poly(w) is
+    sum_k c_k (B - S)^(k+1) (2S)^(K-k) over 2^(K+1) x^(2r) S^K.  The
+    numerator is formed in Z[x][S], reduced by S^2 = Delta, and S^K
+    becomes Delta^ceil(K/2) after one more factor S when K is odd.
+    """
+    p = q = Polynomial()  # the numerator p + q S
+    tp, tq = Polynomial([1]), Polynomial()  # (2S)^(K-k)
+    for c in reversed(poly.coeffs):  # homogeneous Horner in B - S and 2S
+        p, q = p * b - q * delta + tp * c, q * b - p + tq * c
+        tp, tq = tq * delta * 2, tp * 2
+    p, q = p * b - q * delta, q * b - p
+    top = poly.degree
+    if top % 2:
+        p, q = q * delta, p
+    den = Polynomial.x_power(2 * r) * 2 ** (top + 1) * _power(delta, (top + 1) // 2)
+    return AlgebraicSeries(delta, p, q, den)
 
 
 def structure_counts(cls_: StructureClass, genus: int, order: int) -> list[int]:

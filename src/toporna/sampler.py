@@ -31,7 +31,7 @@ from mpmath import mp
 
 from .diagram import Diagram, new_tally, tally_structure
 from .genfun import StructureClass, require_inflatable
-from .oracle import enumerate_diagrams, enumerate_shapes
+from .oracle import _matching_search, enumerate_diagrams
 from .series import _convolve, _quotient
 
 __all__ = [
@@ -106,17 +106,16 @@ def _shape_inventory(genus: int, k_cap: int) -> dict[int, tuple[Diagram, ...]]:
     """The genus-``genus`` shapes with at most ``k_cap`` arcs, keyed by arc count.
 
     Every sampler in the process shares them: the inventory depends on
-    nothing else.  :func:`~toporna.oracle.enumerate_shapes` yields them by
-    arc count in turn, so a cached tuple is in the order a fresh search
-    gives, and the seeded shape choice is unchanged.
+    nothing else.  Each arc count is searched once, by the one-count search
+    that :func:`~toporna.oracle.enumerate_shapes` runs for each count in
+    turn, so a cached tuple is in the order a fresh search gives, and the
+    seeded shape choice is unchanged.
     """
-    if (genus, k_cap) not in _SHAPES:
-        found: dict[int, list[Diagram]] = {k: [] for k in range(k_cap + 1)}
-        for shape, _ in enumerate_shapes(k_cap, genus=genus):
-            found[len(shape.arcs)].append(shape)
-        for k, pool in found.items():
-            _SHAPES.setdefault((genus, k), tuple(pool))
-    return {k: pool for k in range(k_cap + 1) if (pool := _SHAPES[(genus, k)])}
+    for k in range(k_cap + 1):
+        if (genus, k) not in _SHAPES:
+            found = (shape for shape, g in _matching_search(k, genus) if g == genus)
+            _SHAPES[genus, k] = tuple(found)
+    return {k: pool for k in range(k_cap + 1) if (pool := _SHAPES[genus, k])}
 
 
 class StructureSampler:

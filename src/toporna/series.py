@@ -14,8 +14,9 @@ Under the classes sits the kernel: :func:`_convolve` (product),
 :func:`_quotient` (power-series quotient), :func:`_exact_factor` (exact
 polynomial division) and :meth:`Polynomial.__call__` (Horner's rule).  All
 products, quotients and evaluations of the package live only there, the
-sampler's tables included, except the marker-polynomial rings of
-:class:`BivariateSeries` and :mod:`toporna.recursions`.
+sampler's tables included, except the marker-polynomial rings
+(:class:`XYPolynomial`, :class:`BivariateSeries` and those of
+:mod:`toporna.recursions`).
 
 Four layers:
 
@@ -25,18 +26,17 @@ Four layers:
   and two variables,
 * :class:`AlgebraicSeries`, an exact element (p + q*S) / d of Q(x)(S) with
   S = sqrt(delta) for a fixed integer polynomial delta with delta(0) = 1,
-  held untruncated and expanded to any order on request.  An element may
-  carry a factor base (see :func:`coprime_base`): primitive, squarefree,
-  pairwise coprime integer polynomials that every operation trial-divides
-  out of p, q and d together, which keeps the degrees small without a
-  general polynomial gcd,
+  held untruncated and expanded to any order on request.  It has the ring
+  operations but no division: every family built on it knows its
+  denominator in closed form, a constant times a power of x times a power
+  of delta (see :mod:`toporna.genfun`),
 * :class:`YJet`, a 2-jet in a marker variable, carrying the value and the
   first two derivatives at marker value 1.  Its components are either all
   truncated series or all algebraic elements; an algebraic jet is exact
   and is expanded with :meth:`YJet.series`.  A root of a quadratic is
-  taken by implicit differentiation (:meth:`YJet.quadratic_root`) from its
-  value at marker value 1, so S is the only square root the kernel
-  expands.
+  taken on truncated jets by implicit differentiation
+  (:meth:`YJet.quadratic_root`) from its value at marker value 1, so S is
+  the only square root the kernel expands.
 
 A joint distribution in x and the marker is not held as a series with
 polynomial coefficients: it is read off :class:`AlgebraicSeries` evaluated
@@ -65,10 +65,14 @@ def _ints(coeffs: Iterable[int]) -> list[int]:
     return data
 
 
-def _exact_quotient(num: int, den: int, what: str) -> int:
+def _exact_quotient(num: int, den: int, what: str, *args: int) -> int:
+    """num / den; raises ``ArithmeticError`` naming ``what.format(*args)`` unless exact.
+
+    The label is formatted only on failure, so a hot loop pays nothing for it.
+    """
     q, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError(f"{what} is not an integer: remainder {rem} mod {den}")
+        raise ArithmeticError(f"{what.format(*args)} is not an integer: remainder {rem} mod {den}")
     return q
 
 
@@ -107,7 +111,7 @@ def _quotient(num: Sequence[int], den: Sequence[int], order: int) -> list[int]:
     for m in range(order):
         span = min(m, len(tail))
         acc = num[m] - sum(map(mul, tail[:span], reversed(out[m - span : m])))
-        out[m] = _exact_quotient(acc, head, f"coefficient {m} of the quotient")
+        out[m] = _exact_quotient(acc, head, "coefficient {} of the quotient", m)
     return out
 
 
@@ -364,113 +368,26 @@ class Polynomial:
         return TruncatedSeries(self.coeffs, order)
 
 
-def _trial_divide(num: list[int], f: list[int]) -> list[int] | None:
-    """num / f in Z[x] when f divides num, else None; f is primitive.
+def _exact_factor(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f / g for a primitive g; raises ``ArithmeticError`` unless g divides f.
 
     By Gauss's lemma a primitive divisor leaves an integer quotient, so a
     leading coefficient that does not divide is already a failure.
     """
-    if not num:
-        return num
-    rem = num[:]
-    lead, top = f[-1], len(f) - 1
-    quot = [0] * (len(rem) - top)
+    rem = f.coeffs[:]
+    lead, top = g.coeffs[-1], g.degree
+    quot = [0] * max(0, len(rem) - top)
     for i in range(len(quot) - 1, -1, -1):
         c, r = divmod(rem[i + top], lead)
         if r:
-            return None
+            break
         if c:
             quot[i] = c
-            rem[i : i + top] = map(sub, rem[i : i + top], map(mul, repeat(c), f))
-    if any(rem[:top]):
-        return None
-    return quot
-
-
-def _divide_all(parts: list[list[int]], f: list[int]) -> list[list[int]] | None:
-    """Every polynomial of ``parts`` divided by f, or None unless f divides all."""
-    out = []
-    for cs in parts:
-        cs = _trial_divide(cs, f)
-        if cs is None:
-            return None
-        out.append(cs)
-    return out
-
-
-def _primitive_remainder(a: list[int], b: list[int]) -> list[int]:
-    """The primitive part of the pseudo-remainder of a by b over Z.
-
-    Each step scales the remainder by b's lead before it cancels the top
-    term, so every coefficient stays an integer; over Q the result is a
-    nonzero multiple of the remainder.  Low degree first, no trailing zeros.
-    """
-    rem = a[:]
-    lead, top = b[-1], len(b) - 1
-    while len(rem) > top:
-        c = rem.pop()
-        rem = [lead * r for r in rem]
-        k = len(rem) - top
-        rem[k:] = map(sub, rem[k:], map(mul, repeat(c), b[:top]))
-        while rem and rem[-1] == 0:
-            rem.pop()
-    content = gcd(*rem)
-    return [r // content for r in rem]
-
-
-def _primitive(coeffs: Sequence[int]) -> Polynomial:
-    """``coeffs`` divided by their content, with the sign of a positive lead."""
-    content = gcd(*coeffs) * (1 if coeffs[-1] > 0 else -1)
-    return Polynomial([c // content for c in coeffs])
-
-
-def _exact_factor(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g for a primitive g; raises ``ArithmeticError`` unless g divides f."""
-    quot = _trial_divide(f.coeffs, g.coeffs)
-    if quot is None:
-        raise ArithmeticError(f"{g} does not divide {f}")
-    return Polynomial(quot)
-
-
-def _poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The primitive greatest common divisor, by Euclid on primitive pseudo-remainders."""
-    a, b = f.coeffs, g.coeffs
-    while b:
-        a, b = b, _primitive_remainder(a, b)
-    return _primitive(a)
-
-
-def coprime_base(polys: Iterable[Polynomial]) -> tuple[Polynomial, ...]:
-    """Primitive, squarefree, pairwise coprime factors of nonzero ``polys``.
-
-    Every input is, up to a constant and a power of x, a product of powers
-    of the returned factors; none of them is divisible by x.  A factor
-    that is not squarefree splits into f/gcd(f, f') and gcd(f, f'); two
-    factors with a common divisor g split into g and their cofactors.  Each
-    split replaces factors by proper divisors, so the refinement ends.
-    """
-    todo = []
-    for p in polys:
-        low = next(i for i, c in enumerate(p.coeffs) if c)
-        todo.append(_primitive(p.coeffs[low:]))
-    base: list[Polynomial] = []
-    while todo:
-        f = todo.pop()
-        if f.degree < 1:
-            continue
-        g = _poly_gcd(f, f.derivative())
-        if g.degree > 0:
-            todo += [_exact_factor(f, g), g]
-            continue
-        for i, h in enumerate(base):
-            g = _poly_gcd(f, h)
-            if g.degree > 0:
-                del base[i]
-                todo += [_exact_factor(f, g), g, _exact_factor(h, g)]
-                break
-        else:
-            base.append(f)
-    return tuple(sorted(base, key=lambda f: (f.degree, f.coeffs)))
+            rem[i : i + top] = map(sub, rem[i : i + top], map(mul, repeat(c), g.coeffs))
+    else:
+        if not any(rem[:top]):
+            return Polynomial(quot)
+    raise ArithmeticError(f"{g} does not divide {f}")
 
 
 class AlgebraicSeries:
@@ -478,20 +395,18 @@ class AlgebraicSeries:
 
     ``delta`` is a fixed integer polynomial with delta(0) = 1, so S is the
     power series with constant term 1.  p, q and d are integer polynomials
-    (d nonzero); after every operation they share no power of x, no integer
-    content and no factor of ``base``, a tuple of primitive, pairwise
-    coprime integer polynomials (see :func:`coprime_base`) shared by all
-    elements that are combined, like ``delta``.  Each factor is
-    trial-divided out of p, q and d for as long as it divides all three.
-    Arithmetic is exact and never truncates; only :meth:`series` expands
-    the element, to any order, as a :class:`TruncatedSeries` with integer
-    coefficients.
+    (d nonzero); after every operation they share no power of x and no
+    integer content.  The ring operations are exact and never truncate;
+    only :meth:`series` expands the element, to any order, as a
+    :class:`TruncatedSeries` with integer coefficients.  There is no
+    division: the families of :mod:`toporna.genfun` are built with their
+    denominators already known, a constant times a power of x times a power
+    of delta.
 
-    Combining elements over different ``delta`` or ``base`` raises
-    ``ValueError``.
+    Combining elements over different ``delta`` raises ``ValueError``.
     """
 
-    __slots__ = ("delta", "base", "p", "q", "d")
+    __slots__ = ("delta", "p", "q", "d")
 
     def __init__(
         self,
@@ -499,7 +414,6 @@ class AlgebraicSeries:
         p: Polynomial,
         q: Polynomial | None = None,
         d: Polynomial | None = None,
-        base: tuple[Polynomial, ...] = (),
     ):
         q = Polynomial() if q is None else q
         d = Polynomial([1]) if d is None else d
@@ -508,18 +422,13 @@ class AlgebraicSeries:
         if d.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.delta = delta
-        self.base = base
         if p.is_zero() and q.is_zero():
             self.p, self.q, self.d = p, q, Polynomial([1])
             return
         parts = (p.coeffs, q.coeffs, d.coeffs)
         low = min(next(i for i, c in enumerate(cs) if c) for cs in parts if cs)
         content = gcd(*(c for cs in parts for c in cs))
-        parts = [[c // content for c in cs[low:]] for cs in parts]
-        for f in base:
-            while (divided := _divide_all(parts, f.coeffs)) is not None:
-                parts = divided
-        self.p, self.q, self.d = (Polynomial(cs) for cs in parts)
+        self.p, self.q, self.d = (Polynomial([c // content for c in cs[low:]]) for cs in parts)
 
     def __repr__(self) -> str:
         return f"AlgebraicSeries(p={self.p}, q={self.q}, d={self.d}, delta={self.delta})"
@@ -530,23 +439,17 @@ class AlgebraicSeries:
                 raise ValueError(
                     f"radicand mismatch: {self.delta} vs {other.delta}"
                 )
-            if other.base != self.base:
-                raise ValueError(f"factor base mismatch: {self.base} vs {other.base}")
             return other
         if isinstance(other, int) and not isinstance(other, bool):
-            return AlgebraicSeries(self.delta, Polynomial([other]), base=self.base)
+            return AlgebraicSeries(self.delta, Polynomial([other]))
         raise TypeError(f"expected an AlgebraicSeries or int, got {type(other).__name__}")
 
     def _new(self, p: Polynomial, q: Polynomial, d: Polynomial) -> AlgebraicSeries:
-        return AlgebraicSeries(self.delta, p, q, d, self.base)
+        return AlgebraicSeries(self.delta, p, q, d)
 
     def is_zero(self) -> bool:
         """True when p and q vanish; exact whenever delta is not a square."""
         return self.p.is_zero() and self.q.is_zero()
-
-    def norm(self) -> Polynomial:
-        """p^2 - q^2 delta: the numerator times its conjugate p - qS."""
-        return self.p * self.p - self.q * self.q * self.delta
 
     def __add__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
         if type(other) is int:
@@ -579,21 +482,6 @@ class AlgebraicSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
-        """Division through the conjugate: 1/(p + qS) = (p - qS)/(p^2 - q^2 delta)."""
-        o = self._lift(other)
-        norm = o.norm()
-        if norm.is_zero():
-            raise ZeroDivisionError("division by zero in Q(x)(S)")
-        return self._new(
-            (self.p * o.p - self.q * o.q * self.delta) * o.d,
-            (self.q * o.p - self.p * o.q) * o.d,
-            self.d * norm,
-        )
-
-    def __rtruediv__(self, other: int) -> AlgebraicSeries:
-        return self._lift(other) / self
-
     def series(self, order: int) -> TruncatedSeries:
         """Expansion up to ``x**(order-1)``.
 
@@ -612,7 +500,7 @@ class AlgebraicSeries:
         s = [1] + [0] * (length - 1)
         for m in range(1, length):
             acc = sum(c * (3 * j - 2 * m) * s[m - j] for j, c in steps if j <= m)
-            s[m] = _exact_quotient(acc, 2 * m, f"coefficient {m} of the square root")
+            s[m] = _exact_quotient(acc, 2 * m, "coefficient {} of the square root", m)
         num = _convolve(self.q.coeffs, s, length)
         for i, pi in enumerate(self.p.coeffs[:length]):
             num[i] += pi
@@ -812,7 +700,7 @@ class BivariateSeries:
                 bk = other.coeffs[k]
                 if bk and q[m - k]:
                     acc = _padd(acc, _convolve(bk, q[m - k]), -1)
-            q[m] = [_exact_quotient(c, b0, f"coefficient {m} of the quotient") for c in acc]
+            q[m] = [_exact_quotient(c, b0, "coefficient {} of the quotient", m) for c in acc]
         return BivariateSeries(q, n)
 
     def at_y(self, y: int) -> TruncatedSeries:
@@ -828,8 +716,9 @@ class YJet:
     evaluated at marker value 1.  This is enough to extract exact means and
     variances of the marked statistic without carrying the full bivariate
     expansion.  The components are :class:`TruncatedSeries` of one order,
-    or exact :class:`AlgebraicSeries` that :meth:`series` expands; the
-    rules below are the same for both.
+    or exact :class:`AlgebraicSeries` that :meth:`series` expands.  Sums
+    and products follow the same rules for both; quotients and
+    :meth:`quadratic_root` divide, so they take truncated components.
     """
 
     __slots__ = ("value", "d1", "d2")
@@ -930,14 +819,15 @@ class YJet:
 
     @classmethod
     def quadratic_root(
-        cls, a: YJet, b: YJet, k: YJet, value: TruncatedSeries | AlgebraicSeries
+        cls, a: YJet, b: YJet, k: YJet, value: TruncatedSeries
     ) -> YJet:
         """The jet of the root z of a z^2 + b z + k = 0 whose value at y = 1 is ``value``.
 
         With f = a z^2 + b z + k, implicit differentiation in the marker at
         z = ``value`` gives z' = -f_y / f_z and
         z'' = -(f_yy + 2 f_zy z' + 2 a z'^2) / f_z.  The components of a, b
-        and k are of ``value``'s kind, and f_z must be invertible.
+        and k are truncated series of ``value``'s order, and f_z must have
+        a constant term that divides every quotient exactly.
 
         Raises:
             ArithmeticError: unless ``value`` is a root at y = 1.
@@ -984,7 +874,7 @@ def puiseux_expand(n: int, order: int) -> TruncatedSeries:
     c = 1
     coeffs[0] = c
     for k in range(1, order):
-        c = _exact_quotient(c * 2 * (2 * n + 2 * k - 1), k, f"coefficient {k}")
+        c = _exact_quotient(c * 2 * (2 * n + 2 * k - 1), k, "coefficient {}", k)
         coeffs[k] = c
     return TruncatedSeries(coeffs, order)
 

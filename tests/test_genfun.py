@@ -1,6 +1,5 @@
+import hashlib
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +22,10 @@ from toporna.genfun import (
     pk_marked_dg_jet,
     structure_counts,
 )
-from toporna.genfun import _dg, _elements, _factor_base, _genus_jet, _genus_series
+from toporna.genfun import _dg, _genus_jet
 from toporna.oracle import enumerate_diagrams, full_census
 from toporna.recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
-from toporna.series import TruncatedSeries, YJet, XYPolynomial
+from toporna.series import AlgebraicSeries, Polynomial, TruncatedSeries, YJet, XYPolynomial
 
 PLAIN = StructureClass(1, 1)
 SPACED = StructureClass(2, 1)
@@ -440,48 +439,77 @@ def test_truncated_routes_stay_integral(r, data, genus, order):
     assert len(routes) == 1
 
 
-def _remainder(a, b):
-    a = a[:]
-    while len(a) >= len(b):
-        c, shift = a[-1] / b[-1], len(a) - len(b)
-        for i, bi in enumerate(b):
-            a[shift + i] -= c * bi
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _gcd_degree(f, g):
-    a, b = [Fraction(c) for c in f.coeffs], [Fraction(c) for c in g.coeffs]
-    while b:
-        a, b = b, _remainder(a, b)
-    return len(a) - 1
-
-
 BASE_CLASSES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 3), (4, 3), (1, 4)]
 
 
-@pytest.mark.parametrize("lam, r", BASE_CLASSES)
-def test_factor_base_is_primitive_squarefree_and_coprime(lam, r):
-    base = _factor_base(StructureClass(lam, r))
-    assert base
-    for f in base:
-        assert f.degree >= 1 and f.coeff(0) != 0
-        assert gcd(*f.coeffs) == 1
-        assert _gcd_degree(f, f.derivative()) == 0
-    for f, h in combinations(base, 2):
-        assert _gcd_degree(f, h) == 0, (f, h)
+def _quotient_element(a, b):
+    """a / b in Q(x)(S), through the conjugate b.p - b.q S."""
+    norm = b.p * b.p - b.q * b.q * b.delta
+    return AlgebraicSeries(
+        a.delta,
+        (a.p * b.p - a.q * b.q * a.delta) * b.d,
+        (a.q * b.p - a.p * b.q) * b.d,
+        a.d * norm,
+    )
+
+
+def _horner_reference(cls_, genus, y):
+    """Reference: D0 P_g(w) at marker value y, on plain elements of Q(x)(S).
+
+    w = q^r D0^2 / (1 - q - q^r (D0^2 - 1)) is the series each shape arc
+    becomes, and P_g(w) is taken by Horner's rule.
+    """
+    delta = discriminant_poly(cls_).at_y(y)
+    r = cls_.min_stack
+    qr = Polynomial.x_power(2 * r) * y**r
+    d0 = AlgebraicSeries(delta, core_polys(cls_)[1].at_y(y), Polynomial([-1]), qr * 2)
+    q = AlgebraicSeries(delta, Polynomial.x_power(2) * y)
+    qr = AlgebraicSeries(delta, qr)
+    d02 = d0 * d0
+    w = _quotient_element(qr * d02, 1 - q - qr * (d02 - 1))
+    return d0 * shape_poly(genus)(w)
 
 
 @pytest.mark.parametrize("lam, r", BASE_CLASSES)
-def test_class_base_reduction_keeps_the_expansion(lam, r):
+def test_closed_form_matches_the_horner_reference(lam, r):
+    """D_g = P Delta^(-N-1/2) equals D0 P_g(w) at y = 1, 2, 3."""
     cls_ = StructureClass(lam, r)
-    for genus in (0, 1, 2):
-        reduced = _dg(cls_, genus, 1)
-        plain = _genus_series(genus, *_elements(cls_, 1, ()))
-        assert reduced.base and not plain.base
-        assert reduced.series(61) == plain.series(61), genus
-        assert reduced.d.degree <= plain.d.degree
+    for genus in (1, 2, 3):
+        for y in (1, 2, 3):
+            expect = _horner_reference(cls_, genus, y).series(30)
+            assert _dg(cls_, genus, y).series(30) == expect, (genus, y)
+
+
+def test_arc_jet_matches_chord_route_at_high_genus():
+    for lam, r, genus in [(4, 3, 3), (1, 4, 2)]:
+        cls_ = StructureClass(lam, r)
+        assert dg_jet(cls_, genus, 41) == dg_via_chords(cls_, genus, 41), (lam, r, genus)
+
+
+def _jet_data(jet):
+    return (jet.value.coeffs, jet.d1.coeffs, jet.d2.coeffs)
+
+
+def test_algebraic_family_outputs_are_pinned():
+    """One SHA-256 over the arc- and block-marked families and the chord route.
+
+    The digest was recorded from the factor-base implementation these
+    closed forms replaced, so any change of output shows here.
+    """
+    digest = hashlib.sha256()
+    for lam, r in [(1, 1), (2, 1), (1, 2), (2, 2), (4, 3)]:
+        cls_ = StructureClass(lam, r)
+        for g in (0, 1, 2):
+            digest.update(repr(dg_series(cls_, g, 60).coeffs).encode())
+            digest.update(repr(_jet_data(dg_jet(cls_, g, 41))).encode())
+            digest.update(repr(arc_distribution(cls_, g, 22)).encode())
+            digest.update(repr(_jet_data(dg_via_chords(cls_, g, 31))).encode())
+        for g in (1, 2):
+            for kind in MARK_KINDS:
+                digest.update(repr(_jet_data(pk_marked_dg_jet(cls_, g, kind, 41))).encode())
+    assert digest.hexdigest() == (
+        "132ece659726c13e7ff3a1505602dea4a6016dad9001a068576f3a37b4e66c61"
+    )
 
 
 def test_scaled_type_h_mean_enters_the_five_percent_band_by_3600():

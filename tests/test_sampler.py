@@ -11,7 +11,8 @@ import pytest
 
 from toporna.diagram import satisfies_constraints
 from toporna.genfun import StructureClass, arc_distribution, structure_counts
-from toporna.oracle import enumerate_diagrams, enumerate_shapes
+from toporna import sampler as sampler_module
+from toporna.oracle import _matching_search, enumerate_diagrams, enumerate_shapes
 from toporna.recursions import shape_poly
 from toporna.sampler import (
     StructureSampler,
@@ -152,6 +153,23 @@ def test_shape_inventory_is_shared_and_in_search_order():
     assert {k: list(v) for k, v in large._shapes.items()} == fresh
     assert all(type(v) is tuple and v is large._shapes[k] for k, v in small._shapes.items())
     assert sorted(small._shapes) == [4, 5]
+
+
+def test_larger_shape_cap_searches_only_the_new_arc_counts(monkeypatch):
+    searched = []
+
+    def search(k, max_genus):
+        searched.append(k)
+        return _matching_search(k, max_genus)
+
+    monkeypatch.setattr(sampler_module, "_SHAPES", {})
+    monkeypatch.setattr(sampler_module, "_matching_search", search)
+    small = StructureSampler(PLAIN, 2, 10)  # shapes up to 5 arcs
+    assert searched == [0, 1, 2, 3, 4, 5]
+    large = StructureSampler(PLAIN, 2, 12)  # shapes up to 6 arcs
+    assert searched == [0, 1, 2, 3, 4, 5, 6]
+    assert sorted(small._shapes) == [4, 5] and sorted(large._shapes) == [4, 5, 6]
+    assert all(large._shapes[k] is v for k, v in small._shapes.items())
 
 
 def test_samples_valid_and_deterministic():
