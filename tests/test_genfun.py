@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from toporna.genfun import (
     pk_marked_dg_jet,
     structure_counts,
 )
-from toporna.genfun import _dg, _genus_jet
+from toporna.genfun import _dg, _genus_jet, _radical_numerator
 from toporna.oracle import enumerate_diagrams, full_census
 from toporna.recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
 from toporna.series import AlgebraicSeries, Polynomial, TruncatedSeries, YJet, XYPolynomial
@@ -442,6 +443,46 @@ def test_truncated_routes_stay_integral(r, data, genus, order):
 BASE_CLASSES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 3), (4, 3), (1, 4)]
 
 
+def _remainder(a, b):
+    a = a[:]
+    while len(a) >= len(b):
+        c, shift = a[-1] / b[-1], len(a) - len(b)
+        for i, bi in enumerate(b):
+            a[shift + i] -= c * bi
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _gcd_degree(f, g):
+    a, b = [Fraction(c) for c in f.coeffs], [Fraction(c) for c in g.coeffs]
+    while b:
+        a, b = b, _remainder(a, b)
+    return len(a) - 1
+
+
+@pytest.mark.parametrize("lam, r", BASE_CLASSES)
+def test_factor_base_is_primitive_squarefree_and_coprime(lam, r):
+    """Delta is the one factor of the closed form's denominators besides x.
+
+    At y = 1, 2, 3 it is primitive, squarefree and a unit at x = 0, and the
+    numerator P of D_g = P Delta^(-N-1/2) shares with it only the factors of
+    A (which divides Delta when B = (1 - x) A), so the exponent -N-1/2 holds
+    at every other root of Delta.
+    """
+    cls_ = StructureClass(lam, r)
+    for y in (1, 2, 3):
+        delta = discriminant_poly(cls_).at_y(y)
+        assert delta.degree >= 1 and delta.coeff(0) == 1
+        assert gcd(*delta.coeffs) == 1
+        assert _gcd_degree(delta, delta.derivative()) == 0
+        shared = _gcd_degree(core_polys(cls_)[0].at_y(y), delta)
+        assert shared == (2 * r if lam == 1 and r > 1 else 0)
+        for genus in (1, 2, 3):
+            numerator = _radical_numerator(cls_, genus)[0].at_y(y)
+            assert _gcd_degree(numerator, delta) == shared, (y, genus)
+
+
 def _quotient_element(a, b):
     """a / b in Q(x)(S), through the conjugate b.p - b.q S."""
     norm = b.p * b.p - b.q * b.q * b.delta
@@ -471,13 +512,18 @@ def _horner_reference(cls_, genus, y):
 
 
 @pytest.mark.parametrize("lam, r", BASE_CLASSES)
-def test_closed_form_matches_the_horner_reference(lam, r):
-    """D_g = P Delta^(-N-1/2) equals D0 P_g(w) at y = 1, 2, 3."""
+def test_class_base_reduction_keeps_the_expansion(lam, r):
+    """D_g = P Delta^(-N-1/2) equals D0 P_g(w) at y = 1, 2, 3.
+
+    The closed form is the class's reduced element: its denominator is no
+    larger than the plain Horner element's.
+    """
     cls_ = StructureClass(lam, r)
     for genus in (1, 2, 3):
         for y in (1, 2, 3):
-            expect = _horner_reference(cls_, genus, y).series(30)
-            assert _dg(cls_, genus, y).series(30) == expect, (genus, y)
+            reduced, plain = _dg(cls_, genus, y), _horner_reference(cls_, genus, y)
+            assert reduced.series(30) == plain.series(30), (genus, y)
+            assert reduced.d.degree <= plain.d.degree, (genus, y)
 
 
 def test_arc_jet_matches_chord_route_at_high_genus():
