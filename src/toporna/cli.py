@@ -25,7 +25,7 @@ from .diagram import (
     parse_structure,
 )
 from .genfun import StructureClass
-from .oracle import enumerate_diagrams, full_census
+from .oracle import arc_histograms, full_census
 from .sampler import StructureSampler, empirical_stats, inventory_cap, sample_enumerative
 
 GENERATOR_ID = "python-random-mt19937"
@@ -197,12 +197,10 @@ def _cmd_count(args) -> int:
     meta = _base_meta(
         args, "count", n=args.n, genus=args.genus, min_arc=args.lam, min_stack=args.r
     )
-    oracle_hist = None
+    oracle_hist: dict[int, int] | None = None
     if args.oracle:
         _check_ceiling(args.n, ceiling)
-        oracle_hist: dict[int, int] = {}
-        for d in enumerate_diagrams(args.n, args.lam, args.r, genus=args.genus):
-            oracle_hist[len(d.arcs)] = oracle_hist.get(len(d.arcs), 0) + 1
+        oracle_hist = arc_histograms(args.n, args.lam, args.r, args.genus)[args.genus]
         meta["oracle"] = True
     if args.arcs:
         dist = genfun.arc_distribution(cls_, args.genus, args.n)

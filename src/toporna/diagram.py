@@ -344,27 +344,44 @@ def _crossings(arcs: list[Arc] | tuple[Arc, ...]) -> tuple[list[list[int]], list
     sorted endpoints of every arc that crosses another.  The scan from arc
     a stops at the first arc that starts beyond a's right endpoint: every
     later arc starts further right still, so none of them can cross a.
+
+    Crossing arcs are joined by union-find on roots (path halving) and
+    marked in a per-arc ``crossed`` flag; both are allocated at the first
+    crossing, so a crossing-free structure costs only the scan.
     """
     m = len(arcs)
-    comp = list(range(m))
-    ends: list[int] = []
+    root: list[int] = []
+    crossed = b""
     for a in range(m):
-        ia, ja = arcs[a]
+        ja = arcs[a][1]
         for b in range(a + 1, m):
             ib, jb = arcs[b]
             if ib > ja:
                 break
             if jb > ja:
-                ends += (ia, ja, ib, jb)
-                ra, rb = comp[a], comp[b]
+                if not root:
+                    root = list(range(m))
+                    crossed = bytearray(m)
+                crossed[a] = crossed[b] = 1
+                ra, rb = a, b
+                while root[ra] != ra:
+                    root[ra] = root[root[ra]]
+                    ra = root[ra]
+                while root[rb] != rb:
+                    root[rb] = root[root[rb]]
+                    rb = root[rb]
                 if ra != rb:
-                    comp = [rb if c == ra else c for c in comp]
-    if not ends:
-        return [[a] for a in range(m)], ends
+                    root[rb] = ra
+    if not root:
+        return [[a] for a in range(m)], []
     groups: dict[int, list[int]] = {}
     for a in range(m):
-        groups.setdefault(comp[a], []).append(a)
-    return list(groups.values()), sorted(set(ends))
+        r = a
+        while root[r] != r:
+            r = root[r]
+        groups.setdefault(r, []).append(a)
+    involved = sorted([v for a in range(m) if crossed[a] for v in arcs[a]])
+    return list(groups.values()), involved
 
 
 def crossing_components(diagram: Diagram) -> list[list[int]]:
@@ -376,39 +393,69 @@ def crossing_components(diagram: Diagram) -> list[list[int]]:
 
 
 #: ``(label, genus)`` of every crossing component classified so far, keyed
-#: by its arcs with stacks collapsed, relabelled onto 1..2k.
-_component_classes: dict[tuple[Arc, ...], tuple[str, int]] = {}
+#: by its pattern (see :func:`_pattern`) with stacks collapsed.
+_component_classes: dict[tuple[int, ...], tuple[str, int]] = {}
+
+#: ``(label, genus)`` by the component's pattern as it stands, stacks
+#: included: the lookup that spares a hit the collapse.  Sampled structures
+#: rarely repeat a pattern once stacks are inflated, so it is emptied when
+#: it reaches :data:`_PATTERN_CAP` entries; the census at n <= 16 needs a few
+#: hundred.
+_pattern_classes: dict[tuple[int, ...], tuple[str, int]] = {}
+_PATTERN_CAP = 1024
+
+
+def _pattern(flat: list[int]) -> tuple[int, ...]:
+    """Replace each vertex of ``flat`` (all distinct) by its rank among them, from 0."""
+    rank = {v: t for t, v in enumerate(sorted(flat))}
+    return tuple([rank[v] for v in flat])
 
 
 def _classify_arcs(
     arcs: list[Arc] | tuple[Arc, ...], arc_indices: list[int]
 ) -> tuple[str, int]:
-    """Classify the component ``arc_indices`` of ``arcs``, through the cache.
+    """Classify the component ``arc_indices`` of ``arcs``, through two caches.
 
-    The key drops every arc followed, in left-endpoint order, by an arc
-    whose endpoints are next to its own among the component's vertices.
-    That inner arc crosses the same arcs, so a run of parallel arcs keeps
-    only its innermost one and neither the shadow nor the genus changes.
+    The component's pattern lists the endpoints of its arcs, arc by arc in
+    left-endpoint order, relabelled onto 0..2k-1: it does not see where
+    the component sits or which other vertices fill its gaps.  On a miss the
+    pattern drops every arc followed, in left-endpoint order, by an arc
+    whose endpoints are next to its own.  That inner arc crosses the same
+    arcs, so a run of parallel arcs keeps only its innermost one and
+    neither the shadow nor the genus changes; the collapsed pattern keys
+    :data:`_component_classes`, and only a new one is projected.
     """
-    comp = [arcs[a] for a in arc_indices]
-    rank = {v: t for t, v in enumerate(sorted([v for arc in comp for v in arc]), 1)}
-    key = [(rank[i], rank[j]) for i, j in comp]
-    kept = [(i, j) for (i, j), (k, l) in zip(key, key[1:]) if k != i + 1 or l != j - 1]
-    if len(kept) + 1 < len(key):
-        kept.append(key[-1])
-        rank = {v: t for t, v in enumerate(sorted([v for arc in kept for v in arc]), 1)}
-        key = [(rank[i], rank[j]) for i, j in kept]
-    key = tuple(key)
-    result = _component_classes.get(key)
+    pattern = _pattern([v for a in arc_indices for v in arcs[a]])
+    result = _pattern_classes.get(pattern)
     if result is None:
-        shadow = project_shadow(Diagram(2 * len(key), key))
+        result = _collapsed_class(pattern)
+        if len(_pattern_classes) >= _PATTERN_CAP:
+            _pattern_classes.clear()
+        _pattern_classes[pattern] = result
+    return result
+
+
+def _collapsed_class(pattern: tuple[int, ...]) -> tuple[str, int]:
+    pairs = list(zip(pattern[0::2], pattern[1::2]))
+    kept = [
+        v
+        for (i, j), (k, l) in zip(pairs, pairs[1:])
+        if k != i + 1 or l != j - 1
+        for v in (i, j)
+    ]
+    if len(kept) + 2 < len(pattern):
+        pattern = _pattern(kept + list(pairs[-1]))
+    result = _component_classes.get(pattern)
+    if result is None:
+        arcs = tuple((i + 1, j + 1) for i, j in zip(pattern[0::2], pattern[1::2]))
+        shadow = project_shadow(Diagram(len(pattern), arcs))
         g = shadow.genus().genus
         label = _SHADOW_LABELS.get(shadow) if g == 1 else "higher"
         if label is None:
             raise AssertionError(
                 f"genus-1 component with shadow outside the catalog: {shadow}"
             )
-        result = _component_classes[key] = label, g
+        result = _component_classes[pattern] = label, g
     return result
 
 
@@ -418,9 +465,9 @@ def classify_component(diagram: Diagram, arc_indices: list[int]) -> tuple[str, i
     Returns a pair ``(label, genus)`` where the label is ``"secondary"``
     for a single non-crossing arc, one of ``"H"``, ``"K"``, ``"L"``, ``"M"``
     for a genus-1 component according to its shadow, and ``"higher"``
-    otherwise.  Results are cached on the component with its stacks
-    collapsed, relabelled onto 1..2k, so repeated patterns are projected
-    once.
+    otherwise.  Results are cached on the component's pattern, its arcs
+    relabelled onto 0..2k-1 (see :func:`_classify_arcs`), so repeated
+    patterns are projected once.
 
     Raises:
         ValueError: if ``arc_indices`` is not one of the diagram's
@@ -565,11 +612,10 @@ def _tally_loops(
     ``involved`` is the sorted list of endpoints of every crossing arc;
     see :func:`loop_counts` for the loop kinds and ``literal_multi``.
     """
+    stacks = hairpins = bulges = interiors = multis = 0
     for i, j in arcs:
-        if not (i > 1 and j < n and partner[i - 1] == j + 1):
-            counts["stack"] += 1
-
-    for i, j in arcs:
+        if partner[i - 1] != j + 1:  # outermost arc of its run (partner[0] is 0)
+            stacks += 1
         v = i + 1
         children: list[Arc] = []
         while v < j:
@@ -583,19 +629,24 @@ def _tally_loops(
                 break
         else:  # no arc leaves the interior, so (i, j) closes a loop
             if not children:
-                counts["hairpin"] += 1
+                hairpins += 1
             elif len(children) == 1:
                 cl, cr = children[0]
                 gaps = (cl > i + 1) + (cr < j - 1)
                 if gaps == 1:
-                    counts["bulge"] += 1
+                    bulges += 1
                 elif gaps == 2:
-                    counts["interior"] += 1
+                    interiors += 1
             elif literal_multi or sum(
                 bisect_right(involved, cr) > bisect_left(involved, cl)
                 for cl, cr in children
             ) <= 1:
-                counts["multi"] += 1
+                multis += 1
+    counts["stack"] += stacks
+    counts["hairpin"] += hairpins
+    counts["bulge"] += bulges
+    counts["interior"] += interiors
+    counts["multi"] += multis
 
 
 def stem_count(diagram: Diagram) -> int:

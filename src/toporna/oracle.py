@@ -7,13 +7,18 @@ boundary component through v's insertion corner straight on the partner
 array (:func:`toporna.diagram._corner_face`) and marks the free vertices
 whose corners lie on it.  Pairing v with a marked vertex splits that
 component and keeps the genus; pairing it with an unmarked one merges two
-components and raises the genus by one.  Together with early checks for
+components and raises the genus by one.  The walk is lazy: it runs once
+the first partner candidate u has passed the cheap checks (u is free, u
+closes the only arc allowed when an open stack is still short, u is not
+v's neighbour under a hairpin bound), and before any pairing, so a vertex
+that can only stay unpaired costs no walk.  Together with early checks for
 undersized stacks and short hairpins this keeps the search tree close to
 the set of structures actually counted.
 
 Each finished structure is tallied into its genus row by
 :func:`toporna.diagram.tally_structure`, the same tally the sampler
-statistics use.  Census results are plain nested dicts so tests can
+statistics use; :func:`arc_histograms` only counts arcs, for callers that
+read nothing else.  Census results are plain nested dicts so tests can
 compare them wholesale against coefficient data from the generating
 function modules.
 
@@ -53,6 +58,7 @@ def _structures(
     partner = [0] * (n + 1)
     run_len = [0] * (n + 1)
     arcs: list[Arc] = []
+    one_face = b"\1" * (n + 1)  # with no arcs every corner is on the one face
 
     def descend(v: int, genus: int) -> Iterator[tuple[int, list[int], list[Arc]]]:
         while v <= n and partner[v]:
@@ -71,7 +77,7 @@ def _structures(
         blocked = wrap > v and run_len[v - 1] < min_stack
         if not blocked:
             yield from descend(v + 1, genus)
-        on_face = _corner_face(n, partner, v) if arcs and v < n else None
+        on_face = None
         for u in range(v + 1, n + 1):
             if partner[u]:
                 continue
@@ -79,7 +85,9 @@ def _structures(
                 continue
             if u == v + 1 and min_arc > 1:
                 continue
-            g2 = genus if on_face is None or on_face[u] else genus + 1
+            if on_face is None:
+                on_face = _corner_face(n, partner, v) if arcs else one_face
+            g2 = genus if on_face[u] else genus + 1
             if g2 > max_genus:
                 continue
             rl = run_len[v - 1] + 1 if v > 1 and partner[v - 1] == u + 1 else 1
@@ -97,10 +105,12 @@ def _structures(
     yield from descend(1, 0)
 
 
-def _check_class(min_arc: int, min_stack: int) -> None:
+def _check_class(min_arc: int, min_stack: int, max_genus: int | None = None) -> None:
     for name, value in (("min_arc", min_arc), ("min_stack", min_stack)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if max_genus is not None and max_genus < 0:
+        raise ValueError(f"max_genus must be nonnegative, got {max_genus}")
 
 
 def full_census(
@@ -120,13 +130,31 @@ def full_census(
         min_stack: every maximal stack needs at least this many arcs.
         max_genus: structures of larger genus are pruned during the search.
     """
-    _check_class(min_arc, min_stack)
-    if max_genus < 0:
-        raise ValueError(f"max_genus must be nonnegative, got {max_genus}")
+    _check_class(min_arc, min_stack, max_genus)
     rows = {g: new_tally() for g in range(max_genus + 1)}
     for genus, partner, arcs in _structures(n, min_arc, min_stack, max_genus):
         tally_structure(n, partner, arcs, rows[genus])
     return rows
+
+
+def arc_histograms(
+    n: int,
+    min_arc: int = 1,
+    min_stack: int = 1,
+    max_genus: int = 2,
+) -> dict[int, dict[int, int]]:
+    """Arc-number histograms of the structures on ``n`` vertices, by genus.
+
+    Counts straight from the search, with no tally and no :class:`Diagram`
+    per structure; the histograms equal the ``arc_hist`` rows of
+    :func:`full_census`.
+    """
+    _check_class(min_arc, min_stack, max_genus)
+    hists: dict[int, dict[int, int]] = {g: {} for g in range(max_genus + 1)}
+    for genus, _, arcs in _structures(n, min_arc, min_stack, max_genus):
+        hist = hists[genus]
+        hist[len(arcs)] = hist.get(len(arcs), 0) + 1
+    return hists
 
 
 def count_table(
@@ -138,9 +166,8 @@ def count_table(
     """Structure counts indexed by ``(genus, n)`` for all ``n <= n_max``."""
     out: dict[tuple[int, int], int] = {}
     for n in range(n_max + 1):
-        rows = full_census(n, min_arc, min_stack, max_genus)
-        for g, row in rows.items():
-            out[(g, n)] = row["count"]
+        for g, hist in arc_histograms(n, min_arc, min_stack, max_genus).items():
+            out[(g, n)] = sum(hist.values())
     return out
 
 
@@ -156,10 +183,9 @@ def enumerate_diagrams(
     The deterministic order pairs the lowest free vertex last, so the empty
     diagram comes first.  This runs the same search as :func:`full_census`.
     """
-    _check_class(min_arc, min_stack)
-    for name, value in (("genus", genus), ("max_genus", max_genus)):
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+    _check_class(min_arc, min_stack, max_genus)
+    if genus is not None and genus < 0:
+        raise ValueError(f"genus must be nonnegative, got {genus}")
     if genus is not None and max_genus is None:
         max_genus = genus
     cap = max_genus if max_genus is not None else n // 2
@@ -175,6 +201,7 @@ def _matching_search(
     n = 2 * num_arcs
     partner = [0] * (n + 1)
     arcs: list[Arc] = []
+    one_face = b"\1" * (n + 1)
 
     def descend(v: int, genus: int) -> Iterator[tuple[Diagram, int]]:
         while v <= n and partner[v]:
@@ -182,13 +209,15 @@ def _matching_search(
         if v > n:
             yield Diagram(n, tuple(arcs)), genus
             return
-        on_face = _corner_face(n, partner, v) if arcs and v < n else None
+        on_face = None
         for u in range(v + 2, n + 1):
             if partner[u]:
                 continue
             if v > 1 and partner[v - 1] == u + 1:
                 continue  # would stack onto the enclosing arc
-            g2 = genus if on_face is None or on_face[u] else genus + 1
+            if on_face is None:
+                on_face = _corner_face(n, partner, v) if arcs else one_face
+            g2 = genus if on_face[u] else genus + 1
             if max_genus is not None and g2 > max_genus:
                 continue
             partner[v] = u

@@ -7,13 +7,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from toporna import diagram
 from toporna.diagram import (
     GENUS1_SHADOWS,
     PAGES,
     PK_LABELS,
     Diagram,
     _classify_arcs,
+    _component_classes,
     _crossings,
+    _pattern_classes,
     arcs_cross,
     block_decomposition,
     boundary_components,
@@ -475,3 +478,40 @@ def test_emit_rejects_too_many_pages_like_pair_scan():
     # thirty of them still fit, one per page
     d = Diagram(60, tuple((k, k + 30) for k in range(1, 31)))
     assert emit_structure(d) == _emit_by_pair_scan(d)
+
+
+@given(
+    _partner_array(),
+    st.integers(0, 40),
+    st.lists(st.integers(0, 3), min_size=14, max_size=14),
+)
+def test_classifier_caches_ignore_position_and_gaps(case, shift, gaps):
+    """A component moved right, past vertex 255, with free vertices in its gaps."""
+    n, partner = case
+    d = Diagram.from_partner(n, partner)
+    place = [0] * (n + 1)
+    at = 256 + shift
+    for v in range(1, n + 1):
+        at += 1 + gaps[v - 1]
+        place[v] = at
+    moved = Diagram(at, tuple((place[i], place[j]) for i, j in d.arcs))
+    labels = {shadow: name for name, shadow in GENUS1_SHADOWS.items()}
+    for comp in crossing_components(d):
+        if len(comp) < 2:
+            continue
+        shadow = project_shadow(Diagram(n, tuple(d.arcs[a] for a in comp)))
+        g = shadow.genus().genus
+        expected = (labels[shadow] if g == 1 else "higher", g)
+        for first, second in ((d, moved), (moved, d)):
+            _component_classes.clear()
+            _pattern_classes.clear()
+            assert classify_component(first, comp) == expected
+            assert classify_component(second, comp) == expected
+
+
+def test_pattern_cache_is_emptied_when_full(monkeypatch):
+    monkeypatch.setattr(diagram, "_PATTERN_CAP", 2)
+    _pattern_classes.clear()
+    for shadow in GENUS1_SHADOWS.values():
+        classify_component(shadow, list(range(shadow.num_arcs)))
+        assert 1 <= len(_pattern_classes) <= 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -15,8 +17,10 @@ from toporna.diagram import (
     loop_counts,
     satisfies_constraints,
 )
+from toporna import oracle
 from toporna.oracle import (
     _corner_face,
+    arc_histograms,
     count_table,
     enumerate_diagrams,
     enumerate_shadows,
@@ -191,9 +195,51 @@ def test_genus_step_follows_the_corner_face(case):
     assert after - before == (0 if on_face[u] else 1)
 
 
+def test_corner_face_is_walked_only_for_a_pairable_vertex(monkeypatch):
+    census = full_census(10, 1, 1, 2)
+    shapes = list(enumerate_shapes(6, genus=2))
+    calls = 0
+
+    def checked(n, partner, v):
+        nonlocal calls
+        calls += 1
+        assert any(partner[u] == 0 for u in range(v + 1, n + 1)), (partner, v)
+        return _corner_face(n, partner, v)
+
+    monkeypatch.setattr(oracle, "_corner_face", checked)
+    assert full_census(10, 1, 1, 2) == census
+    assert list(enumerate_shapes(6, genus=2)) == shapes
+    assert calls > 0
+
+
+#: SHA-256 of the canonical JSON of ``full_census(n, min_arc, min_stack,
+#: max_genus)``, recorded before the crossing pass, the face walk and the
+#: classifier key were reworked for speed.
+CENSUS_DIGESTS = {
+    (10, 1, 1, 2): "085494518961442c218dd622098ce4346aee89f0cd82edc0b376ddb4f109a045",
+    (12, 2, 1, 2): "793041c2736f0b8434891920f349e4b63ed826702ca08cd5f005a384194a7fe7",
+    (16, 2, 2, 2): "7017e3bafb374e2ab58e9506543256741e39d039cb70c490ac8b2a21dada9994",
+    (11, 1, 2, 1): "95c096a2fd9ccb386907abf2bd0724cb28469d2e61489f2d17168ba74cc1662b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CENSUS_DIGESTS))
+def test_census_rows_match_recorded_digest(case):
+    text = json.dumps(full_census(*case), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", [(9, 1, 1, 2), (11, 2, 2, 1), (10, 3, 1, 0)])
+def test_arc_histograms_are_the_census_arc_rows(case):
+    hists = arc_histograms(*case)
+    assert hists == {g: row["arc_hist"] for g, row in full_census(*case).items()}
+
+
 def test_census_rejects_negative_genus_cap():
     with pytest.raises(ValueError, match="max_genus"):
         full_census(4, max_genus=-1)
+    with pytest.raises(ValueError, match="max_genus"):
+        arc_histograms(4, max_genus=-1)
 
 
 @pytest.mark.parametrize("kwargs", [{"max_genus": -1}, {"genus": -1}])
