@@ -9,38 +9,36 @@ series together with its first two derivatives in a marker variable y
 evaluated at y = 1, which is enough to read off exact expectations and
 variances of the marked statistic.
 
-Two kinds of family live here.  The algebraic ones, :func:`d0_series`,
-:func:`dg_series`, :func:`arc_distribution`, :func:`pk_marked_dg_jet` and
-the arc-marked jets :func:`d0_jet` and :func:`dg_jet`, are closed forms in
-Q(x)(S), with S the square root of the discriminant Delta = B^2 - 4 q^r A
-at an integer marker value y, held as
-:class:`~toporna.series.AlgebraicSeries` and expanded only at the end.
-The closed form comes from the chord-diagram route in three lines:
+Every family is a closed form in Q(x)(R), R the square root of a
+discriminant E, held as :class:`~toporna.series.AlgebraicSeries` and
+expanded only at the end.  Each solves a quadratic
+alpha Z^2 + beta Z + gamma = 0 over Z[x, y] at genus 0, with
+E = beta^2 - 4 alpha gamma, root Z = (-beta - R) / (2 alpha) and shape-arc
+series w = (-beta - R) / (2 m R).  One builder, :func:`_inflated`, forms
+D_g = Z P_g(w) (P_g the genus-g shape polynomial) as one element
+(p + q R) / (d E^j) of Z[x, y][R]; one rule, :func:`_element_jet`, reads
+its value and two y-derivatives at y = 1.  No element is ever divided.
 
-* D_g = (A/B) C_g(u) with u = q^r A / B^2, where q = x^2 y;
-* C_g(u) = sum_n w(n) u^n (1 - 4u)^(-n-1/2), w being the shape weights of
-  genus g (:func:`~toporna.recursions.shape_weights`, Harer-Zagier);
-* 1 - 4u = Delta / B^2, so for g >= 1 every power of B cancels and
-  D_g = P Delta^(-N-1/2), P = sum_n w(n) A^(n+1) q^(rn) Delta^(N-n), N = 3g - 1.
+* Arcs: with q = x^2 y, D0 solves q^r D0^2 - B D0 + A = 0
+  (:func:`core_polys`), the case (q^r, -B, A, 1) with E = Delta.  At
+  positive genus the chord-diagram route D_g = (A/B) C_g(u),
+  u = q^r A / B^2, C_g(u) = sum_n w(n) u^n (1 - 4u)^(-n-1/2) with the shape
+  weights w(n) (Harer-Zagier), and 1 - 4u = Delta / B^2 give
+  D_g = P Delta^(-N-1/2), P = sum_n w(n) A^(n+1) q^(rn) Delta^(N-n),
+  N = 3g - 1: the element (0, P, 1, Delta, N + 1).  :func:`dg_series` and
+  :func:`arc_distribution` evaluate it at integer y; the latter
+  interpolates [x^n] D_g exactly from y = 1, ..., n/2 + 1.
+* Loops: with G = 1/(1 - x), run = x G, s = m_stack x^(2r)/(1 - x^2),
+  h = m_hairpin x^(min_arc - 1) G, l = 2 m_bulge run + m_interior run^2
+  and m = m_multi, the closed component C (a stack with all it encloses)
+  solves C (1 - C G) = s ((h + l C)(1 - C G) + m C^2 G^3).  Substituting
+  C = 1 - x - 1/D, since D = 1/(1 - x - C), and multiplying through by
+  (1 - x)^4 (1 + x) leaves the quadratic :func:`_loop_quadratic`.
+* Crossing blocks: the arc case at y = 1, the marker in the coefficients
+  of the marked shape polynomial.
 
-P is one :class:`~toporna.series.XYPolynomial` per class and genus, and
-D_g at y is the single element P S / Delta^(N+1).  At genus 0,
-D0 = (B - S) / (2 q^r).  The marker jets at y = 1 come from exact
-y-derivatives of P and Delta, each again a polynomial times S over a power
-of Delta.  The block-marked jets read D_g = D0 P_g(w) with w = (B - S)/(2S),
-the series each shape arc becomes, formed as one element whose denominator
-is a constant times x^(2r) times a power of Delta.  No element is ever
-divided by another.  :func:`arc_distribution` evaluates D_g(x, y) at
-y = 1, ..., n/2 + 1 and interpolates the polynomial [x^n] D_g exactly.
-
-The chord-diagram route :func:`dg_via_chords` and the loop-marked jets
-stay on truncated-series arithmetic.  :func:`dg_via_chords` is the
-independent derivation the arc-marked jets are checked against: it reads
-the chord counts, not the shape weights.  The loop-marked jets take the
-root of the loop grammar's genus-0 quadratic by implicit differentiation
-(:meth:`~toporna.series.YJet.quadratic_root`) from its value at y = 1,
-read off the closed form of D0.  One table of markers drives that root and
-the series each shape arc becomes.
+Only :func:`dg_via_chords`, the independent route the arc jets are
+checked against, works on truncated series.
 
 Everything here is exact: coefficients are ints, and every division on
 the way is exact or raises ``ArithmeticError``.  Results are truncated
@@ -56,6 +54,7 @@ from functools import lru_cache
 
 from .diagram import LOOP_KINDS
 from .recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly, shape_weights
+from .recursions import _xy_from_poly
 from .series import (
     AlgebraicSeries,
     Polynomial,
@@ -133,8 +132,8 @@ def _check_genus(genus: int) -> None:
         raise ValueError(f"genus must be nonnegative, got {genus}")
 
 
-def _power(p: Polynomial, k: int) -> Polynomial:
-    out = Polynomial([1])
+def _power(p: Polynomial | XYPolynomial, k: int) -> Polynomial | XYPolynomial:
+    out = p * 0 + 1
     for _ in range(k):
         out = out * p
     return out
@@ -165,23 +164,29 @@ def _radical_numerator(cls_: StructureClass, genus: int) -> tuple[XYPolynomial, 
     return a.mul(acc), top
 
 
+def _arc_element(cls_: StructureClass, genus: int) -> tuple:
+    """D_g with arcs marked by y as (p, q, d, Delta, j): D_g = (p + q S) / (d Delta^j).
+
+    At genus 0 the root of the arc quadratic (see :func:`_inflated`); at
+    positive genus (0, P, 1, Delta, N + 1) (see :func:`_radical_numerator`).
+    """
+    _check_genus(genus)
+    if genus == 0:
+        return _inflated(_arc_quadratic(cls_), [1])
+    require_inflatable(cls_)
+    p, top = _radical_numerator(cls_, genus)
+    return XYPolynomial(), p, XYPolynomial.constant(1), discriminant_poly(cls_), top + 1
+
+
 @lru_cache(maxsize=_CLASS_CACHE)
 def _dg(cls_: StructureClass, genus: int, y: int) -> AlgebraicSeries:
     """The genus-g series D_g(x, y) at marker value y, arcs marked by y.
 
-    D0 = (B - S) / (2 q^r); at positive genus D_g = (0 + P S) / Delta^(N+1)
-    (see :func:`_radical_numerator`).  Every argument is positional, so a
-    call has one cache key.
+    Every argument is positional, so a call has one cache key.
     """
-    _check_genus(genus)
-    if genus:
-        require_inflatable(cls_)
-    delta = discriminant_poly(cls_).at_y(y)
-    if genus == 0:
-        qr = Polynomial.x_power(2 * cls_.min_stack) * y**cls_.min_stack
-        return AlgebraicSeries(delta, core_polys(cls_)[1].at_y(y), Polynomial([-1]), qr * 2)
-    p, top = _radical_numerator(cls_, genus)
-    return AlgebraicSeries(delta, Polynomial(), p.at_y(y), _power(delta, top + 1))
+    p, q, d, delta, j = _arc_element(cls_, genus)
+    delta = delta.at_y(y)
+    return AlgebraicSeries(delta, p.at_y(y), q.at_y(y), d.at_y(y) * _power(delta, j))
 
 
 def d0_series(cls_: StructureClass, order: int) -> TruncatedSeries:
@@ -210,41 +215,10 @@ def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
     return _genus_jet(cls_, genus).series(order)
 
 
-def _radical_jet(p: XYPolynomial, m: int, delta: XYPolynomial) -> YJet:
-    """The jet at y = 1 of P Delta^(-m-1/2), as three elements of Q(x)(S).
-
-    The rule d/dy (P Delta^(-m-1/2)) = Q Delta^(-m-3/2) / 2, with
-    Q = 2 P_y Delta - (2m + 1) P Delta_y, applied twice: the first
-    derivative is Q S / (2 Delta^(m+2)) and the second
-    (2 Q_y Delta - (2m + 3) Q Delta_y) S / (4 Delta^(m+3)).
-    """
-    (p0, p1, p2), (d0, d1, d2) = p.y1_jets(), delta.y1_jets()
-    q0 = p1 * d0 * 2 - p0 * d1 * (2 * m + 1)
-    q1 = p2 * d0 * 2 + p1 * d1 * (1 - 2 * m) - p0 * d2 * (2 * m + 1)  # Q_y
-    q2 = q1 * d0 * 2 - q0 * d1 * (2 * m + 3)
-    return YJet(*(
-        AlgebraicSeries(d0, Polynomial(), num, _power(d0, m + 1 + i) * 2**i)
-        for i, num in enumerate((p0, q0, q2))
-    ))
-
-
 @lru_cache(maxsize=_CLASS_CACHE)
 def _genus_jet(cls_: StructureClass, genus: int) -> YJet:
-    """D_g's jet at y = 1 as elements of Q(x)(S), before expansion.
-
-    At genus 0, D0 = y^(-r) (B - S) / (2 x^(2r)): the jet of B - S times
-    that of y^(-r), which is (1, -r, r(r + 1)), over 2 x^(2r).
-    """
-    _check_genus(genus)
-    delta = discriminant_poly(cls_)
-    if genus:
-        require_inflatable(cls_)
-        return _radical_jet(*_radical_numerator(cls_, genus), delta)
-    r, d = cls_.min_stack, delta.at_y(1)
-    b = YJet(*(AlgebraicSeries(d, p) for p in core_polys(cls_)[1].y1_jets()))
-    c = AlgebraicSeries(d, Polynomial([1]), None, Polynomial.x_power(2 * r) * 2)
-    b_minus_s = b + _radical_jet(XYPolynomial.constant(-1), -1, delta)
-    return b_minus_s * YJet(c, c * -r, c * (r * (r + 1)))
+    """D_g's jet at y = 1 as elements of Q(x)(S), before expansion."""
+    return _element_jet(*_arc_element(cls_, genus))
 
 
 def dg_via_chords(cls_: StructureClass, genus: int, order: int) -> YJet:
@@ -275,47 +249,97 @@ def dg_via_chords(cls_: StructureClass, genus: int, order: int) -> YJet:
     return ((aj / bj) * YJet(value, d1, d2)).truncate(order)
 
 
-def _loop_marks(kind: str, order: int) -> dict[str, YJet | int]:
-    """The marker of each loop kind: the jet of y where ``kind`` counts, else 1."""
+def _arc_quadratic(cls_: StructureClass) -> tuple[XYPolynomial, ...]:
+    """(q^r, -B, A, 1): the arc grammar q^r D0^2 - B D0 + A = 0, with m = 1."""
+    a, b = core_polys(cls_)
+    r = cls_.min_stack
+    return XYPolynomial.monomial(2 * r, r), -b, a, XYPolynomial.constant(1)
+
+
+def _loop_quadratic(cls_: StructureClass, kind: str) -> tuple[XYPolynomial, ...]:
+    """(alpha, beta, gamma, m): the loop grammar as alpha D^2 + beta D + gamma = 0.
+
+    The mark of each counted loop kind is y and every other mark is 1;
+    "stem" counts hairpins and multiloops.  With u = 1 - x,
+    sigma = m_stack x^(2r) and m = m_multi,
+    gamma = u^3 (1 + x) + sigma (m - 2 m_bulge x u - m_interior x^2),
+    beta = -u (gamma + sigma (m - m_hairpin x^(min_arc - 1))) and
+    alpha = m sigma u^2.  At y = 1 this is (1 - x)^2 times the arc
+    quadratic, and E = beta^2 - 4 alpha gamma is (1 - x)^4 Delta.
+    """
     if kind not in LOOP_KINDS and kind != "stem":
         raise ValueError(f"unknown loop kind {kind!r}")
     counted = ("hairpin", "multi") if kind == "stem" else (kind,)
-    y = YJet.marker_power(1, order)
-    return {k: y if k in counted else 1 for k in LOOP_KINDS}
+    one, x = XYPolynomial.constant(1), XYPolynomial.monomial(1, 0)
+    mark = {k: XYPolynomial.monomial(0, 1) if k in counted else one for k in LOOP_KINDS}
+    u, m = one - x, mark["multi"]
+    sigma = mark["stack"] * XYPolynomial.monomial(2 * cls_.min_stack, 0)
+    fill = mark["hairpin"] * XYPolynomial.monomial(cls_.min_arc - 1, 0)
+    loops = m - mark["bulge"] * x * u * 2 - mark["interior"] * x * x
+    gamma = u * u * u * (one + x) + sigma * loops
+    beta = -(u * (gamma + sigma * (m - fill)))
+    return m * sigma * u * u, beta, gamma, m
+
+
+def _inflated(quadratic: tuple[XYPolynomial, ...], coeffs: list) -> tuple:
+    """Z poly(w) as one element (p + q R) / (d E^j) of Z[x, y][R], R = sqrt(E).
+
+    ``quadratic`` is (alpha, beta, gamma, m) and ``coeffs`` lists poly's
+    coefficients, ints or polynomials in y, lowest first.  With
+    E = beta^2 - 4 alpha gamma, the root Z = (-beta - R) / (2 alpha) and the
+    shape-arc series w = (-beta - R) / (2 m R), Z poly(w) is
+    sum_k c_k (-beta - R)^(k+1) (2 m R)^(K-k) over 2 alpha (2m)^K R^K, K the
+    degree.  The numerator is formed by Horner's rule in -beta - R and
+    2 m R, reduced by R^2 = E, and R^K becomes E^ceil(K/2) after one more
+    factor R when K is odd.  Returns (p, q, d, E, j).
+    """
+    alpha, beta, gamma, m = quadratic
+    e, two_m = beta * beta - alpha * gamma * 4, m * 2
+    p = q = tq = XYPolynomial()  # the numerator p + q R, and (2 m R)^(K-k) = tp + tq R
+    tp = XYPolynomial.constant(1)
+    for c in reversed(coeffs):
+        p, q = tp * c - p * beta - q * e, tq * c - q * beta - p
+        tp, tq = two_m * tq * e, two_m * tp
+    p, q = -(p * beta) - q * e, -(q * beta) - p
+    top = len(coeffs) - 1
+    if top % 2:
+        p, q = q * e, p
+    return p, q, alpha * 2 * _power(two_m, top), e, (top + 1) // 2
+
+
+def _element_jet(
+    p: XYPolynomial, q: XYPolynomial, d: XYPolynomial, e: XYPolynomial, j: int
+) -> YJet:
+    """The jet at y = 1 of F = (p + q R) / (d E^j), R = sqrt(E), in Q(x)(R).
+
+    The k-th y-derivative is F_k = (p_k + q_k R) / (2^k d^(k+1) E^(j+k)),
+    and the quotient rule with R_y = E_y R / (2E) gives
+    p_(k+1) = 2E (d p_k,y - (k + 1) d_y p_k) - 2(j + k) d E_y p_k, and
+    q_(k+1) the same with 2(j + k) - 1 in place of 2(j + k).  The step from
+    F_1 to F_2 needs p_1 and q_1 with their first y-derivatives, so p, q, d
+    and E enter with two derivatives at y = 1.
+    """
+    (d0, d1, d2), (e0, e1, e2) = d.y1_jets(), e.y1_jets()
+    rows = []
+    for f, c in ((p, 2 * j), (q, 2 * j - 1)):
+        f0, f1, f2 = f.y1_jets()
+        g0 = (f1 * d0 - f0 * d1) * e0 * 2 - f0 * d0 * e1 * c  # p_1 or q_1
+        g1 = ((f2 * d0 - f0 * d2) * e0 + (f1 * d0 - f0 * d1) * e1) * 2
+        g1 = g1 - (f1 * d0 * e1 + f0 * (d1 * e1 + d0 * e2)) * c  # its y-derivative
+        rows.append((f0, g0, (g1 * d0 - g0 * d1 * 2) * e0 * 2 - g0 * d0 * e1 * (c + 2)))
+    return YJet(*(
+        AlgebraicSeries(e0, pk, qk, _power(d0, k + 1) * _power(e0, j + k) * 2**k)
+        for k, (pk, qk) in enumerate(zip(*rows))
+    ))
 
 
 def loop_marked_d0_jet(cls_: StructureClass, kind: str, order: int) -> YJet:
     """Genus-0 series with the marker counting one loop statistic.
 
-    ``kind`` is one of the five loop kinds, or "stem" (which marks hairpins
-    and multiloops together, one per stem).  With G = 1/(1 - x), run = x G,
-    s = m_stack x^(2r)/(1 - x^2), h = m_hairpin x^(min_arc - 1) G,
-    l = 2 m_bulge run + m_interior run^2 and m = m_multi, the closed
-    component C (a stack with everything it encloses) solves
-    C (1 - C G) = s ((h + l C)(1 - C G) + m C^2 G^3),
-    a quadratic a C^2 + b C + k = 0.  At y = 1 its root is
-    C0 = 1 - x - 1/D0 = 1 - x - (B + S) / (2A), an element of Q(x)(S)
-    because (B - S)(B + S) = 4 x^(2r) A; the marker derivatives follow by implicit
-    differentiation (:meth:`YJet.quadratic_root`), which raises unless C0
-    solves the quadratic.  The series is 1 / (1 - x - C).
+    ``kind`` is a loop kind or "stem", which marks hairpins and multiloops
+    together, one per stem; this is :func:`loop_marked_dg_jet` at genus 0.
     """
-    _check_order(order)
-    marks = _loop_marks(kind, order)
-    x = TruncatedSeries.x(order)
-    one = YJet.plain(TruncatedSeries.one(order))
-    g = one / YJet.plain(1 - x)
-    run = YJet.plain(x) * g
-    arcs = YJet.plain(TruncatedSeries.x_power(2 * cls_.min_stack, order))
-    s = marks["stack"] * arcs / (1 - YJet.plain(TruncatedSeries.x_power(2, order)))
-    fill = YJet.plain(TruncatedSeries.x_power(cls_.min_arc - 1, order))
-    h = marks["hairpin"] * fill * g
-    loops = marks["bulge"] * run * 2 + marks["interior"] * run * run
-    a = g + s * (marks["multi"] * g * g * g - loops * g)
-    b = s * (loops - h * g) - 1
-    a1, b1 = (p.at_y(1) for p in core_polys(cls_))
-    inverse = AlgebraicSeries(discriminant_poly(cls_).at_y(1), b1, Polynomial([1]), a1 * 2)
-    closed = YJet.quadratic_root(a, b, s * h, (1 - inverse).series(order) - x)
-    return one / (1 - YJet.plain(x) - closed)
+    return loop_marked_dg_jet(cls_, 0, kind, order)
 
 
 def loop_marked_dg_jet(
@@ -323,30 +347,30 @@ def loop_marked_dg_jet(
 ) -> YJet:
     """Genus-g series with the marker counting one loop statistic.
 
-    With Z the genus-0 series, each shape arc becomes the stack series
-    x^(2r) m_stack Z^2 / (1 - x^2 - x^(2r) m_stack J), where
-    J = m_multi (Z^2 - 1 - 2 run - run^2) + 2 m_bulge run + m_interior run^2
-    marks the loop between two consecutive stacked arcs.
+    D_g = Z P_g(w), with Z the root of the loop quadratic
+    (:func:`_loop_quadratic`) and w the series each shape arc becomes, both
+    in closed form (see :func:`_inflated`).  "stem" is genus 0 only.
+
+    Raises:
+        ArithmeticError: unless the loop quadratic at y = 1 is (1 - x)^2
+            times the arc quadratic, whose root is D0.
     """
     _check_order(order)
+    return _loop_jet(cls_, genus, kind).series(order)
+
+
+@lru_cache(maxsize=_CLASS_CACHE)
+def _loop_jet(cls_: StructureClass, genus: int, kind: str) -> YJet:
     _check_genus(genus)
-    if genus == 0:
-        return loop_marked_d0_jet(cls_, kind, order)
-    if kind == "stem":
-        raise ValueError("stem marking is only available at genus 0")
-    marks = _loop_marks(kind, order)
-    require_inflatable(cls_)
-    z = loop_marked_d0_jet(cls_, kind, order)
-    z2 = z * z
-    x = TruncatedSeries.x(order)
-    run = YJet.plain(x / (1 - x))
-    x2 = YJet.plain(TruncatedSeries.x_power(2, order))
-    arcs = YJet.plain(TruncatedSeries.x_power(2 * cls_.min_stack, order))
-    arcs = marks["stack"] * arcs
-    loops = marks["multi"] * (z2 - 1 - run * 2 - run * run)
-    loops = loops + marks["bulge"] * run * 2 + marks["interior"] * run * run
-    w = arcs * z2 / (1 - x2 - arcs * loops)
-    return z * shape_poly(genus)(w)
+    quadratic = _loop_quadratic(cls_, kind)
+    if genus:
+        if kind == "stem":
+            raise ValueError("stem marking is only available at genus 0")
+        require_inflatable(cls_)
+    u2 = XYPolynomial({(0, 0): 1, (1, 0): -2, (2, 0): 1})
+    if any(f.at_y(1) != (u2 * g).at_y(1) for f, g in zip(quadratic[:3], _arc_quadratic(cls_))):
+        raise ArithmeticError("loop quadratic at y = 1 is not (1 - x)^2 times the arc quadratic")
+    return _element_jet(*_inflated(quadratic, shape_poly(genus).coeffs))
 
 
 def pk_marked_dg_jet(
@@ -356,9 +380,10 @@ def pk_marked_dg_jet(
 
     ``kind`` selects one of the four genus-1 block types (see
     :data:`toporna.recursions.MARK_KINDS`).  Arcs are unmarked here; only
-    whole blocks whose shadow matches the requested type count.  The value
-    and both marker derivatives are D0 p(w) for the value and derivatives p
-    of the marked shape polynomial at y = 1 (see :func:`_inflated`).
+    whole blocks whose shadow matches the requested type count.  The series
+    is D0 P(w), with the arc quadratic at y = 1 and P the marked shape
+    polynomial, whose coefficients are polynomials in y (see
+    :func:`_inflated`).
     """
     if kind not in MARK_KINDS:
         raise ValueError(f"unknown block kind {kind!r}")
@@ -366,32 +391,13 @@ def pk_marked_dg_jet(
         raise ValueError(f"block marking needs genus at least 1, got {genus}")
     _check_order(order)
     require_inflatable(cls_)
-    delta = discriminant_poly(cls_).at_y(1)
-    b = core_polys(cls_)[1].at_y(1)
-    jets = marked_shape_poly(genus, kind).y1_jets()
-    return YJet(*(_inflated(p, b, delta, cls_.min_stack).series(order) for p in jets))
-
-
-def _inflated(poly: Polynomial, b: Polynomial, delta: Polynomial, r: int) -> AlgebraicSeries:
-    """D0 poly(w) at y = 1 as one element of Q(x)(S).
-
-    w = (B - S) / (2S) = (B S - Delta) / (2 Delta) is the series each shape
-    arc becomes.  With D0 = (B - S) / (2 x^(2r)) and K = deg poly, D0 poly(w) is
-    sum_k c_k (B - S)^(k+1) (2S)^(K-k) over 2^(K+1) x^(2r) S^K.  The
-    numerator is formed in Z[x][S], reduced by S^2 = Delta, and S^K
-    becomes Delta^ceil(K/2) after one more factor S when K is odd.
-    """
-    p = q = Polynomial()  # the numerator p + q S
-    tp, tq = Polynomial([1]), Polynomial()  # (2S)^(K-k)
-    for c in reversed(poly.coeffs):  # homogeneous Horner in B - S and 2S
-        p, q = p * b - q * delta + tp * c, q * b - p + tq * c
-        tp, tq = tq * delta * 2, tp * 2
-    p, q = p * b - q * delta, q * b - p
-    top = poly.degree
-    if top % 2:
-        p, q = q * delta, p
-    den = Polynomial.x_power(2 * r) * 2 ** (top + 1) * _power(delta, (top + 1) // 2)
-    return AlgebraicSeries(delta, p, q, den)
+    poly = marked_shape_poly(genus, kind)
+    coeffs = [
+        XYPolynomial({(0, j): c for (i, j), c in poly.terms.items() if i == k})
+        for k in range(poly.x_degree() + 1)
+    ]
+    unmarked = tuple(_xy_from_poly(f.at_y(1)) for f in _arc_quadratic(cls_))
+    return _element_jet(*_inflated(unmarked, coeffs)).series(order)
 
 
 def structure_counts(cls_: StructureClass, genus: int, order: int) -> list[int]:

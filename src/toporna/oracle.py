@@ -105,12 +105,18 @@ def _structures(
     yield from descend(1, 0)
 
 
-def _check_class(min_arc: int, min_stack: int, max_genus: int | None = None) -> None:
+def _check_class(
+    min_arc: int = 1, min_stack: int = 1, max_genus: int | None = None, genus: int | None = None
+) -> None:
+    """Raise ``ValueError``, naming the argument, for a request no structure can meet."""
     for name, value in (("min_arc", min_arc), ("min_stack", min_stack)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    if max_genus is not None and max_genus < 0:
-        raise ValueError(f"max_genus must be nonnegative, got {max_genus}")
+    for name, value in (("genus", genus), ("max_genus", max_genus)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    if genus is not None and max_genus is not None and genus > max_genus:
+        raise ValueError(f"genus must be at most max_genus, got {genus} > {max_genus}")
 
 
 def full_census(
@@ -183,9 +189,7 @@ def enumerate_diagrams(
     The deterministic order pairs the lowest free vertex last, so the empty
     diagram comes first.  This runs the same search as :func:`full_census`.
     """
-    _check_class(min_arc, min_stack, max_genus)
-    if genus is not None and genus < 0:
-        raise ValueError(f"genus must be nonnegative, got {genus}")
+    _check_class(min_arc, min_stack, max_genus, genus)
     if genus is not None and max_genus is None:
         max_genus = genus
     cap = max_genus if max_genus is not None else n // 2
@@ -241,6 +245,7 @@ def enumerate_shapes(
     A shape has no unpaired vertices, no 1-arcs and no stacked arcs; the
     number of shapes of fixed genus is finite.
     """
+    _check_class(max_genus=max_genus, genus=genus)
     if genus is not None and max_genus is None:
         max_genus = genus
     for k in range(max_arcs + 1):

@@ -33,10 +33,8 @@ Four layers:
 * :class:`YJet`, a 2-jet in a marker variable, carrying the value and the
   first two derivatives at marker value 1.  Its components are either all
   truncated series or all algebraic elements; an algebraic jet is exact
-  and is expanded with :meth:`YJet.series`.  A root of a quadratic is
-  taken on truncated jets by implicit differentiation
-  (:meth:`YJet.quadratic_root`) from its value at marker value 1, so S is
-  the only square root the kernel expands.
+  and is expanded with :meth:`YJet.series`.  S is the only square root
+  the kernel expands.
 
 A joint distribution in x and the marker is not held as a series with
 polynomial coefficients: it is read off :class:`AlgebraicSeries` evaluated
@@ -717,8 +715,8 @@ class YJet:
     variances of the marked statistic without carrying the full bivariate
     expansion.  The components are :class:`TruncatedSeries` of one order,
     or exact :class:`AlgebraicSeries` that :meth:`series` expands.  Sums
-    and products follow the same rules for both; quotients and
-    :meth:`quadratic_root` divide, so they take truncated components.
+    and products follow the same rules for both; quotients divide, so they
+    take truncated components.
     """
 
     __slots__ = ("value", "d1", "d2")
@@ -816,31 +814,6 @@ class YJet:
         d1 = (self.d1 - value * other.d1) / other.value
         d2 = (self.d2 - 2 * (d1 * other.d1) - value * other.d2) / other.value
         return YJet(value, d1, d2)
-
-    @classmethod
-    def quadratic_root(
-        cls, a: YJet, b: YJet, k: YJet, value: TruncatedSeries
-    ) -> YJet:
-        """The jet of the root z of a z^2 + b z + k = 0 whose value at y = 1 is ``value``.
-
-        With f = a z^2 + b z + k, implicit differentiation in the marker at
-        z = ``value`` gives z' = -f_y / f_z and
-        z'' = -(f_yy + 2 f_zy z' + 2 a z'^2) / f_z.  The components of a, b
-        and k are truncated series of ``value``'s order, and f_z must have
-        a constant term that divides every quotient exactly.
-
-        Raises:
-            ArithmeticError: unless ``value`` is a root at y = 1.
-        """
-        az = a.value * value
-        if not ((az + b.value) * value + k.value).is_zero():
-            raise ArithmeticError("the value is not a root of the quadratic")
-        f_z = az * 2 + b.value
-        d1 = -(((a.d1 * value + b.d1) * value + k.d1) / f_z)
-        f_zy = a.d1 * value * 2 + b.d1
-        f_yy = (a.d2 * value + b.d2) * value + k.d2
-        d2 = -((f_yy + f_zy * d1 * 2 + a.value * d1 * d1 * 2) / f_z)
-        return cls(value, d1, d2)
 
     def shift(self, k: int) -> YJet:
         return YJet(self.value.shift(k), self.d1.shift(k), self.d2.shift(k))

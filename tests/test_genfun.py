@@ -23,7 +23,9 @@ from toporna.genfun import (
     pk_marked_dg_jet,
     structure_counts,
 )
-from toporna.genfun import _dg, _genus_jet, _radical_numerator
+from toporna import genfun
+from toporna.genfun import _dg, _genus_jet, _inflated, _loop_jet, _loop_quadratic
+from toporna.genfun import _radical_numerator
 from toporna.oracle import enumerate_diagrams, full_census
 from toporna.recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
 from toporna.series import AlgebraicSeries, Polynomial, TruncatedSeries, YJet, XYPolynomial
@@ -427,7 +429,7 @@ def test_algebraic_arc_jet_matches_chord_route(r, data, genus, order):
     order=st.integers(1, 60),
 )
 def test_truncated_routes_stay_integral(r, data, genus, order):
-    """The loop jets, the chord route and the three chord series divide exactly.
+    """Every loop jet, the chord route and the three chord series divide exactly.
 
     Every division of the integer kernel raises ``ArithmeticError`` unless
     it is exact, so each call below completing is the check.
@@ -574,3 +576,57 @@ def test_scaled_type_h_mean_enters_the_five_percent_band_by_3600():
     assert at_400 > Fraction(1, 20)
     assert at_3600 < Fraction(1, 20)
     assert (round(float(at_400), 4), round(float(at_3600), 4)) == (0.1403, 0.0496)
+
+
+LOOP_CLASSES = [(1, 1), (2, 1), (2, 2), (3, 2), (1, 3), (4, 3), (1, 2)]
+
+
+@pytest.mark.parametrize("lam, r", LOOP_CLASSES)
+def test_loop_radicand_is_the_arc_discriminant_at_y1(lam, r):
+    """E = beta^2 - 4 alpha gamma of the loop quadratic is (1 - x)^4 Delta at y = 1."""
+    cls_ = StructureClass(lam, r)
+    u4 = Polynomial([1, -4, 6, -4, 1])
+    for kind in LOOP_KINDS + ("stem",):
+        e = _inflated(_loop_quadratic(cls_, kind), [1])[3]
+        assert e.at_y(1) == u4 * discriminant_poly(cls_).at_y(1), kind
+
+
+def test_loop_jet_refuses_a_grammar_that_is_not_the_arc_grammar_at_y1(monkeypatch):
+    def perturbed(cls_, kind):
+        alpha, beta, gamma, m = _loop_quadratic(cls_, kind)
+        return alpha, beta, gamma + XYPolynomial.monomial(5, 0), m
+
+    _loop_jet.cache_clear()
+    monkeypatch.setattr(genfun, "_loop_quadratic", perturbed)
+    for genus in (0, 1):
+        with pytest.raises(ArithmeticError, match="arc quadratic"):
+            loop_marked_dg_jet(PLAIN, genus, "multi", 8)
+    monkeypatch.undo()
+    assert loop_marked_dg_jet(PLAIN, 1, "multi", 8).value == dg_series(PLAIN, 1, 8)
+
+
+def _loop_digest(classes, orders):
+    """SHA-256 over the loop-marked jets: class, then genus, then kind, then order."""
+    digest = hashlib.sha256()
+    for lam, r in classes:
+        cls_ = StructureClass(lam, r)
+        for g in (0, 1, 2):
+            for kind in LOOP_KINDS + (("stem",) if g == 0 else ()):
+                for order in orders:
+                    jet = loop_marked_dg_jet(cls_, g, kind, order)
+                    digest.update(repr(_jet_data(jet)).encode())
+    return digest.hexdigest()
+
+
+def test_loop_family_outputs_are_pinned():
+    """1,232 loop-marked jets, recorded from the truncated implicit-differentiation route."""
+    orders = list(range(1, 9)) + [13, 30, 41]
+    assert _loop_digest(LOOP_CLASSES, orders) == (
+        "dfc6edf25b9d8e08c4930e4a29ce01e9fae05070d32e2c6e452c0b313831f410"
+    )
+
+
+def test_loop_family_outputs_are_pinned_at_order_101():
+    assert _loop_digest([(1, 1), (2, 2), (4, 3), (1, 4)], [101]) == (
+        "1c44529dca1beacc37169453689d940ec581631b2f9bcf27eb94f606c2e867df"
+    )

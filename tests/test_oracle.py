@@ -249,6 +249,20 @@ def test_enumerate_diagrams_rejects_negative_genus(kwargs):
 
 
 @pytest.mark.parametrize(
+    "enumerate_, args, kwargs, name",
+    [
+        (enumerate_diagrams, (8,), {"genus": 2, "max_genus": 1}, "^genus must be at most"),
+        (enumerate_shapes, (4,), {"genus": 2, "max_genus": 1}, "^genus must be at most"),
+        (enumerate_shapes, (4,), {"genus": -1}, "^genus must be nonnegative"),
+        (enumerate_shapes, (4,), {"max_genus": -1}, "^max_genus must be nonnegative"),
+    ],
+)
+def test_enumerators_reject_contradictory_genus_arguments(enumerate_, args, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        next(enumerate_(*args, **kwargs))
+
+
+@pytest.mark.parametrize(
     "min_arc, min_stack, name", [(0, 1, "min_arc"), (0, 0, "min_arc"), (1, 0, "min_stack")]
 )
 def test_oracle_rejects_invalid_class(min_arc, min_stack, name):

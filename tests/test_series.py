@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from toporna.genfun import _element_jet
 from toporna.series import (
     AlgebraicSeries,
     BivariateSeries,
@@ -320,15 +321,6 @@ def jet_of(s: BivariateSeries) -> YJet:
     return YJet(s.at_y(1), d1.at_y(1), d2.at_y(1))
 
 
-def bivariate_negated_sum(*parts: BivariateSeries) -> BivariateSeries:
-    """-(p1 + p2 + ...), coefficient by coefficient."""
-    out = []
-    for cs in zip(*(p.coeffs for p in parts)):
-        width = max(map(len, cs))
-        out.append([-sum(c[j] for c in cs if j < len(c)) for j in range(width)])
-    return BivariateSeries(out, parts[0].order)
-
-
 def test_jet_product_rule_against_bivariate():
     rng = random.Random(5)
     for _ in range(20):
@@ -348,47 +340,40 @@ def test_jet_quotient_rule_against_bivariate():
         assert jet_of(f) / jet_of(g) == jet_of(f / g)
 
 
-def test_jet_quadratic_root_rule_against_bivariate():
-    """The jet of a known bivariate root z of a z^2 + b z + k, with k = -(a z^2 + b z)."""
-    rng = random.Random(7)
-    for _ in range(20):
-        order = rng.randint(3, 10)
-        z, a, b = (random_bivariate(rng, order) for _ in range(3))
-        b.coeffs[0] = [rng.choice([1, -1])]
-        z.coeffs[0] = []  # f_z = 2 a z + b then has the unit constant term of b
-        k = bivariate_negated_sum(a * z * z, b * z)
-        root = YJet.quadratic_root(jet_of(a), jet_of(b), jet_of(k), z.at_y(1))
-        assert root == jet_of(z)
+def random_xy(rng: random.Random) -> XYPolynomial:
+    """A few terms of x-degree at most 3 and y-degree at most 2."""
+    return XYPolynomial(
+        {(rng.randint(0, 3), rng.randint(0, 2)): rng.randint(-3, 3) for _ in range(4)}
+    )
 
 
-def test_algebraic_jet_quadratic_root_matches_the_truncated_rule():
-    """An algebraic root's expansion is the truncated rule's root of the expanded quadratic.
+def bivariate_of(poly: XYPolynomial, order: int) -> BivariateSeries:
+    coeffs: list[list[int]] = [[] for _ in range(order)]
+    for (i, j), c in poly.terms.items():
+        if i < order:
+            coeffs[i] += [0] * (j + 1 - len(coeffs[i]))
+            coeffs[i][j] += c
+    return BivariateSeries(coeffs, order)
 
-    Elements of Q(x)(S) are not divided, so the rule itself runs on the
-    expansions only.
+
+def test_element_jet_rule_against_bivariate():
+    """The jet of (p + q R) / (d E^j), R = sqrt(E), against the bivariate quotient.
+
+    On a perfect square E = (1 + x f)^2, R is the polynomial 1 + x f, so the
+    element is a quotient of polynomials whose constant term in x is 1.
     """
-    rng = random.Random(8)
-    order = 20
-    for _ in range(10):
-        z, a, b = (YJet(*(random_element(rng) for _ in range(3))) for _ in range(3))
-        b = YJet(b.value + 1 - b.value.series(1).coeff(0), b.d1, b.d2)
-        z = YJet(z.value - z.value.series(1).coeff(0), z.d1, z.d2)
-        k = -(a * z * z + b * z)
-        with pytest.raises(TypeError):
-            YJet.quadratic_root(a, b, k, z.value)
-        truncated = [j.series(order) for j in (a, b, k)]
-        assert YJet.quadratic_root(*truncated, z.value.series(order)) == z.series(order)
-
-
-@pytest.mark.parametrize("algebraic", [False, True])
-def test_quadratic_root_rejects_a_value_that_is_not_a_root(algebraic):
-    s = AlgebraicSeries(MOTZKIN_DELTA, Polynomial(), Polynomial([1]))
-    one = s * 0 + 1 if algebraic else TruncatedSeries.one(5)
-    a, b, k = YJet.plain(one), YJet.plain(one * -3), YJet.plain(one * 2)
-    # (z - 1)(z - 2) = 0: neither S nor 1 + x^4 (modulo x^5) is a root
-    value = s if algebraic else one + TruncatedSeries.x_power(4, 5)
-    with pytest.raises(ArithmeticError, match="not a root"):
-        YJet.quadratic_root(a, b, k, value)
+    rng = random.Random(7)
+    one, x = XYPolynomial.constant(1), XYPolynomial.monomial(1, 0)
+    for j in (0, 1, 2):
+        for _ in range(15):
+            order = rng.randint(1, 10)
+            p, q, f, g = (random_xy(rng) for _ in range(4))
+            root, d = one + x * f, one + x * g
+            den = d
+            for _ in range(2 * j):
+                den = den * root
+            quotient = bivariate_of(p + q * root, order) / bivariate_of(den, order)
+            assert _element_jet(p, q, d, root * root, j).series(order) == jet_of(quotient), j
 
 
 def test_jet_marker_power():
