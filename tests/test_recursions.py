@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -244,3 +245,24 @@ def test_top_weight_closed_form():
         assert shape_weights(g)[3 * g - 1] * 3 * g == num
     top = [shape_weights(g)[3 * g - 1] for g in range(1, 6)]
     assert top == [1, 105, 50050, 56581525, 117123756750]
+
+
+def test_counting_layer_outputs_are_pinned():
+    # One digest over the irreducible, shape and marked shape polynomials and
+    # every chord route, so any rewrite of the counting layer must reproduce
+    # them exactly.
+    digest = hashlib.sha256()
+    for g in range(1, 5):
+        digest.update(repr(irreducible_poly(g).coeffs).encode())
+    for g in range(7):
+        digest.update(repr(shape_poly(g).coeffs).encode())
+    for g in range(4):
+        for kind in MARK_KINDS:
+            digest.update(repr(marked_shape_poly(g, kind).sorted_terms()).encode())
+    for g in range(6):
+        for order in (1, 2, 5, 25, 61, 401):
+            for route in ("recursion", "closed", "shapes"):
+                digest.update(repr(chord_series(g, order, route).coeffs).encode())
+    assert digest.hexdigest() == (
+        "b15ecd1a93424255044135aa2c3e44ec09f064aaa4aebce2cee4f38f1e4bdd9f"
+    )
