@@ -280,8 +280,8 @@ def _cmd_shapes(args) -> int:
 
 def _cmd_irreducibles(args) -> int:
     _at_least("--genus", args.genus, 1)
-    meta = _base_meta(args, "irreducibles", genus=args.genus, derived=args.derived)
-    poly = recursions.irreducible_poly(args.genus, derived=args.derived)
+    meta = _base_meta(args, "irreducibles", genus=args.genus)
+    poly = recursions.irreducible_poly(args.genus)
     rows = [
         {"x_power": i, "coefficient": c} for i, c in enumerate(poly.coeffs) if c
     ]
@@ -583,11 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         "irreducibles", parents=[common], help="irreducible shadow polynomial"
     )
     _genus_flag(p, default=1)
-    p.add_argument(
-        "--derived",
-        action="store_true",
-        help="rebuild from the shape recursion instead of the stored table",
-    )
     p.set_defaults(func=_cmd_irreducibles)
 
     p = sub.add_parser("genus", parents=[common], help="genus of given structures")

@@ -25,7 +25,8 @@ its value and two y-derivatives at y = 1.  No element is ever divided.
   u = q^r A / B^2, C_g(u) = sum_n w(n) u^n (1 - 4u)^(-n-1/2) with the shape
   weights w(n) (Harer-Zagier), and 1 - 4u = Delta / B^2 give
   D_g = P Delta^(-N-1/2), P = sum_n w(n) A^(n+1) q^(rn) Delta^(N-n),
-  N = 3g - 1: the element (0, P, 1, Delta, N + 1).  :func:`dg_series` and
+  N = 3g - 1: the element (0, P, 1, Delta, N + 1), with P from the one
+  weight sum :func:`toporna.recursions._weight_sum`.  :func:`dg_series` and
   :func:`arc_distribution` evaluate it at integer y; the latter
   interpolates [x^n] D_g exactly from y = 1, ..., n/2 + 1.
 * Loops: with G = 1/(1 - x), run = x G, s = m_stack x^(2r)/(1 - x^2),
@@ -53,8 +54,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .diagram import LOOP_KINDS
-from .recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly, shape_weights
-from .recursions import _xy_from_poly
+from .recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
+from .recursions import _check_genus, _weight_sum, _xy_from_poly
 from .series import (
     AlgebraicSeries,
     Polynomial,
@@ -62,6 +63,7 @@ from .series import (
     XYPolynomial,
     YJet,
     _exact_quotient,
+    _power,
 )
 
 
@@ -127,18 +129,6 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be at least 1, got {order}")
 
 
-def _check_genus(genus: int) -> None:
-    if genus < 0:
-        raise ValueError(f"genus must be nonnegative, got {genus}")
-
-
-def _power(p: Polynomial | XYPolynomial, k: int) -> Polynomial | XYPolynomial:
-    out = p * 0 + 1
-    for _ in range(k):
-        out = out * p
-    return out
-
-
 # arc_distribution adds one cached element per marker value y, so these
 # caches are bounded.
 _CLASS_CACHE = 64
@@ -148,20 +138,13 @@ _CLASS_CACHE = 64
 def _radical_numerator(cls_: StructureClass, genus: int) -> tuple[XYPolynomial, int]:
     """P and N with D_g = P Delta^(-N-1/2), for genus g >= 1.
 
-    P = sum_n w(n) A^(n+1) (x^2 y)^(rn) Delta^(N-n), with w the shape
-    weights of genus g and N the largest n they support, 3g - 1.
+    P = A sum_n w(n) u^n Delta^(N-n) with u = (x^2 y)^r A, the weight sum
+    of :func:`toporna.recursions._weight_sum`, and N = 3g - 1.
     """
-    weights = shape_weights(genus)
     a = core_polys(cls_)[0]
-    delta = discriminant_poly(cls_)
     u = a.mul(XYPolynomial.monomial(2 * cls_.min_stack, cls_.min_stack))
-    top = max(weights)
-    acc, power = XYPolynomial(), XYPolynomial.constant(1)
-    for n in range(top + 1):  # after step n, acc = sum_(k <= n) w(k) u^k Delta^(n-k)
-        acc = acc.mul(delta) + power * weights.get(n, 0)
-        if n < top:
-            power = power.mul(u)
-    return a.mul(acc), top
+    p, top = _weight_sum(genus, u, discriminant_poly(cls_))
+    return a.mul(p), top
 
 
 def _arc_element(cls_: StructureClass, genus: int) -> tuple:

@@ -106,13 +106,14 @@ def _structures(
 
 
 def _check_class(
-    min_arc: int = 1, min_stack: int = 1, max_genus: int | None = None, genus: int | None = None
+    n: int | None = None, min_arc: int = 1, min_stack: int = 1,
+    max_genus: int | None = None, genus: int | None = None,
 ) -> None:
     """Raise ``ValueError``, naming the argument, for a request no structure can meet."""
     for name, value in (("min_arc", min_arc), ("min_stack", min_stack)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    for name, value in (("genus", genus), ("max_genus", max_genus)):
+    for name, value in (("n", n), ("genus", genus), ("max_genus", max_genus)):
         if value is not None and value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     if genus is not None and max_genus is not None and genus > max_genus:
@@ -136,7 +137,7 @@ def full_census(
         min_stack: every maximal stack needs at least this many arcs.
         max_genus: structures of larger genus are pruned during the search.
     """
-    _check_class(min_arc, min_stack, max_genus)
+    _check_class(n, min_arc, min_stack, max_genus)
     rows = {g: new_tally() for g in range(max_genus + 1)}
     for genus, partner, arcs in _structures(n, min_arc, min_stack, max_genus):
         tally_structure(n, partner, arcs, rows[genus])
@@ -155,7 +156,7 @@ def arc_histograms(
     per structure; the histograms equal the ``arc_hist`` rows of
     :func:`full_census`.
     """
-    _check_class(min_arc, min_stack, max_genus)
+    _check_class(n, min_arc, min_stack, max_genus)
     hists: dict[int, dict[int, int]] = {g: {} for g in range(max_genus + 1)}
     for genus, _, arcs in _structures(n, min_arc, min_stack, max_genus):
         hist = hists[genus]
@@ -189,7 +190,7 @@ def enumerate_diagrams(
     The deterministic order pairs the lowest free vertex last, so the empty
     diagram comes first.  This runs the same search as :func:`full_census`.
     """
-    _check_class(min_arc, min_stack, max_genus, genus)
+    _check_class(n, min_arc, min_stack, max_genus, genus)
     if genus is not None and max_genus is None:
         max_genus = genus
     cap = max_genus if max_genus is not None else n // 2

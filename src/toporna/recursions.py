@@ -11,13 +11,20 @@ The central recursion is the two-term one for chord diagram counts by genus,
     (n + 1) c_g(n) = 2(2n - 1) c_g(n-1) + (n - 1)(2n - 1)(2n - 3) c_{g-1}(n-2),
 
 seeded by the empty diagram.  A companion recursion produces the finite
-weight family ``shape_weights(g)`` whose entries expand the genus-g diagram
-series in the basis x^n (1-4x)^(-n-1/2) and, at the same time, give the
-shape polynomial in the basis x^n (1+x)^(n+1).  At genus 0 the series is
+weight family ``shape_weights(g)`` (Harer-Zagier) whose entries expand the
+genus-g diagram series in the basis x^n (1-4x)^(-n-1/2) and, at the same
+time, give the shape polynomial in the basis x^n (1+x)^(n+1).  Both, and
+the arc series of :mod:`toporna.genfun`, are one weight sum
+P = sum_n w(n) u^n delta^(N-n), N = 3g - 1, in different rings;
+:func:`_weight_sum` is its one expansion.  At genus 0 the series is
 Catalan's, the algebraic element (1 - sqrt(1 - 4x)) / (2x).
 
-The four genus-1 crossing types that can be marked, and the arc counts of
-their shadows, are read off :data:`toporna.diagram.GENUS1_SHADOWS`.
+Shapes are built from irreducible shadows by one block grammar,
+:func:`_grammar`: read forwards it gives the marked shape polynomials, and
+solved for its irreducible term it derives the irreducible shadow
+polynomials from the plain ones.  The four genus-1 crossing types that can
+be marked, and the arc counts of their shadows, are read off
+:data:`toporna.diagram.GENUS1_SHADOWS`.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .series import (
     TruncatedSeries,
     XYPolynomial,
     _exact_factor,
-    puiseux_expand,
+    _power,
 )
 
 MARK_KINDS = tuple(GENUS1_SHADOWS)
@@ -37,7 +44,13 @@ MARK_KINDS = tuple(GENUS1_SHADOWS)
 _chord_rows: list[list[int]] = [[1, 1]]  # row g holds c_g(0), c_g(1), ...
 _weight_cache: dict[int, dict[int, int]] = {1: {2: 1}}
 _marked_cache: dict[str, list[XYPolynomial]] = {}
-_derived_cache: list[Polynomial] = []
+_irreducible_cache: list[Polynomial] = []
+_ONE_PLUS_X = XYPolynomial({(0, 0): 1, (1, 0): 1})
+
+
+def _check_genus(genus: int) -> None:
+    if genus < 0:
+        raise ValueError(f"genus must be nonnegative, got {genus}")
 
 
 def chord_count(genus: int, arcs: int) -> int:
@@ -86,47 +99,46 @@ def shape_weights(genus: int) -> dict[int, int]:
     return dict(row)
 
 
+def _weight_sum(genus: int, u, delta) -> tuple:
+    """P = sum_n w(n) u^n delta^(N-n) and N = 3g - 1, for genus g >= 1.
+
+    u and delta are ints or polynomials of either kind; P is formed by
+    homogeneous Horner in (u, delta).  The one expansion of the weights.
+    """
+    weights = shape_weights(genus)
+    top = max(weights)
+    acc, power = u * 0, u * 0 + 1
+    for n in range(top + 1):  # after step n, acc = sum_(k <= n) w(k) u^k delta^(n-k)
+        acc = acc * delta + power * weights.get(n, 0)
+        if n < top:
+            power = power * u
+    return acc, top
+
+
 def shape_poly(genus: int) -> Polynomial:
     """Generating polynomial of genus-g shapes, counted by arcs.
 
-    Degree 6g - 1 for genus >= 1; the empty shape gives the constant 1 at
-    genus 0.
+    Degree 6g - 1 for genus >= 1, where it is (1 + x) P with u = x (1 + x)
+    and delta = 1 in :func:`_weight_sum`; the empty shape gives the
+    constant 1 at genus 0.
     """
+    _check_genus(genus)
     if genus == 0:
         return Polynomial([1])
-    acc = Polynomial()
-    one_plus_x = Polynomial([1, 1])
-    for n, w in sorted(shape_weights(genus).items()):
-        term = Polynomial([w]).shift(n)
-        for _ in range(n + 1):
-            term = term * one_plus_x
-        acc = acc + term
-    return acc
+    return Polynomial([1, 1]) * _weight_sum(genus, Polynomial([0, 1, 1]), 1)[0]
 
 
-_BUILTIN_IRREDUCIBLE = {
-    1: sum(
-        (Polynomial.x_power(len(d.arcs)) for d in GENUS1_SHADOWS.values()), Polynomial()
-    ),
-    2: Polynomial([0, 0, 0, 0, 17, 160, 566, 1004, 961, 476, 96]),
-}
-
-
-def irreducible_poly(genus: int, *, derived: bool = False) -> Polynomial:
+def irreducible_poly(genus: int) -> Polynomial:
     """Generating polynomial of genus-g irreducible shadows, counted by arcs.
 
-    Genus 1 is read off :data:`toporna.diagram.GENUS1_SHADOWS` and genus 2
-    ships as a fixed polynomial; pass ``derived=True`` (or ask for
-    genus >= 3) to compute the polynomial by inverting the shape recursion
-    instead.
+    Derived by solving the block grammar (see :func:`_grammar`) for the
+    genus-g irreducible term, lower genera first, and cached.
     """
     if genus < 1:
         raise ValueError("irreducible shadows require genus >= 1")
-    if not derived and genus in _BUILTIN_IRREDUCIBLE:
-        return _BUILTIN_IRREDUCIBLE[genus]
-    while len(_derived_cache) < genus:
-        _derived_cache.append(_derive_irreducible(len(_derived_cache) + 1))
-    return _derived_cache[genus - 1]
+    while len(_irreducible_cache) < genus:
+        _irreducible_cache.append(_derive_irreducible(len(_irreducible_cache) + 1))
+    return _irreducible_cache[genus - 1]
 
 
 def marked_irreducible_poly(kind: str) -> XYPolynomial:
@@ -154,8 +166,7 @@ def marked_shape_poly(genus: int, kind: str) -> XYPolynomial:
     """
     if kind not in MARK_KINDS:
         raise ValueError(f"unknown mark kind {kind!r}")
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
+    _check_genus(genus)
     table = _marked_cache.setdefault(kind, [XYPolynomial.constant(1)])
     while len(table) <= genus:
         table.append(_next_marked(table, kind))
@@ -172,21 +183,27 @@ def _marked_irreducible(genus: int, kind: str) -> XYPolynomial:
     return _xy_from_poly(irreducible_poly(genus))
 
 
+def _grammar(table: list[XYPolynomial], irreducible, cap: int) -> XYPolynomial:
+    """Every genus-g shape term of the block grammar except (1 + x) I_g.
+
+    ``table`` holds the shapes S_0, ..., S_(g-1) and ``irreducible(j)`` the
+    irreducible shadows I_j of genus j < g.  The terms are x S_i S_(g-i) and
+    (1 + x) I_j(u) at t^(g-j), u the stack substitution; x-degrees from
+    ``cap`` up are dropped.
+    """
+    gg = len(table)
+    u = _stack_substitution(table, gg - 1, cap)
+    pairs = sum((table[i].mul(table[gg - i], cap) for i in range(1, gg)), XYPolynomial())
+    cores = sum(
+        (_compose_x(irreducible(j), u, gg - j, cap)[gg - j] for j in range(1, gg)), XYPolynomial()
+    )
+    return XYPolynomial.monomial(1, 0).mul(pairs, cap) + _ONE_PLUS_X.mul(cores, cap)
+
+
 def _next_marked(table: list[XYPolynomial], kind: str) -> XYPolynomial:
     gg = len(table)
-    cap = 6 * gg
-    x = XYPolynomial.monomial(1, 0)
-    acc = XYPolynomial()
-    for i in range(1, gg):
-        acc = acc + table[i].mul(table[gg - i], cap)
-    acc = x.mul(acc, cap)
-    u = _stack_substitution(table, gg - 1, cap)
-    tail = XYPolynomial()
-    for j in range(1, gg + 1):
-        block = _compose_x(_marked_irreducible(j, kind), u, gg - j, cap)
-        tail = tail + block[gg - j]
-    acc = acc + XYPolynomial({(0, 0): 1, (1, 0): 1}).mul(tail, cap)
-    return acc
+    rest = _grammar(table, lambda j: _marked_irreducible(j, kind), 6 * gg)
+    return rest + _ONE_PLUS_X.mul(_marked_irreducible(gg, kind))
 
 
 def _stack_substitution(
@@ -249,17 +266,9 @@ def _compose_x(
 
 
 def _derive_irreducible(genus: int) -> Polynomial:
-    cap = 6 * genus
-    x = XYPolynomial.monomial(1, 0)
-    val = _xy_from_poly(shape_poly(genus))
-    for i in range(1, genus):
-        prod = _xy_from_poly(shape_poly(i)).mul(_xy_from_poly(shape_poly(genus - i)), cap)
-        val = val - x.mul(prod, cap)
     shapes = [_xy_from_poly(shape_poly(k)) for k in range(genus)]
-    u = _stack_substitution(shapes, genus - 1, cap)
-    for j in range(1, genus):
-        inner = _compose_x(_xy_from_poly(irreducible_poly(j, derived=True)), u, genus - j, cap)
-        val = val - XYPolynomial({(0, 0): 1, (1, 0): 1}).mul(inner[genus - j], cap)
+    rest = _grammar(shapes, lambda j: _xy_from_poly(irreducible_poly(j)), 6 * genus)
+    val = _xy_from_poly(shape_poly(genus)) - rest
     if val.y_degree() != 0:
         raise ArithmeticError("unexpected marker content in shadow inversion")
     return _exact_factor(val.at_y(1), Polynomial([1, 1]))
@@ -278,20 +287,21 @@ def chord_series(genus: int, order: int, route: str = "recursion") -> TruncatedS
     other in tests:
 
     * ``"recursion"``: term-by-term from the two-term recursion.
-    * ``"closed"``: the finite weight expansion over (1-4x)^(-n-1/2)
-      (Catalan closed form at genus 0).
+    * ``"closed"``: the finite weight expansion over (1-4x)^(-n-1/2), the
+      element P S / (1-4x)^(N+1) of :func:`_weight_sum` with u = x,
+      delta = 1 - 4x and S = sqrt(1 - 4x) (Catalan closed form at genus 0).
     * ``"shapes"``: inflate the shape polynomial, composing it with
       x C0^2 / (1 - x C0^2) and multiplying by the Catalan series C0.
     """
+    _check_genus(genus)
     if route == "recursion":
         return TruncatedSeries([chord_count(genus, n) for n in range(order)], order)
     if route == "closed":
         if genus == 0:
             return catalan_series(order)
-        acc = TruncatedSeries.zero(order)
-        for n, w in sorted(shape_weights(genus).items()):
-            acc = acc + puiseux_expand(n, order).shift(n) * w
-        return acc
+        delta = Polynomial([1, -4])
+        p, top = _weight_sum(genus, Polynomial([0, 1]), delta)
+        return AlgebraicSeries(delta, Polynomial(), p, _power(delta, top + 1)).series(order)
     if route == "shapes":
         c0 = catalan_series(order)
         xc2 = (c0 * c0).shift(1)

@@ -12,11 +12,11 @@ variances of :mod:`toporna.genfun`.
 
 Under the classes sits the kernel: :func:`_convolve` (product),
 :func:`_quotient` (power-series quotient), :func:`_exact_factor` (exact
-polynomial division) and :meth:`Polynomial.__call__` (Horner's rule).  All
-products, quotients and evaluations of the package live only there, the
-sampler's tables included, except the marker-polynomial rings
-(:class:`XYPolynomial`, :class:`BivariateSeries` and those of
-:mod:`toporna.recursions`).
+polynomial division), :meth:`Polynomial.__call__` (Horner's rule) and
+:func:`_power` (integer powers of either polynomial type).  All products,
+quotients and evaluations of the package live only there, the sampler's
+tables included, except the marker-polynomial rings (:class:`XYPolynomial`,
+:class:`BivariateSeries` and those of :mod:`toporna.recursions`).
 
 Four layers:
 
@@ -386,6 +386,14 @@ def _exact_factor(f: Polynomial, g: Polynomial) -> Polynomial:
         if not any(rem[:top]):
             return Polynomial(quot)
     raise ArithmeticError(f"{g} does not divide {f}")
+
+
+def _power(p: Polynomial | XYPolynomial, k: int) -> Polynomial | XYPolynomial:
+    """p**k by repeated multiplication, for either polynomial type."""
+    out = p * 0 + 1
+    for _ in range(k):
+        out = out * p
+    return out
 
 
 class AlgebraicSeries:
@@ -828,26 +836,3 @@ class YJet:
             self.d1.truncate(order),
             self.d2.truncate(order),
         )
-
-
-def puiseux_expand(n: int, order: int) -> TruncatedSeries:
-    """Expansion of ``(1 - 4x)**(-(n + 1/2))`` as a series in x.
-
-    The coefficients satisfy ``c_k = c_{k-1} * 2 * (2n + 2k - 1) / k`` with
-    ``c_0 = 1`` and are always integers; for n = 0 this is the central
-    binomial series 1, 2, 6, 20, 70, ...
-
-    Args:
-        n: the integer part of the exponent, at least 0.
-        order: truncation order of the result.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    coeffs = [0] * order
-    c = 1
-    coeffs[0] = c
-    for k in range(1, order):
-        c = _exact_quotient(c * 2 * (2 * n + 2 * k - 1), k, "coefficient {}", k)
-        coeffs[k] = c
-    return TruncatedSeries(coeffs, order)
-

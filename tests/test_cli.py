@@ -4,12 +4,14 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toporna import asymptotics
-from toporna.cli import main
+from toporna.cli import build_parser, main
 from toporna.diagram import parse_structure
 from toporna.genfun import (
     StructureClass,
@@ -103,6 +105,18 @@ def test_irreducibles(capsys):
         ("3", "2"),
         ("4", "1"),
     ]
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    examples = [line for line in readme.read_text().splitlines() if line.startswith("$ toporna")]
+    assert examples
+    parser = build_parser()
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line)[2:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_structure_commands(capsys, tmp_path):

@@ -263,6 +263,16 @@ def test_enumerators_reject_contradictory_genus_arguments(enumerate_, args, kwar
 
 
 @pytest.mark.parametrize(
+    "call",
+    [full_census, arc_histograms, lambda n: next(enumerate_diagrams(n))],
+    ids=["full_census", "arc_histograms", "enumerate_diagrams"],
+)
+def test_oracle_rejects_a_negative_length(call):
+    with pytest.raises(ValueError, match=r"^n must be nonnegative, got -1$"):
+        call(-1)
+
+
+@pytest.mark.parametrize(
     "min_arc, min_stack, name", [(0, 1, "min_arc"), (0, 0, "min_arc"), (1, 0, "min_stack")]
 )
 def test_oracle_rejects_invalid_class(min_arc, min_stack, name):

@@ -118,8 +118,10 @@ def test_irreducible_poly_builtin():
 
 
 def test_irreducible_poly_derived_route_agrees():
-    assert irreducible_poly(1, derived=True) == irreducible_poly(1)
-    assert irreducible_poly(2, derived=True) == irreducible_poly(2)
+    # the one derived path against the genus-1 shadow catalog and the genus-2 pin
+    for kind in MARK_KINDS:
+        assert irreducible_poly(1) == marked_irreducible_poly(kind).at_y(1)
+    assert irreducible_poly(2).coeffs == [0, 0, 0, 0, 17, 160, 566, 1004, 961, 476, 96]
 
 
 def test_irreducible_genus3_head_matches_enumeration():
@@ -216,6 +218,22 @@ def test_chord_series_routes_agree():
         assert chord_series(g, order, "shapes") == base, g
     with pytest.raises(ValueError):
         chord_series(1, 10, "nope")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        shape_poly,
+        lambda g: marked_shape_poly(g, "H"),
+        lambda g: chord_series(g, 5),
+        lambda g: chord_series(g, 5, "closed"),
+        lambda g: chord_series(g, 5, "shapes"),
+    ],
+    ids=["shape_poly", "marked_shape_poly", "recursion", "closed", "shapes"],
+)
+def test_negative_genus_is_rejected_with_one_message(call):
+    with pytest.raises(ValueError, match=r"^genus must be nonnegative, got -1$"):
+        call(-1)
 
 
 def test_catalan_series_closed_form():
