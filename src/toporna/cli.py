@@ -6,12 +6,20 @@ output (``series``, ``shapes``, ``irreducibles``), per-structure analysis
 ``expect``) and random generation (``sample``).  Every command echoes its
 resolved parameters, renders exact integers as decimal strings, and
 supports ``--format json|csv|plain``.
+
+:func:`main` parses with one parser per process, built on its first call
+and reused by every later one, so it is safe and cheap to call repeatedly
+in one process: every default is immutable, each parse returns a fresh
+namespace, a refused argv leaves the parser as it was, and ``--help``
+reads the terminal width when it prints.  :func:`build_parser` still
+returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -650,9 +658,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:

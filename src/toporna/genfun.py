@@ -55,7 +55,7 @@ from functools import lru_cache
 
 from .diagram import LOOP_KINDS
 from .recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
-from .recursions import _check_genus, _weight_sum, _xy_from_poly
+from .recursions import _check_genus, _check_order, _weight_sum, _xy_from_poly
 from .series import (
     AlgebraicSeries,
     Polynomial,
@@ -122,11 +122,6 @@ def discriminant_poly(cls_: StructureClass) -> XYPolynomial:
 def _arc_marker_jet(r: int, order: int) -> YJet:
     """Jet of (x^2 y)^r at y = 1."""
     return YJet.marker_power(r, order).shift(2 * r)
-
-
-def _check_order(order: int) -> None:
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
 
 
 # arc_distribution adds one cached element per marker value y, so these

@@ -107,13 +107,16 @@ def _structures(
 
 def _check_class(
     n: int | None = None, min_arc: int = 1, min_stack: int = 1,
-    max_genus: int | None = None, genus: int | None = None,
+    max_genus: int | None = None, genus: int | None = None, *, size: str = "n",
 ) -> None:
-    """Raise ``ValueError``, naming the argument, for a request no structure can meet."""
+    """Raise ``ValueError``, naming the argument, for a request no structure can meet.
+
+    ``size`` is the caller's name for the size ``n``.
+    """
     for name, value in (("min_arc", min_arc), ("min_stack", min_stack)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    for name, value in (("n", n), ("genus", genus), ("max_genus", max_genus)):
+    for name, value in ((size, n), ("genus", genus), ("max_genus", max_genus)):
         if value is not None and value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     if genus is not None and max_genus is not None and genus > max_genus:
@@ -171,6 +174,7 @@ def count_table(
     max_genus: int = 2,
 ) -> dict[tuple[int, int], int]:
     """Structure counts indexed by ``(genus, n)`` for all ``n <= n_max``."""
+    _check_class(n_max, min_arc, min_stack, max_genus, size="n_max")
     out: dict[tuple[int, int], int] = {}
     for n in range(n_max + 1):
         for g, hist in arc_histograms(n, min_arc, min_stack, max_genus).items():
@@ -189,14 +193,17 @@ def enumerate_diagrams(
 
     The deterministic order pairs the lowest free vertex last, so the empty
     diagram comes first.  This runs the same search as :func:`full_census`.
+    The arguments are checked when it is called, not when iteration starts.
     """
     _check_class(n, min_arc, min_stack, max_genus, genus)
     if genus is not None and max_genus is None:
         max_genus = genus
     cap = max_genus if max_genus is not None else n // 2
-    for g, _, arcs in _structures(n, min_arc, min_stack, cap):
-        if genus is None or g == genus:
-            yield Diagram(n, tuple(arcs))
+    return (
+        Diagram(n, tuple(arcs))
+        for g, _, arcs in _structures(n, min_arc, min_stack, cap)
+        if genus is None or g == genus
+    )
 
 
 def _matching_search(
@@ -244,15 +251,18 @@ def enumerate_shapes(
     """Yield all shapes with up to ``max_arcs`` arcs as (diagram, genus).
 
     A shape has no unpaired vertices, no 1-arcs and no stacked arcs; the
-    number of shapes of fixed genus is finite.
+    number of shapes of fixed genus is finite.  The arguments are checked
+    when it is called, not when iteration starts.
     """
-    _check_class(max_genus=max_genus, genus=genus)
+    _check_class(max_arcs, max_genus=max_genus, genus=genus, size="max_arcs")
     if genus is not None and max_genus is None:
         max_genus = genus
-    for k in range(max_arcs + 1):
-        for d, g in _matching_search(k, max_genus):
-            if genus is None or g == genus:
-                yield d, g
+    return (
+        (d, g)
+        for k in range(max_arcs + 1)
+        for d, g in _matching_search(k, max_genus)
+        if genus is None or g == genus
+    )
 
 
 def enumerate_shadows(
@@ -267,9 +277,11 @@ def enumerate_shadows(
     :func:`toporna.diagram.crossing_components` for irreducible ones.  The
     search beyond 7 arcs gets expensive; callers gate that explicitly.
     """
-    for d, g in enumerate_shapes(max_arcs, genus, max_genus):
-        if all(len(comp) > 1 for comp in crossing_components(d)):
-            yield d, g
+    return (
+        (d, g)
+        for d, g in enumerate_shapes(max_arcs, genus, max_genus)
+        if all(len(comp) > 1 for comp in crossing_components(d))
+    )
 
 
 def irreducible_shadow_counts(

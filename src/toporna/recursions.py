@@ -53,6 +53,11 @@ def _check_genus(genus: int) -> None:
         raise ValueError(f"genus must be nonnegative, got {genus}")
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+
+
 def chord_count(genus: int, arcs: int) -> int:
     """Number of linear chord diagrams with ``arcs`` chords and given genus."""
     if genus < 0 or arcs < 2 * genus:
@@ -294,6 +299,7 @@ def chord_series(genus: int, order: int, route: str = "recursion") -> TruncatedS
       x C0^2 / (1 - x C0^2) and multiplying by the Catalan series C0.
     """
     _check_genus(genus)
+    _check_order(order)
     if route == "recursion":
         return TruncatedSeries([chord_count(genus, n) for n in range(order)], order)
     if route == "closed":

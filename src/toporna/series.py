@@ -33,8 +33,8 @@ Four layers:
 * :class:`YJet`, a 2-jet in a marker variable, carrying the value and the
   first two derivatives at marker value 1.  Its components are either all
   truncated series or all algebraic elements; an algebraic jet is exact
-  and is expanded with :meth:`YJet.series`.  S is the only square root
-  the kernel expands.
+  and is expanded with :meth:`YJet.series`, which computes S once for all
+  three components.  S is the only square root the kernel expands.
 
 A joint distribution in x and the marker is not held as a series with
 polynomial coefficients: it is read off :class:`AlgebraicSeries` evaluated
@@ -489,30 +489,42 @@ class AlgebraicSeries:
     __rmul__ = __mul__
 
     def series(self, order: int) -> TruncatedSeries:
-        """Expansion up to ``x**(order-1)``.
+        """Expansion up to ``x**(order-1)``; see :func:`_expand`."""
+        return _expand(order, self)[0]
 
-        S comes from the recurrence 2m s_m = sum_j delta_j (3j - 2m) s_(m-j),
-        the coefficient form of delta S' = delta' S / 2.  The numerator
-        p + qS is then divided by d: first by d's power of x, below which the
-        numerator must vanish, then by a recurrence on the rest.  Every
-        division is exact or raises ``ArithmeticError``.
-        """
-        if order < 1:
-            raise ValueError(f"order must be at least 1, got {order}")
-        dc = self.d.coeffs
-        low = next(i for i, c in enumerate(dc) if c)
+
+def _expand(order: int, *elements: AlgebraicSeries) -> list[TruncatedSeries]:
+    """Expansions up to ``x**(order-1)`` of elements over one radicand.
+
+    S is computed once, as far as the element with the highest power of x
+    in its denominator needs, from the recurrence
+    2m s_m = sum_j delta_j (3j - 2m) s_(m-j), the coefficient form of
+    delta S' = delta' S / 2.  Each numerator p + qS is then divided by its
+    d: first by d's power of x, below which the numerator must vanish, then
+    by a recurrence on the rest.  Every division is exact or raises
+    ``ArithmeticError``.
+    """
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+    delta = elements[0].delta
+    if any(e.delta != delta for e in elements):
+        raise ValueError("the elements must share one radicand")
+    lows = [next(i for i, c in enumerate(e.d.coeffs) if c) for e in elements]
+    steps = list(enumerate(delta.coeffs))[1:]
+    s = [1] + [0] * (order + max(lows) - 1)
+    for m in range(1, len(s)):
+        acc = sum(c * (3 * j - 2 * m) * s[m - j] for j, c in steps if j <= m)
+        s[m] = _exact_quotient(acc, 2 * m, "coefficient {} of the square root", m)
+    out = []
+    for e, low in zip(elements, lows):
         length = order + low
-        steps = list(enumerate(self.delta.coeffs))[1:]
-        s = [1] + [0] * (length - 1)
-        for m in range(1, length):
-            acc = sum(c * (3 * j - 2 * m) * s[m - j] for j, c in steps if j <= m)
-            s[m] = _exact_quotient(acc, 2 * m, "coefficient {} of the square root", m)
-        num = _convolve(self.q.coeffs, s, length)
-        for i, pi in enumerate(self.p.coeffs[:length]):
+        num = _convolve(e.q.coeffs, s, length)
+        for i, pi in enumerate(e.p.coeffs[:length]):
             num[i] += pi
         if any(num[:low]):
             raise ArithmeticError(f"not a power series: the denominator has x**{low}")
-        return TruncatedSeries(_quotient(num[low:], dc[low:], order), order)
+        out.append(TruncatedSeries(_quotient(num[low:], e.d.coeffs[low:], order), order))
+    return out
 
 
 class XYPolynomial:
@@ -827,8 +839,8 @@ class YJet:
         return YJet(self.value.shift(k), self.d1.shift(k), self.d2.shift(k))
 
     def series(self, order: int) -> YJet:
-        """Expansion of an algebraic jet up to ``x**(order-1)``."""
-        return YJet(self.value.series(order), self.d1.series(order), self.d2.series(order))
+        """Expansion of an algebraic jet up to ``x**(order-1)``, sharing one S."""
+        return YJet(*_expand(order, self.value, self.d1, self.d2))
 
     def truncate(self, order: int) -> YJet:
         return YJet(

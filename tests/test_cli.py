@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -117,6 +118,64 @@ def test_readme_examples_parse():
             parser.parse_args(shlex.split(line)[2:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def test_main_parses_with_one_parser_per_process(capsys, monkeypatch):
+    used = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        used.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert run(capsys, "count", "6")[0] == 0
+    assert run(capsys, "shapes", "--genus", "1")[0] == 0
+    assert len(used) == 2 and used[0] is used[1]
+    fresh = build_parser()
+    assert fresh is not build_parser() and fresh is not used[0]
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        ("count", "10", "--genus", "x"),
+        ("count", "10", "--genus", "1", "--format", "json", "--bogus"),
+        ("expect", "--type", "H", "--genus", "2"),
+        ("nope",),
+    ],
+)
+def test_a_refused_argv_leaves_later_requests_unchanged(capsys, refused):
+    valid = ("count", "10", "--format", "json")
+    alone = run(capsys, *valid)
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(refused))
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *valid) == alone
+    assert json.loads(alone[1])["meta"]["genus"] == "0"
+
+
+def test_defaults_do_not_leak_between_requests(capsys):
+    code, out, _ = run(capsys, "count", "10", "--genus", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["meta"]["genus"] == "1"
+    code, out, _ = run(capsys, "count", "10")
+    assert code == 0
+    assert "# genus=0\n" in out and "# format=plain\n" in out and "count: 2188\n" in out
+    code, out, _ = run(capsys, "sample", "--n", "8", "--seed", "3", "--count", "2")
+    assert code == 0 and "# seed=3\n" in out
+    code, out, _ = run(capsys, "sample", "--n", "8", "--count", "2")
+    assert code == 0 and "# seed=none\n" in out
+
+
+def test_help_follows_the_terminal_width_of_each_call(capsys, monkeypatch):
+    widths = []
+    for columns in ("50", "150"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            main(["count", "--help"])
+        widths.append(max(map(len, capsys.readouterr().out.splitlines())))
+    assert widths[0] <= 50 < widths[1] <= 150
 
 
 def test_structure_commands(capsys, tmp_path):

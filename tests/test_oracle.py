@@ -273,6 +273,38 @@ def test_oracle_rejects_a_negative_length(call):
 
 
 @pytest.mark.parametrize(
+    "call, name",
+    [
+        (count_table, "n_max"),
+        (enumerate_shapes, "max_arcs"),
+        (enumerate_shadows, "max_arcs"),
+        (lambda k: irreducible_shadow_counts(k, 1), "max_arcs"),
+    ],
+    ids=["count_table", "enumerate_shapes", "enumerate_shadows", "irreducible_shadow_counts"],
+)
+def test_oracle_rejects_a_negative_size_by_name(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be nonnegative, got -1$"):
+        call(-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_diagrams(-1),
+        lambda: enumerate_diagrams(4, min_stack=0),
+        lambda: enumerate_diagrams(8, genus=2, max_genus=1),
+        lambda: enumerate_shapes(4, genus=2, max_genus=1),
+        lambda: enumerate_shapes(-1),
+        lambda: enumerate_shadows(4, genus=2, max_genus=1),
+    ],
+)
+def test_enumerators_check_their_arguments_before_iteration(call):
+    """The call itself refuses; a caller that never iterates still sees the error."""
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
     "min_arc, min_stack, name", [(0, 1, "min_arc"), (0, 0, "min_arc"), (1, 0, "min_stack")]
 )
 def test_oracle_rejects_invalid_class(min_arc, min_stack, name):

@@ -236,6 +236,14 @@ def test_negative_genus_is_rejected_with_one_message(call):
         call(-1)
 
 
+@pytest.mark.parametrize("route", ["recursion", "closed", "shapes"])
+@pytest.mark.parametrize("genus", [0, 2])
+def test_nonpositive_order_is_rejected_with_one_message(route, genus):
+    for order in (0, -3):
+        with pytest.raises(ValueError, match=rf"^order must be at least 1, got {order}$"):
+            chord_series(genus, order, route)
+
+
 def test_catalan_series_closed_form():
     order = 30
     cat = catalan_series(order)

@@ -492,3 +492,25 @@ def test_algebraic_jet_expands_like_the_truncated_rules():
     assert (jet * jet * unit).series(order) == expanded * expanded * unit.series(order)
     with pytest.raises(ValueError):
         YJet(s, s.series(order), s)
+
+
+def test_algebraic_jet_shares_one_root_across_unequal_denominators():
+    """Components whose denominators carry different powers of x expand as alone."""
+    s = AlgebraicSeries(MOTZKIN_DELTA, Polynomial(), Polynomial([1]))
+    root = s.series(12).coeffs
+
+    def tail(k):  # (S minus its first k terms) / x^k
+        return AlgebraicSeries(MOTZKIN_DELTA, -Polynomial(root[:k]), Polynomial([1]),
+                               Polynomial.x_power(k))
+
+    jet = YJet(tail(5), s, tail(2))
+    for order in (1, 7):
+        expanded = jet.series(order)
+        assert (expanded.value, expanded.d1, expanded.d2) == tuple(
+            c.series(order) for c in (tail(5), s, tail(2))
+        )
+    with pytest.raises(ValueError, match="order"):
+        jet.series(0)
+    other = AlgebraicSeries(Polynomial([1, -4]), Polynomial(), Polynomial([1]))
+    with pytest.raises(ValueError, match="radicand"):
+        YJet(s, other, s).series(4)
