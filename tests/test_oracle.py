@@ -229,6 +229,21 @@ def test_census_rows_match_recorded_digest(case):
     assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_DIGESTS[case]
 
 
+def test_shape_search_output_is_pinned():
+    """Every shape up to 6 arcs, then those of genus <= 2 up to 7, in search order.
+
+    The digest was recorded while shapes still had a search of their own,
+    before they were run through the census search.
+    """
+    digest = hashlib.sha256()
+    for shapes in (enumerate_shapes(6), enumerate_shapes(7, max_genus=2)):
+        for d, g in shapes:
+            digest.update(repr((d.arcs, g)).encode())
+    assert digest.hexdigest() == (
+        "2d8b334765ebbda500ba634874b55e14471abaed2a3891f2f04be066277ea831"
+    )
+
+
 @pytest.mark.parametrize("case", [(9, 1, 1, 2), (11, 2, 2, 1), (10, 3, 1, 0)])
 def test_arc_histograms_are_the_census_arc_rows(case):
     hists = arc_histograms(*case)
