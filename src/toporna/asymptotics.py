@@ -102,14 +102,14 @@ def arc_law(cls_: StructureClass, dps: int = 50) -> ArcLaw:
 
 def mean_arc_grid(
     max_arc: int = 6, max_stack: int = 6, dps: int = 50
-) -> dict[tuple[int, int], float]:
-    """Mean-arc coefficients for every class with min_arc <= min_stack + 1, at ``dps`` digits."""
-    out: dict[tuple[int, int], float] = {}
+) -> dict[tuple[int, int], object]:
+    """Mean-arc coefficients (mpf) for every class with min_arc <= min_stack + 1, at ``dps`` digits."""
+    out: dict[tuple[int, int], object] = {}
     for lam in range(1, max_arc + 1):
         for r in range(1, max_stack + 1):
             if lam > r + 1:
                 continue
-            out[(lam, r)] = float(arc_law(StructureClass(lam, r), dps).mean)
+            out[(lam, r)] = arc_law(StructureClass(lam, r), dps).mean
     return out
 
 

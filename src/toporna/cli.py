@@ -65,6 +65,14 @@ def _decimal(value: int) -> str:
     return _decimal(high) + _decimal(low).rjust(half, "0")
 
 
+def _fixed(value, digits: int) -> str:
+    """An mpf's exact binary value, man * 2^exp, rounded half-even to ``digits`` places."""
+    man, exp = value.man_exp
+    scaled = round(Fraction(man) * Fraction(2) ** exp * 10**digits)
+    whole, frac = divmod(abs(scaled), 10**digits)
+    return f"{'-' if man < 0 else ''}{whole}.{frac:0{digits}d}"
+
+
 def _jsonable(value):
     if isinstance(value, bool):
         return value
@@ -377,7 +385,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_clt(args) -> int:
     digits = args.digits
-    if not 1 <= digits <= 15:  # printed through a float
+    if not 1 <= digits <= 15:  # the arc law's digits are not certified beyond 15
         raise ValueError(f"--digits must lie in 1..15, got {digits}")
     _at_least("--max-lambda", args.max_lam, 1)
     _at_least("--max-r", args.max_r, 1)
@@ -393,7 +401,7 @@ def _cmd_clt(args) -> int:
         )
         grid = asymptotics.mean_arc_grid(args.max_lam, args.max_r, args.precision)
         rows = [
-            {"min_arc": lam, "min_stack": r, "mean": f"{grid[(lam, r)]:.{digits}f}"}
+            {"min_arc": lam, "min_stack": r, "mean": _fixed(grid[(lam, r)], digits)}
             for (lam, r) in sorted(grid)
         ]
         _emit(args, meta, rows=rows)
@@ -404,9 +412,9 @@ def _cmd_clt(args) -> int:
     )
     law = asymptotics.arc_law(cls_, dps=args.precision)
     values = {
-        "singularity": f"{float(law.rho):.{digits}f}",
-        "mean_arc_fraction": f"{float(law.mean):.{digits}f}",
-        "variance_fraction": f"{float(law.variance):.{digits}f}",
+        "singularity": _fixed(law.rho, digits),
+        "mean_arc_fraction": _fixed(law.mean, digits),
+        "variance_fraction": _fixed(law.variance, digits),
     }
     _emit(args, meta, values=values)
     return 0

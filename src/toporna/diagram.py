@@ -533,6 +533,13 @@ def _assemble_forest(flat: list[ComponentBlock]) -> list[ComponentBlock]:
 # -- validity and loop statistics -----------------------------------------
 
 
+def _check_parameters(min_arc: int, min_stack: int) -> None:
+    """Refuse a ``min_arc`` or ``min_stack`` below 1, naming it and its value."""
+    for name, value in (("min_arc", min_arc), ("min_stack", min_stack)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def validate_constraints(diagram: Diagram, min_arc: int, min_stack: int) -> None:
     """Check the two structural side conditions.
 
@@ -545,8 +552,7 @@ def validate_constraints(diagram: Diagram, min_arc: int, min_stack: int) -> None
     Raises:
         ValueError: naming the first offending arc or stack.
     """
-    if min_arc < 1 or min_stack < 1:
-        raise ValueError("both structure parameters must be at least 1")
+    _check_parameters(min_arc, min_stack)
     partner = diagram.partner()
     for i, j in diagram.arcs:
         if j - i < min_arc and all(partner[v] == 0 for v in range(i + 1, j)):

@@ -35,8 +35,8 @@ its value and two y-derivatives at y = 1.  No element is ever divided.
   solves C (1 - C G) = s ((h + l C)(1 - C G) + m C^2 G^3).  Substituting
   C = 1 - x - 1/D, since D = 1/(1 - x - C), and multiplying through by
   (1 - x)^4 (1 + x) leaves the quadratic :func:`_loop_quadratic`.
-* Crossing blocks: the arc case at y = 1, the marker in the coefficients
-  of the marked shape polynomial.
+* Crossing blocks: the arc case at y = 1, so Z and w are free of y and
+  each y-derivative of the marked shape polynomial is inflated by itself.
 
 Only :func:`dg_via_chords`, the independent route the arc jets are
 checked against, works on truncated series.
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagram import LOOP_KINDS
+from .diagram import LOOP_KINDS, _check_parameters
 from .recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
 from .recursions import _check_genus, _check_order, _weight_sum, _xy_from_poly
 from .series import (
@@ -75,10 +75,7 @@ class StructureClass:
     min_stack: int = 1
 
     def __post_init__(self):
-        if self.min_arc < 1:
-            raise ValueError("min_arc must be at least 1")
-        if self.min_stack < 1:
-            raise ValueError("min_stack must be at least 1")
+        _check_parameters(self.min_arc, self.min_stack)
 
 
 def require_inflatable(cls_: StructureClass) -> None:
@@ -162,9 +159,14 @@ def _dg(cls_: StructureClass, genus: int, y: int) -> AlgebraicSeries:
 
     Every argument is positional, so a call has one cache key.
     """
-    p, q, d, delta, j = _arc_element(cls_, genus)
-    delta = delta.at_y(y)
-    return AlgebraicSeries(delta, p.at_y(y), q.at_y(y), d.at_y(y) * _power(delta, j))
+    return _at_y(_arc_element(cls_, genus), y)
+
+
+def _at_y(element: tuple, y: int) -> AlgebraicSeries:
+    """The element (p, q, d, E, j) at marker value y: (p + q R) / (d E^j)."""
+    p, q, d, e, j = element
+    e = e.at_y(y)
+    return AlgebraicSeries(e, p.at_y(y), q.at_y(y), d.at_y(y) * _power(e, j))
 
 
 def d0_series(cls_: StructureClass, order: int) -> TruncatedSeries:
@@ -360,8 +362,8 @@ def pk_marked_dg_jet(
     :data:`toporna.recursions.MARK_KINDS`).  Arcs are unmarked here; only
     whole blocks whose shadow matches the requested type count.  The series
     is D0 P(w), with the arc quadratic at y = 1 and P the marked shape
-    polynomial, whose coefficients are polynomials in y (see
-    :func:`_inflated`).
+    polynomial; D0 and w are free of y, so its k-th y-derivative is
+    D0 P_k(w), P_k that of P at y = 1, each built by :func:`_inflated`.
     """
     if kind not in MARK_KINDS:
         raise ValueError(f"unknown block kind {kind!r}")
@@ -369,13 +371,11 @@ def pk_marked_dg_jet(
         raise ValueError(f"block marking needs genus at least 1, got {genus}")
     _check_order(order)
     require_inflatable(cls_)
-    poly = marked_shape_poly(genus, kind)
-    coeffs = [
-        XYPolynomial({(0, j): c for (i, j), c in poly.terms.items() if i == k})
-        for k in range(poly.x_degree() + 1)
-    ]
     unmarked = tuple(_xy_from_poly(f.at_y(1)) for f in _arc_quadratic(cls_))
-    return _element_jet(*_inflated(unmarked, coeffs)).series(order)
+    return YJet(*(
+        _at_y(_inflated(unmarked, f.coeffs), 1)
+        for f in marked_shape_poly(genus, kind).y1_jets()
+    )).series(order)
 
 
 def structure_counts(cls_: StructureClass, genus: int, order: int) -> list[int]:

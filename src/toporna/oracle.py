@@ -8,12 +8,12 @@ array (:func:`toporna.diagram._corner_face`) and marks the free vertices
 whose corners lie on it.  Pairing v with a marked vertex splits that
 component and keeps the genus; pairing it with an unmarked one merges two
 components and raises the genus by one.  The walk is lazy: it runs once
-the first partner candidate u has passed the cheap checks (u is free, u
-closes the only arc allowed when an open stack is still short, u is not
-v's neighbour under a hairpin bound), and before any pairing, so a vertex
-that can only stay unpaired costs no walk.  Together with early checks for
-undersized stacks and short hairpins this keeps the search tree close to
-the set of structures actually counted.
+the first partner candidate u has passed the cheap checks (u is free; u
+closes the only arc allowed when an open stack is still short; in a shape,
+u does not stack onto the enclosing arc), and before any pairing, so a
+vertex that can only stay unpaired costs no walk.  Together with early
+checks for undersized stacks and short hairpins this keeps the search tree
+close to the set of structures actually counted.
 
 Each finished structure is tallied into its genus row by
 :func:`toporna.diagram.tally_structure`, the same tally the sampler
@@ -22,10 +22,10 @@ read nothing else.  Census results are plain nested dicts so tests can
 compare them wholesale against coefficient data from the generating
 function modules.
 
-Shapes come from a smaller search over stack-free perfect matchings
-without 1-arcs that takes the same genus step.  Shadows are not searched
-for separately: they are the shapes whose crossing components all have at
-least two arcs.
+Shapes come from the same search, with ``shape=True`` on 2k vertices
+without 1-arcs: every vertex is paired and no arc sits directly inside
+another.  Shadows are not searched for separately: they are the shapes
+whose crossing components all have at least two arcs.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Iterator
 from .diagram import (
     Arc,
     Diagram,
+    _check_parameters,
     _corner_face,
     crossing_components,
     new_tally,
@@ -47,6 +48,7 @@ def _structures(
     min_arc: int,
     min_stack: int,
     max_genus: int,
+    shape: bool = False,
 ) -> Iterator[tuple[int, list[int], list[Arc]]]:
     """Yield ``(genus, partner, arcs)`` for every valid structure on ``n`` vertices.
 
@@ -54,37 +56,38 @@ def _structures(
     search, so copy what must outlive a step.  The deterministic order
     pairs the lowest free vertex last, so the empty diagram comes first.
     Structures of genus above ``max_genus`` are pruned during the search.
+    With ``shape`` set every vertex is paired and no arc sits directly
+    inside another, so only the shapes of the class are yielded.
     """
     partner = [0] * (n + 1)
     run_len = [0] * (n + 1)
     arcs: list[Arc] = []
     one_face = b"\1" * (n + 1)  # with no arcs every corner is on the one face
+    first = 2 if min_arc > 1 else 1  # the nearest partner of v is v + first
 
     def descend(v: int, genus: int) -> Iterator[tuple[int, list[int], list[Arc]]]:
         while v <= n and partner[v]:
             i = partner[v]
             if v - i < min_arc and all(partner[t] == 0 for t in range(i + 1, v)):
                 return
-            if v > 1:
-                w = partner[v - 1]
-                if w > v and run_len[v - 1] < min_stack:
-                    return
+            if v > 1 and partner[v - 1] > v and run_len[v - 1] < min_stack:
+                return
             v += 1
         if v > n:
             yield genus, partner, arcs
             return
         wrap = partner[v - 1] if v > 1 else 0
         blocked = wrap > v and run_len[v - 1] < min_stack
-        if not blocked:
+        if not (blocked or shape):
             yield from descend(v + 1, genus)
         on_face = None
-        for u in range(v + 1, n + 1):
+        for u in range(v + first, n + 1):
             if partner[u]:
                 continue
             if blocked and u != wrap - 1:
                 continue
-            if u == v + 1 and min_arc > 1:
-                continue
+            if shape and u == wrap - 1:
+                continue  # would stack onto the enclosing arc
             if on_face is None:
                 on_face = _corner_face(n, partner, v) if arcs else one_face
             g2 = genus if on_face[u] else genus + 1
@@ -113,9 +116,7 @@ def _check_class(
 
     ``size`` is the caller's name for the size ``n``.
     """
-    for name, value in (("min_arc", min_arc), ("min_stack", min_stack)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    _check_parameters(min_arc, min_stack)
     for name, value in ((size, n), ("genus", genus), ("max_genus", max_genus)):
         if value is not None and value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -196,51 +197,19 @@ def enumerate_diagrams(
     The arguments are checked when it is called, not when iteration starts.
     """
     _check_class(n, min_arc, min_stack, max_genus, genus)
-    if genus is not None and max_genus is None:
-        max_genus = genus
-    cap = max_genus if max_genus is not None else n // 2
+    if max_genus is None:
+        max_genus = n // 2 if genus is None else genus
     return (
         Diagram(n, tuple(arcs))
-        for g, _, arcs in _structures(n, min_arc, min_stack, cap)
+        for g, _, arcs in _structures(n, min_arc, min_stack, max_genus)
         if genus is None or g == genus
     )
 
 
-def _matching_search(
-    num_arcs: int, max_genus: int | None
-) -> Iterator[tuple[Diagram, int]]:
-    """Enumerate stack-free perfect matchings without 1-arcs: the shapes."""
-    n = 2 * num_arcs
-    partner = [0] * (n + 1)
-    arcs: list[Arc] = []
-    one_face = b"\1" * (n + 1)
-
-    def descend(v: int, genus: int) -> Iterator[tuple[Diagram, int]]:
-        while v <= n and partner[v]:
-            v += 1
-        if v > n:
-            yield Diagram(n, tuple(arcs)), genus
-            return
-        on_face = None
-        for u in range(v + 2, n + 1):
-            if partner[u]:
-                continue
-            if v > 1 and partner[v - 1] == u + 1:
-                continue  # would stack onto the enclosing arc
-            if on_face is None:
-                on_face = _corner_face(n, partner, v) if arcs else one_face
-            g2 = genus if on_face[u] else genus + 1
-            if max_genus is not None and g2 > max_genus:
-                continue
-            partner[v] = u
-            partner[u] = v
-            arcs.append((v, u))
-            yield from descend(v + 1, g2)
-            arcs.pop()
-            partner[v] = 0
-            partner[u] = 0
-
-    yield from descend(1, 0)
+def _shape_search(num_arcs: int, max_genus: int) -> Iterator[tuple[Diagram, int]]:
+    """Yield ``(shape, genus)`` for the shapes with ``num_arcs`` arcs, in search order."""
+    for genus, _, arcs in _structures(2 * num_arcs, 2, 1, max_genus, shape=True):
+        yield Diagram(2 * num_arcs, tuple(arcs)), genus
 
 
 def enumerate_shapes(
@@ -255,12 +224,12 @@ def enumerate_shapes(
     when it is called, not when iteration starts.
     """
     _check_class(max_arcs, max_genus=max_genus, genus=genus, size="max_arcs")
-    if genus is not None and max_genus is None:
+    if max_genus is None:
         max_genus = genus
     return (
         (d, g)
         for k in range(max_arcs + 1)
-        for d, g in _matching_search(k, max_genus)
+        for d, g in _shape_search(k, k if max_genus is None else max_genus)
         if genus is None or g == genus
     )
 
@@ -284,9 +253,7 @@ def enumerate_shadows(
     )
 
 
-def irreducible_shadow_counts(
-    max_arcs: int, genus: int
-) -> dict[int, int]:
+def irreducible_shadow_counts(max_arcs: int, genus: int) -> dict[int, int]:
     """Count irreducible shadows of one genus, keyed by arc number."""
     out: dict[int, int] = {}
     for d, g in enumerate_shadows(max_arcs, genus=genus):

@@ -31,7 +31,8 @@ from mpmath import mp
 
 from .diagram import Diagram, new_tally, tally_structure
 from .genfun import StructureClass, require_inflatable
-from .oracle import _matching_search, enumerate_diagrams
+from .oracle import _shape_search, enumerate_diagrams
+from .recursions import _check_genus, shape_poly
 from .series import _convolve, _quotient
 
 __all__ = [
@@ -93,10 +94,10 @@ def inventory_cap(genus: int, max_len: int, min_stack: int) -> int:
     """Most shape arcs in the inventory of a genus-``genus`` sampler.
 
     Each shape arc inflates to a stack of at least ``min_stack`` arcs, so
-    at most ``max_len // (2 * min_stack)`` fit; shapes of genus g have
-    fewer than 6g arcs.
+    at most ``max_len // (2 * min_stack)`` fit; no shape of genus g has more
+    arcs than the degree of its shape polynomial (6g - 1 for g >= 1).
     """
-    return min(6 * genus - 1, max_len // (2 * min_stack))
+    return min(shape_poly(genus).degree, max_len // (2 * min_stack))
 
 
 _SHAPES: dict[tuple[int, int], tuple[Diagram, ...]] = {}  # keyed by (genus, arcs)
@@ -106,15 +107,14 @@ def _shape_inventory(genus: int, k_cap: int) -> dict[int, tuple[Diagram, ...]]:
     """The genus-``genus`` shapes with at most ``k_cap`` arcs, keyed by arc count.
 
     Every sampler in the process shares them: the inventory depends on
-    nothing else.  Each arc count is searched once, by the one-count search
-    that :func:`~toporna.oracle.enumerate_shapes` runs for each count in
-    turn, so a cached tuple is in the order a fresh search gives, and the
-    seeded shape choice is unchanged.
+    nothing else.  Each arc count is searched once, by the oracle's one
+    search run for shapes, as :func:`~toporna.oracle.enumerate_shapes` runs
+    it for each count in turn, so a cached tuple is in the order a fresh
+    search gives, and the seeded shape choice is unchanged.
     """
     for k in range(k_cap + 1):
         if (genus, k) not in _SHAPES:
-            found = (shape for shape, g in _matching_search(k, genus) if g == genus)
-            _SHAPES[genus, k] = tuple(found)
+            _SHAPES[genus, k] = tuple(d for d, g in _shape_search(k, genus) if g == genus)
     return {k: pool for k in range(k_cap + 1) if (pool := _SHAPES[genus, k])}
 
 
@@ -130,10 +130,9 @@ class StructureSampler:
     """
 
     def __init__(self, cls_: StructureClass, genus: int, max_len: int):
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
+        _check_genus(genus)
         if max_len < 0:
-            raise ValueError("max_len must be nonnegative")
+            raise ValueError(f"max_len must be nonnegative, got {max_len}")
         if genus:
             require_inflatable(cls_)
         self.cls_ = cls_

@@ -481,6 +481,21 @@ def test_clt_prints_up_to_fifteen_digits(capsys):
     assert "mean_arc_fraction: 0.317239507847332\n" in out
 
 
+@pytest.mark.parametrize(
+    "lam, r, line",
+    [
+        # 0.35648361896725349...: a float rounds it up to ...254
+        ("2", "5", "mean_arc_fraction: 0.356483618967253\n"),
+        # 0.52659176997772049...: a float rounds it up to ...721
+        ("3", "2", "singularity: 0.526591769977720\n"),
+    ],
+)
+def test_clt_rounds_the_exact_value_not_a_float(capsys, lam, r, line):
+    code, out, _ = run(capsys, "clt", "--lambda", lam, "--r", r, "--digits", "15")
+    assert code == 0
+    assert line in out
+
+
 def _digits_to_int(text):
     """Parse a decimal string of any length, 4000 digits at a time."""
     value = 0

@@ -9,10 +9,10 @@ from itertools import accumulate
 
 import pytest
 
-from toporna.diagram import satisfies_constraints
+from toporna.diagram import Diagram, satisfies_constraints, validate_constraints
 from toporna.genfun import StructureClass, arc_distribution, structure_counts
 from toporna import sampler as sampler_module
-from toporna.oracle import _matching_search, enumerate_diagrams, enumerate_shapes
+from toporna.oracle import _shape_search, enumerate_diagrams, enumerate_shapes
 from toporna.recursions import shape_poly
 from toporna.sampler import (
     StructureSampler,
@@ -160,10 +160,10 @@ def test_larger_shape_cap_searches_only_the_new_arc_counts(monkeypatch):
 
     def search(k, max_genus):
         searched.append(k)
-        return _matching_search(k, max_genus)
+        return _shape_search(k, max_genus)
 
     monkeypatch.setattr(sampler_module, "_SHAPES", {})
-    monkeypatch.setattr(sampler_module, "_matching_search", search)
+    monkeypatch.setattr(sampler_module, "_shape_search", search)
     small = StructureSampler(PLAIN, 2, 10)  # shapes up to 5 arcs
     assert searched == [0, 1, 2, 3, 4, 5]
     large = StructureSampler(PLAIN, 2, 12)  # shapes up to 6 arcs
@@ -280,6 +280,22 @@ def test_parameter_validation():
     # genus 0 at length 0 is the empty structure, not an error
     empty = StructureSampler(PLAIN, 0, 4)
     assert empty.sample(0, rng).n == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StructureClass(0, 1), "min_arc must be at least 1, got 0"),
+        (lambda: StructureClass(1, -2), "min_stack must be at least 1, got -2"),
+        (lambda: StructureSampler(PLAIN, -1, 5), "genus must be nonnegative, got -1"),
+        (lambda: StructureSampler(PLAIN, 1, -5), "max_len must be nonnegative, got -5"),
+        (lambda: validate_constraints(Diagram(4), 0, 1), "min_arc must be at least 1, got 0"),
+        (lambda: validate_constraints(Diagram(4), 1, 0), "min_stack must be at least 1, got 0"),
+    ],
+)
+def test_refusals_name_the_argument_and_the_value(call, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        call()
 
 
 def test_empirical_stats_matches_census_on_full_family():
