@@ -390,6 +390,7 @@ def _cmd_clt(args) -> int:
     _at_least("--max-lambda", args.max_lam, 1)
     _at_least("--max-r", args.max_r, 1)
     _at_least("--precision", args.precision, 15)
+    cls_ = _class_of(args)
     if args.grid:
         meta = _base_meta(
             args,
@@ -406,7 +407,6 @@ def _cmd_clt(args) -> int:
         ]
         _emit(args, meta, rows=rows)
         return 0
-    cls_ = _class_of(args)
     meta = _base_meta(
         args, "clt", min_arc=args.lam, min_stack=args.r, precision=args.precision
     )

@@ -63,6 +63,7 @@ from .series import (
     XYPolynomial,
     YJet,
     _exact_quotient,
+    _expand,
     _power,
 )
 
@@ -192,12 +193,12 @@ def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
     The jet is computed exactly in Q(x)(S) and expanded only at the end.
     """
     _check_order(order)
-    return _genus_jet(cls_, genus).series(order)
+    return YJet(*_expand(order, *_genus_jet(cls_, genus)))
 
 
 @lru_cache(maxsize=_CLASS_CACHE)
-def _genus_jet(cls_: StructureClass, genus: int) -> YJet:
-    """D_g's jet at y = 1 as elements of Q(x)(S), before expansion."""
+def _genus_jet(cls_: StructureClass, genus: int) -> tuple[AlgebraicSeries, ...]:
+    """D_g's jet at y = 1 as three elements of Q(x)(S), before expansion."""
     return _element_jet(*_arc_element(cls_, genus))
 
 
@@ -289,8 +290,8 @@ def _inflated(quadratic: tuple[XYPolynomial, ...], coeffs: list) -> tuple:
 
 def _element_jet(
     p: XYPolynomial, q: XYPolynomial, d: XYPolynomial, e: XYPolynomial, j: int
-) -> YJet:
-    """The jet at y = 1 of F = (p + q R) / (d E^j), R = sqrt(E), in Q(x)(R).
+) -> tuple[AlgebraicSeries, ...]:
+    """F, F_y and F_yy at y = 1 for F = (p + q R) / (d E^j), R = sqrt(E), in Q(x)(R).
 
     The k-th y-derivative is F_k = (p_k + q_k R) / (2^k d^(k+1) E^(j+k)),
     and the quotient rule with R_y = E_y R / (2E) gives
@@ -307,10 +308,10 @@ def _element_jet(
         g1 = ((f2 * d0 - f0 * d2) * e0 + (f1 * d0 - f0 * d1) * e1) * 2
         g1 = g1 - (f1 * d0 * e1 + f0 * (d1 * e1 + d0 * e2)) * c  # its y-derivative
         rows.append((f0, g0, (g1 * d0 - g0 * d1 * 2) * e0 * 2 - g0 * d0 * e1 * (c + 2)))
-    return YJet(*(
+    return tuple(
         AlgebraicSeries(e0, pk, qk, _power(d0, k + 1) * _power(e0, j + k) * 2**k)
         for k, (pk, qk) in enumerate(zip(*rows))
-    ))
+    )
 
 
 def loop_marked_d0_jet(cls_: StructureClass, kind: str, order: int) -> YJet:
@@ -336,11 +337,11 @@ def loop_marked_dg_jet(
             times the arc quadratic, whose root is D0.
     """
     _check_order(order)
-    return _loop_jet(cls_, genus, kind).series(order)
+    return YJet(*_expand(order, *_loop_jet(cls_, genus, kind)))
 
 
 @lru_cache(maxsize=_CLASS_CACHE)
-def _loop_jet(cls_: StructureClass, genus: int, kind: str) -> YJet:
+def _loop_jet(cls_: StructureClass, genus: int, kind: str) -> tuple[AlgebraicSeries, ...]:
     _check_genus(genus)
     quadratic = _loop_quadratic(cls_, kind)
     if genus:
@@ -372,10 +373,10 @@ def pk_marked_dg_jet(
     _check_order(order)
     require_inflatable(cls_)
     unmarked = tuple(_xy_from_poly(f.at_y(1)) for f in _arc_quadratic(cls_))
-    return YJet(*(
+    return YJet(*_expand(order, *(
         _at_y(_inflated(unmarked, f.coeffs), 1)
         for f in marked_shape_poly(genus, kind).y1_jets()
-    )).series(order)
+    )))
 
 
 def structure_counts(cls_: StructureClass, genus: int, order: int) -> list[int]:

@@ -288,8 +288,9 @@ def catalan_series(order: int) -> TruncatedSeries:
 def chord_series(genus: int, order: int, route: str = "recursion") -> TruncatedSeries:
     """Truncated series counting genus-g linear chord diagrams by arcs.
 
-    Three independent routes are provided so they can be played against each
-    other in tests:
+    Three routes are provided so they can be played against each other in
+    tests; ``"closed"`` and ``"shapes"`` both expand :func:`shape_weights`, so
+    they are independent of the recursion but not of each other:
 
     * ``"recursion"``: term-by-term from the two-term recursion.
     * ``"closed"``: the finite weight expansion over (1-4x)^(-n-1/2), the

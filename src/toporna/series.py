@@ -25,16 +25,14 @@ Four layers:
 * :class:`Polynomial` and :class:`XYPolynomial`, exact polynomials in one
   and two variables,
 * :class:`AlgebraicSeries`, an exact element (p + q*S) / d of Q(x)(S) with
-  S = sqrt(delta) for a fixed integer polynomial delta with delta(0) = 1,
-  held untruncated and expanded to any order on request.  It has the ring
-  operations but no division: every family built on it knows its
-  denominator in closed form, a constant times a power of x times a power
-  of delta (see :mod:`toporna.genfun`),
+  S = sqrt(delta) for a fixed integer polynomial delta with delta(0) = 1.
+  It has no arithmetic: every family built on it knows p, q and d in
+  closed form (see :mod:`toporna.genfun`) and only expands it.
+  :func:`_expand` is the one place where an element becomes a series; it
+  computes S once for all the elements it is given, and S is the only
+  square root the kernel expands,
 * :class:`YJet`, a 2-jet in a marker variable, carrying the value and the
-  first two derivatives at marker value 1.  Its components are either all
-  truncated series or all algebraic elements; an algebraic jet is exact
-  and is expanded with :meth:`YJet.series`, which computes S once for all
-  three components.  S is the only square root the kernel expands.
+  first two derivatives at marker value 1 as truncated series of one order.
 
 A joint distribution in x and the marker is not held as a series with
 polynomial coefficients: it is read off :class:`AlgebraicSeries` evaluated
@@ -345,10 +343,9 @@ class Polynomial:
     def __call__(self, x):
         """The value at ``x`` by Horner's rule.
 
-        ``x`` is a number (an int, a rational or an mpmath float) or a ring
-        element: a :class:`TruncatedSeries`, a :class:`YJet` or an
-        :class:`AlgebraicSeries`.  The sum starts from ``x * 0``, so the
-        zero polynomial returns the zero of x's kind.
+        ``x`` is a number (an int, a rational or an mpmath float), a
+        :class:`TruncatedSeries` or a :class:`YJet`.  The sum starts from
+        ``x * 0``, so the zero polynomial returns the zero of x's kind.
         """
         acc = x * 0
         for c in reversed(self.coeffs):
@@ -401,15 +398,11 @@ class AlgebraicSeries:
 
     ``delta`` is a fixed integer polynomial with delta(0) = 1, so S is the
     power series with constant term 1.  p, q and d are integer polynomials
-    (d nonzero); after every operation they share no power of x and no
-    integer content.  The ring operations are exact and never truncate;
-    only :meth:`series` expands the element, to any order, as a
-    :class:`TruncatedSeries` with integer coefficients.  There is no
-    division: the families of :mod:`toporna.genfun` are built with their
-    denominators already known, a constant times a power of x times a power
-    of delta.
-
-    Combining elements over different ``delta`` raises ``ValueError``.
+    (d nonzero) that share no power of x and no integer content.  The
+    element has no arithmetic: the families of :mod:`toporna.genfun` build
+    p, q and d in closed form, with d a constant times a power of x times a
+    power of delta, and :func:`_expand` turns elements into
+    :class:`TruncatedSeries` with integer coefficients, to any order.
     """
 
     __slots__ = ("delta", "p", "q", "d")
@@ -438,55 +431,6 @@ class AlgebraicSeries:
 
     def __repr__(self) -> str:
         return f"AlgebraicSeries(p={self.p}, q={self.q}, d={self.d}, delta={self.delta})"
-
-    def _lift(self, other: object) -> AlgebraicSeries:
-        if isinstance(other, AlgebraicSeries):
-            if other.delta != self.delta:
-                raise ValueError(
-                    f"radicand mismatch: {self.delta} vs {other.delta}"
-                )
-            return other
-        if isinstance(other, int) and not isinstance(other, bool):
-            return AlgebraicSeries(self.delta, Polynomial([other]))
-        raise TypeError(f"expected an AlgebraicSeries or int, got {type(other).__name__}")
-
-    def _new(self, p: Polynomial, q: Polynomial, d: Polynomial) -> AlgebraicSeries:
-        return AlgebraicSeries(self.delta, p, q, d)
-
-    def is_zero(self) -> bool:
-        """True when p and q vanish; exact whenever delta is not a square."""
-        return self.p.is_zero() and self.q.is_zero()
-
-    def __add__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
-        if type(other) is int:
-            return self._new(self.p + self.d * other, self.q, self.d)
-        o = self._lift(other)
-        return self._new(
-            self.p * o.d + o.p * self.d,
-            self.q * o.d + o.q * self.d,
-            self.d * o.d,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> AlgebraicSeries:
-        return self._new(-self.p, -self.q, self.d)
-
-    def __sub__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other: int) -> AlgebraicSeries:
-        return self._lift(other) - self
-
-    def __mul__(self, other: AlgebraicSeries | int) -> AlgebraicSeries:
-        o = self._lift(other)
-        return self._new(
-            self.p * o.p + self.q * o.q * self.delta,
-            self.p * o.q + self.q * o.p,
-            self.d * o.d,
-        )
-
-    __rmul__ = __mul__
 
     def series(self, order: int) -> TruncatedSeries:
         """Expansion up to ``x**(order-1)``; see :func:`_expand`."""
@@ -733,22 +677,17 @@ class YJet:
     second partial derivatives with respect to the marker variable, all
     evaluated at marker value 1.  This is enough to extract exact means and
     variances of the marked statistic without carrying the full bivariate
-    expansion.  The components are :class:`TruncatedSeries` of one order,
-    or exact :class:`AlgebraicSeries` that :meth:`series` expands.  Sums
-    and products follow the same rules for both; quotients divide, so they
-    take truncated components.
+    expansion.  The components are :class:`TruncatedSeries` of one order;
+    an :class:`AlgebraicSeries` becomes one through :func:`_expand` first.
     """
 
     __slots__ = ("value", "d1", "d2")
 
-    def __init__(
-        self,
-        value: TruncatedSeries | AlgebraicSeries,
-        d1: TruncatedSeries | AlgebraicSeries,
-        d2: TruncatedSeries | AlgebraicSeries,
-    ):
-        if len({getattr(c, "order", None) for c in (value, d1, d2)}) > 1:
-            raise ValueError("jet components must share one truncation order or all be algebraic")
+    def __init__(self, value: TruncatedSeries, d1: TruncatedSeries, d2: TruncatedSeries):
+        if not all(isinstance(c, TruncatedSeries) for c in (value, d1, d2)):
+            raise TypeError("jet components must be truncated series")
+        if len({value.order, d1.order, d2.order}) > 1:
+            raise ValueError("jet components must share one truncation order")
         self.value = value
         self.d1 = d1
         self.d2 = d2
@@ -758,7 +697,7 @@ class YJet:
         return self.value.order
 
     @classmethod
-    def plain(cls, value: TruncatedSeries | AlgebraicSeries) -> YJet:
+    def plain(cls, value: TruncatedSeries) -> YJet:
         """Wrap a series that does not involve the marker."""
         return cls(value, value * 0, value * 0)
 
@@ -837,10 +776,6 @@ class YJet:
 
     def shift(self, k: int) -> YJet:
         return YJet(self.value.shift(k), self.d1.shift(k), self.d2.shift(k))
-
-    def series(self, order: int) -> YJet:
-        """Expansion of an algebraic jet up to ``x**(order-1)``, sharing one S."""
-        return YJet(*_expand(order, self.value, self.d1, self.d2))
 
     def truncate(self, order: int) -> YJet:
         return YJet(

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -20,6 +21,9 @@ from toporna.genfun import (
     pk_marked_dg_jet,
     structure_counts,
 )
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *args):
@@ -108,16 +112,49 @@ def test_irreducibles(capsys):
     ]
 
 
+def readme_examples():
+    """(argv, shown output lines) for each ``$ toporna`` line in README.md's code blocks."""
+    examples, current, in_block = [], None, False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_block, current = not in_block, None
+        elif in_block and line.startswith("$ toporna"):
+            current = (line, shlex.split(line)[2:], [])
+            examples.append(current)
+        elif current is not None:
+            current[2].append(line)
+    return examples
+
+
 def test_readme_examples_parse():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    examples = [line for line in readme.read_text().splitlines() if line.startswith("$ toporna")]
+    examples = readme_examples()
     assert examples
     parser = build_parser()
-    for line in examples:
+    for line, argv, _ in examples:
         try:
-            parser.parse_args(shlex.split(line)[2:])
+            parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    """Each README example that shows output prints exactly those lines.
+
+    The ``#`` meta lines are left out of the README; ``...`` between two
+    digits elides digits.  Every printed line is shown, ``leading_term`` included.
+    """
+    shown = [(line, argv, lines) for line, argv, lines in readme_examples() if lines]
+    assert [argv[0] for _, argv, _ in shown] == [
+        "count", "genus", "classify", "clt", "expect", "sample"
+    ]
+    for line, argv, lines in shown:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", line
+        printed = [text for text in out.splitlines() if not text.startswith("#")]
+        assert len(printed) == len(lines), line
+        for want, got in zip(lines, printed):
+            pattern = r"\d+".join(map(re.escape, re.split(r"(?<=\d)\.\.\.(?=\d)", want)))
+            assert re.fullmatch(pattern, got), (line, want, got)
 
 
 def test_main_parses_with_one_parser_per_process(capsys, monkeypatch):
@@ -466,6 +503,8 @@ def test_sample_and_shape_inputs_rejected_by_flag(capsys, case, flag):
         (("clt", "--digits", "-1"), "--digits"),
         (("clt", "--grid", "--max-lambda", "0"), "--max-lambda"),
         (("clt", "--grid", "--max-r", "-1"), "--max-r"),
+        (("clt", "--grid", "--lambda", "0"), "--lambda"),
+        (("clt", "--grid", "--r", "-5"), "--r"),
     ],
 )
 def test_clt_inputs_rejected_by_flag(capsys, case, flag):

@@ -30,11 +30,9 @@ def test_modules_import_only_the_standard_library_and_mpmath():
     )
     loaded = json.loads(out.stdout)
     assert "toporna" in loaded and "mpmath" in loaded
-    # multiprocessing registers __main__ a second time as __mp_main__
     foreign = [
         name
         for name in loaded
-        if name not in sys.stdlib_module_names
-        and name not in {"toporna", "mpmath", "__mp_main__"}
+        if name not in sys.stdlib_module_names and name not in {"toporna", "mpmath"}
     ]
     assert foreign == []

@@ -28,7 +28,7 @@ from toporna.genfun import _dg, _genus_jet, _inflated, _loop_jet, _loop_quadrati
 from toporna.genfun import _radical_numerator
 from toporna.oracle import enumerate_diagrams, full_census
 from toporna.recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
-from toporna.series import AlgebraicSeries, Polynomial, TruncatedSeries, YJet, XYPolynomial
+from toporna.series import Polynomial, TruncatedSeries, YJet, XYPolynomial, _power
 
 PLAIN = StructureClass(1, 1)
 SPACED = StructureClass(2, 1)
@@ -485,31 +485,22 @@ def test_factor_base_is_primitive_squarefree_and_coprime(lam, r):
             assert _gcd_degree(numerator, delta) == shared, (y, genus)
 
 
-def _quotient_element(a, b):
-    """a / b in Q(x)(S), through the conjugate b.p - b.q S."""
-    norm = b.p * b.p - b.q * b.q * b.delta
-    return AlgebraicSeries(
-        a.delta,
-        (a.p * b.p - a.q * b.q * a.delta) * b.d,
-        (a.q * b.p - a.p * b.q) * b.d,
-        a.d * norm,
-    )
+def _horner_reference(cls_, genus, y, order):
+    """Reference: D0 P_g(w) at marker value y, by truncated-series arithmetic alone.
 
-
-def _horner_reference(cls_, genus, y):
-    """Reference: D0 P_g(w) at marker value y, on plain elements of Q(x)(S).
-
-    w = q^r D0^2 / (1 - q - q^r (D0^2 - 1)) is the series each shape arc
-    becomes, and P_g(w) is taken by Horner's rule.
+    D0 is the fixed point of the arc quadratic, D0 = (A + q^r D0^2) / B,
+    iterated once per order from 0, so the reference shares no square-root
+    recurrence with the closed form.  w = q^r D0^2 / (1 - q - q^r (D0^2 - 1))
+    is the series each shape arc becomes, and P_g(w) is taken by Horner's rule.
     """
-    delta = discriminant_poly(cls_).at_y(y)
-    r = cls_.min_stack
-    qr = Polynomial.x_power(2 * r) * y**r
-    d0 = AlgebraicSeries(delta, core_polys(cls_)[1].at_y(y), Polynomial([-1]), qr * 2)
-    q = AlgebraicSeries(delta, Polynomial.x_power(2) * y)
-    qr = AlgebraicSeries(delta, qr)
+    a, b = (TruncatedSeries(f.at_y(y).coeffs, order) for f in core_polys(cls_))
+    q = TruncatedSeries.x_power(2, order) * y
+    qr = TruncatedSeries.x_power(2 * cls_.min_stack, order) * y**cls_.min_stack
+    d0 = TruncatedSeries.zero(order)
+    for _ in range(order):
+        d0 = (a + qr * d0 * d0) / b
     d02 = d0 * d0
-    w = _quotient_element(qr * d02, 1 - q - qr * (d02 - 1))
+    w = qr * d02 / (1 - q - qr * (d02 - 1))
     return d0 * shape_poly(genus)(w)
 
 
@@ -517,15 +508,16 @@ def _horner_reference(cls_, genus, y):
 def test_class_base_reduction_keeps_the_expansion(lam, r):
     """D_g = P Delta^(-N-1/2) equals D0 P_g(w) at y = 1, 2, 3.
 
-    The closed form is the class's reduced element: its denominator is no
-    larger than the plain Horner element's.
+    The closed form is the class's reduced element: p is zero and the
+    denominator is exactly Delta^(N+1) = Delta^(3g).
     """
     cls_ = StructureClass(lam, r)
-    for genus in (1, 2, 3):
-        for y in (1, 2, 3):
-            reduced, plain = _dg(cls_, genus, y), _horner_reference(cls_, genus, y)
-            assert reduced.series(30) == plain.series(30), (genus, y)
-            assert reduced.d.degree <= plain.d.degree, (genus, y)
+    for y in (1, 2, 3):
+        delta = discriminant_poly(cls_).at_y(y)
+        for genus in (1, 2, 3):
+            reduced = _dg(cls_, genus, y)
+            assert reduced.series(30) == _horner_reference(cls_, genus, y, 30), (genus, y)
+            assert reduced.p.is_zero() and reduced.d == _power(delta, 3 * genus), (genus, y)
 
 
 def test_arc_jet_matches_chord_route_at_high_genus():
