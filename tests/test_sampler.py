@@ -232,6 +232,57 @@ def test_uniform_over_full_family_canonical():
     assert chi_square_pvalue(stat, dof) > 1e-3
 
 
+def _draw_probabilities(sampler: StructureSampler, n: int, monkeypatch) -> dict:
+    """The exact probability of every structure a draw of length n can return.
+
+    ``_choose`` is replaced by a script: it replays a prefix of indices, then
+    takes the first index of nonzero weight.  Each path is walked once, and
+    each later choice point schedules its other nonzero indices, so every
+    choice path of nonzero weight is walked exactly once.
+    """
+    script: list[int] = []
+    path: list[tuple[int, list[int]]] = []
+
+    def scripted(getrandbits, cum):
+        weights = [b - a for a, b in zip([0, *cum], cum)]
+        if len(path) < len(script):
+            i = script[len(path)]
+        else:
+            i = next(j for j, w in enumerate(weights) if w)
+        path.append((i, weights))
+        return i
+
+    monkeypatch.setattr(sampler_module, "_choose", scripted)
+    hits: dict = {}
+    todo = [[]]
+    while todo:
+        script, path = todo.pop(), []
+        arcs = sampler.sample(n, random.Random(0)).arcs
+        p = Fraction(1)
+        for depth, (i, weights) in enumerate(path):
+            p *= Fraction(weights[i], sum(weights))
+            if depth >= len(script):
+                prefix = [j for j, _ in path[:depth]]
+                todo.extend(prefix + [j] for j in range(i + 1, len(weights)) if weights[j])
+        hits[arcs] = hits.get(arcs, 0) + p
+    return hits
+
+
+@pytest.mark.parametrize(
+    "lam, r, genus, n",
+    [(1, 1, 0, 9), (2, 1, 0, 10), (2, 2, 0, 12), (3, 2, 0, 12),
+     (1, 1, 1, 8), (2, 2, 1, 12), (1, 1, 2, 10)],
+)
+def test_every_structure_is_drawn_with_probability_exactly_one_over_the_family(
+    lam, r, genus, n, monkeypatch
+):
+    family = {d.arcs for d in enumerate_diagrams(n, lam, r, genus=genus)}
+    sampler = StructureSampler(StructureClass(lam, r), genus, n)
+    hits = _draw_probabilities(sampler, n, monkeypatch)
+    assert family and set(hits) == family
+    assert set(hits.values()) == {Fraction(1, len(family))}
+
+
 def test_arc_marginal_and_mean_beyond_enumeration():
     """At n=16 the arc-count marginal matches the exact distribution."""
     weights = {
