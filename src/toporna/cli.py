@@ -190,16 +190,27 @@ def _check_ceiling(n: int, ceiling: int) -> None:
 
 
 def _structures(args) -> list[tuple[str, object]]:
-    if getattr(args, "file", None):
-        with open(args.file, encoding="utf-8") as handle:
-            texts = [line.strip() for line in handle if line.strip()]
-        if not texts:
-            raise ValueError(f"no structures found in {args.file}")
-    elif getattr(args, "structure", None) is not None:
-        texts = [args.structure]
-    else:
-        raise ValueError("supply a structure argument or --file")
-    return [(text, parse_structure(text)) for text in texts]
+    """The structure argument, or each nonblank line of ``--file``, parsed."""
+    if args.file is None:
+        if args.structure is None:
+            raise ValueError("supply a structure argument or --file")
+        return [(args.structure, parse_structure(args.structure))]
+    if args.structure is not None:
+        raise ValueError(
+            f"supply a structure argument or --file, not both: got {args.structure!r} "
+            f"and --file {args.file}"
+        )
+    parsed = []
+    with open(args.file, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if text := line.strip():
+                try:
+                    parsed.append((text, parse_structure(text)))
+                except ValueError as exc:
+                    raise ValueError(f"{args.file}, line {number}: {exc}") from None
+    if not parsed:
+        raise ValueError(f"no structures found in {args.file}")
+    return parsed
 
 
 # -- command handlers ------------------------------------------------------

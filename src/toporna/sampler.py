@@ -3,9 +3,12 @@
 Sampling mirrors the decomposition the generating functions count: a
 structure is a secondary prefix, a shape drawn from the finite inventory
 for the target genus, and one stem chain per shape arc, with secondary
-fillers spliced into the gap after each inflated endpoint.  Every
-discrete choice uses exact integer weights from DP tables, so draws are
-uniform by construction and no floating point enters the pipeline.
+fillers spliced into the gap after each inflated endpoint.  Secondary
+structure has one grammar: a segment is a sequence of unpaired vertices
+and components, and a component is a stack around a loop body, which is
+any segment but a lone component.  Every discrete choice uses exact
+integer weights from DP tables, so draws are uniform by construction and
+no floating point enters the pipeline.
 
 Each choice reads a cumulative weight list from one of the declared
 weight tables, which fill themselves per length on first use, and costs
@@ -25,7 +28,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate, islice
-from operator import neg
+from operator import mul, neg
 
 from mpmath import mp
 
@@ -148,55 +151,31 @@ class StructureSampler:
     def _build_secondary(self) -> None:
         """Fill the genus-zero grammar tables up to ``max_len``.
 
-        The grammar factors a secondary segment as a sequence of unpaired
-        vertices and closed components; a component is a maximal coloured
-        run of nested arcs wrapping an interior that is a hairpin fill, a
-        one-sided or two-sided gap around a single component, or at least
-        two components with free gaps.  The branches partition interiors,
-        which is what makes the sampler uniform.
+        A segment counts as d0 = 1 / (1 - x - comp), a component as the sum
+        over s >= ``min_stack`` of x^(2s)·body, and a body as d0 - comp from
+        ``min_arc - 1`` vertices on: a lone component would lengthen the
+        stack.  The body needs d0 and comp needs the body, so one loop fills
+        all three, d0 by the recurrence of its quotient.
         """
         lam, r = self.cls_.min_arc, self.cls_.min_stack
         top = self.max_len
-        hp = [1 if m >= lam - 1 else 0 for m in range(top + 1)]
-        comp = [0] * (top + 1)
-        bl = [0] * (top + 1)
-        inter = [0] * (top + 1)
-        cg = [0] * (top + 1)
-        tl = [0] * (top + 1)
-        cgtl = [0] * (top + 1)
-        multi = [0] * (top + 1)
-        body = [0] * (top + 1)
+        comp, body, d0 = [0] * (top + 1), [0] * (top + 1), [1] + [0] * top
         for m in range(top + 1):
-            if m:
-                bl[m] = bl[m - 1] + comp[m - 1]
-                inter[m] = inter[m - 1] + bl[m - 1]
-            cgtl[m] = sum(cg[t] * tl[m - t] for t in range(2, m - 1))
-            multi[m] = (multi[m - 1] if m else 0) + cgtl[m]
-            body[m] = hp[m] + 2 * bl[m] + inter[m] + multi[m]
             comp[m] = sum(body[m - 2 * s] for s in range(r, m // 2 + 1))
-            cg[m] = (cg[m - 1] if m else 0) + comp[m]
-            tl[m] = sum(cg[v] * (1 if v == m else tl[m - v]) for v in range(2, m + 1))
-        # a segment is a sequence of vertices and components: 1 / (1 - x - comp)
-        d0 = _quotient([1], [1, -1] + [-c for c in comp[2:]], top + 1)
-        gtl = list(accumulate(tl))
+            if m:
+                d0[m] = d0[m - 1] + sum(map(mul, comp[2 : m + 1], reversed(d0[: m - 1])))
+            if m >= lam - 1:
+                body[m] = d0[m] - comp[m]
         self._d0 = d0
-        # The choices of secondary emission, keyed by the length left.
-        self._seq = _Cumulative(
-            lambda m: [d0[m - 1]] + [comp[t] * d0[m - t] for t in range(2, m + 1)]
-        )
+
+        def first(m: int, stop: int) -> list[int]:  # a vertex, or a component shorter than stop
+            return [d0[m - 1]] + [comp[t] * d0[m - t] for t in range(2, stop)]
+
+        # The choices of secondary emission, keyed by the length left: the
+        # first item of a segment, or of a body, which is no lone component.
+        self._seq = _Cumulative(lambda m: first(m, m + 1))
         self._comp = _Cumulative(lambda t: [body[t - 2 * s] for s in range(r, t // 2 + 1)])
-        self._body = _Cumulative(lambda u: [hp[u], bl[u], bl[u], inter[u], multi[u]])
-        self._gapc = _Cumulative(lambda u: [comp[u - a] for a in range(1, u + 1)])
-        self._gap2 = _Cumulative(lambda u: [bl[u - a] for a in range(1, u + 1)])
-        self._mgap = _Cumulative(lambda u: [cgtl[u - a] for a in range(u + 1)])
-        self._munit = _Cumulative(lambda v: [comp[t] * gtl[v - t] for t in range(v + 1)])
-        self._ugap = _Cumulative(lambda v: [tl[v - b] for b in range(v + 1)])
-        self._tunit = _Cumulative(
-            lambda v: [comp[t] * (1 + gtl[v - t]) for t in range(v + 1)]
-        )
-        self._tgap = _Cumulative(
-            lambda v: [(1 if b == v else 0) + tl[v - b] for b in range(v + 1)]
-        )
+        self._body = _Cumulative(lambda u: first(u, u))
 
     def _build_inventory(self) -> None:
         self._k_cap = inventory_cap(self.genus, self.max_len, self.cls_.min_stack)
@@ -265,6 +244,8 @@ class StructureSampler:
 
     def sample_many(self, n: int, draws: int, seed=None) -> list[Diagram]:
         """Draw ``draws`` structures with a private ``random.Random(seed)``."""
+        if draws < 0:
+            raise ValueError(f"draws must be nonnegative, got {draws}")
         rng = random.Random(seed)
         return [self.sample(n, rng) for _ in range(draws)]
 
@@ -335,66 +316,31 @@ class StructureSampler:
 
     # -- secondary emission ------------------------------------------------
 
-    def _seq_tokens(self, m: int, fresh, bits) -> list[int]:
-        out: list[int] = []
+    def _seq_tokens(self, m: int, fresh, bits, out=None, table=None) -> list[int]:
+        """Append a segment of ``m`` vertices to ``out`` (a new list if None).
+
+        Its first item is chosen from ``table`` (a loop body passes ``_body``)
+        and every other item from ``_seq``.
+        """
+        out = [] if out is None else out
         seq = self._seq
+        table = seq if table is None else table
         while m:
-            idx = _choose(bits, seq[m])
-            if idx == 0:
-                out.append(0)
-                m -= 1
+            idx = _choose(bits, table[m])  # one vertex, or a component of idx + 1
+            table = seq
+            if idx:
+                self._comp_tokens(idx + 1, out, fresh, bits)
             else:
-                t = idx + 1
-                self._comp_tokens(t, out, fresh, bits)
-                m -= t
+                out.append(0)
+            m -= idx + 1
         return out
 
     def _comp_tokens(self, t: int, out, fresh, bits) -> None:
         s = self.cls_.min_stack + _choose(bits, self._comp[t])
         keys = list(islice(fresh, s))
         out.extend(keys)
-        self._body_tokens(t - 2 * s, out, fresh, bits)
+        self._seq_tokens(t - 2 * s, fresh, bits, out, self._body)
         out.extend(map(neg, reversed(keys)))
-
-    def _body_tokens(self, u: int, out, fresh, bits) -> None:
-        branch = _choose(bits, self._body[u])
-        if branch == 0:
-            out.extend([0] * u)
-        elif branch in (1, 2):
-            a = 1 + _choose(bits, self._gapc[u])
-            if branch == 1:
-                out.extend([0] * a)
-                self._comp_tokens(u - a, out, fresh, bits)
-            else:
-                self._comp_tokens(u - a, out, fresh, bits)
-                out.extend([0] * a)
-        elif branch == 3:
-            a = 1 + _choose(bits, self._gap2[u])
-            v = u - a
-            b = 1 + _choose(bits, self._gapc[v])
-            out.extend([0] * a)
-            self._comp_tokens(v - b, out, fresh, bits)
-            out.extend([0] * b)
-        else:
-            a = _choose(bits, self._mgap[u])
-            out.extend([0] * a)
-            v = u - a
-            t = _choose(bits, self._munit[v])
-            self._comp_tokens(t, out, fresh, bits)
-            v -= t
-            b = _choose(bits, self._ugap[v])
-            out.extend([0] * b)
-            self._tail_tokens(v - b, out, fresh, bits)
-
-    def _tail_tokens(self, v: int, out, fresh, bits) -> None:
-        # one or more further (component, gap) units of a multiloop
-        while v:
-            t = _choose(bits, self._tunit[v])
-            self._comp_tokens(t, out, fresh, bits)
-            v -= t
-            b = _choose(bits, self._tgap[v])
-            out.extend([0] * b)
-            v -= b
 
 
 def sample_enumerative(
@@ -404,6 +350,8 @@ def sample_enumerative(
 
     Only sensible at small lengths; the grammar sampler covers the rest.
     """
+    if draws < 0:
+        raise ValueError(f"draws must be nonnegative, got {draws}")
     pool = list(
         enumerate_diagrams(n, cls_.min_arc, cls_.min_stack, genus=genus)
     )

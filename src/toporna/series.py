@@ -15,8 +15,11 @@ Under the classes sits the kernel: :func:`_convolve` (product),
 polynomial division), :meth:`Polynomial.__call__` (Horner's rule) and
 :func:`_power` (integer powers of either polynomial type).  All products,
 quotients and evaluations of the package live only there, the sampler's
-tables included, except the marker-polynomial rings (:class:`XYPolynomial`,
-:class:`BivariateSeries` and those of :mod:`toporna.recursions`).
+stem-chain tables included, except the marker-polynomial rings
+(:class:`XYPolynomial`, :class:`BivariateSeries` and those of
+:mod:`toporna.recursions`) and the sampler's secondary counts: one loop
+there fills d0 together with the component and loop-body counts it
+depends on.
 
 Four layers:
 

@@ -145,7 +145,7 @@ def test_readme_examples_print_what_they_show(capsys):
     """
     shown = [(line, argv, lines) for line, argv, lines in readme_examples() if lines]
     assert [argv[0] for _, argv, _ in shown] == [
-        "count", "genus", "classify", "clt", "expect", "sample"
+        "count", "genus", "classify", "decompose", "clt", "expect", "sample"
     ]
     for line, argv, lines in shown:
         code, out, err = run(capsys, *argv)
@@ -236,6 +236,27 @@ def test_structure_commands(capsys, tmp_path):
     assert blocks[0]["label"] == "secondary"
     assert blocks[0]["children"][0]["label"] == "H"
     assert blocks[1]["label"] == "H"
+
+
+@pytest.mark.parametrize("command", ["genus", "classify", "decompose"])
+def test_a_structure_and_a_file_are_refused_together(capsys, tmp_path, command):
+    good = tmp_path / "good.txt"
+    good.write_text("(())\n")
+    code, out, err = run(capsys, command, "(())", "--file", str(good))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: supply a structure argument or --file, not both: "
+        f"got '(())' and --file {good}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["genus", "classify", "decompose"])
+def test_a_parse_error_in_the_file_names_the_file_and_the_line(capsys, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("(())\n\n  ((.x))\n(.)\n")
+    code, out, err = run(capsys, command, "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}, line 3: unmatched 'x' at column 4\n"
 
 
 def test_clt_cell_and_grid(capsys):
@@ -332,7 +353,7 @@ def test_seeded_sampling_output_is_pinned(capsys):
         assert code == 0 and err == ""
         text += out
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "c3205a12a1a9ea507fb43a5f2b7afd128587db5c41fb1e413fda6a40a7df3036"
+        "3cc7edfddb1d17b1fad286c163d6dd210b99287a20863ca3268df9e51526e498"
     )
 
 

@@ -92,6 +92,47 @@ def test_chain_tables_match_cubic_recurrence(lam, r):
         assert sampler.count(m) == total[m], m
 
 
+def _loop_kind_counts(lam: int, r: int, top: int) -> tuple[list[int], list[int]]:
+    """(comp, body) by one recurrence per loop kind, the body split as
+    hairpin + 2·bulge + interior + multiloop."""
+    hairpin = [1 if m >= lam - 1 else 0 for m in range(top + 1)]
+    comp, bulge, interior, multi, body = ([0] * (top + 1) for _ in range(5))
+    comps = [0] * (top + 1)  # one or more components, each after a gap
+    tail = [0] * (top + 1)  # the components after the first, each with its gap
+    for m in range(top + 1):
+        if m:
+            bulge[m] = bulge[m - 1] + comp[m - 1]
+            interior[m] = interior[m - 1] + bulge[m - 1]
+        two_or_more = sum(comps[t] * tail[m - t] for t in range(2, m - 1))
+        multi[m] = (multi[m - 1] if m else 0) + two_or_more
+        body[m] = hairpin[m] + 2 * bulge[m] + interior[m] + multi[m]
+        comp[m] = sum(body[m - 2 * s] for s in range(r, m // 2 + 1))
+        comps[m] = (comps[m - 1] if m else 0) + comp[m]
+        tail[m] = sum(comps[v] * (1 if v == m else tail[m - v]) for v in range(2, m + 1))
+    return comp, body
+
+
+@pytest.mark.parametrize("lam, r", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3)])
+def test_segment_tables_split_like_the_loop_kinds(lam, r):
+    """A body, any segment but a lone component, counts every loop kind once."""
+    top = 80
+    sampler = StructureSampler(StructureClass(lam, r), 0, top)
+    comp, body = _loop_kind_counts(lam, r, top)
+    d0 = structure_counts(StructureClass(lam, r), 0, top + 1)
+    assert sampler._d0 == d0
+
+    def total(cum):
+        return cum[-1] if cum else 0
+
+    for m in range(1, top + 1):  # the empty segment and the empty body make no choice
+        assert total(sampler._seq[m]) == d0[m], m
+        assert total(sampler._comp[m]) == comp[m], m
+        stacks = [body[m - 2 * s] for s in range(r, m // 2 + 1)]
+        assert sampler._comp[m] == list(accumulate(stacks)), m
+        if m >= lam - 1:
+            assert total(sampler._body[m]) == body[m] == d0[m] - comp[m], m
+
+
 def test_choose_hits_each_index_by_its_weight():
     """Every bit pattern below the total lands on one index; the rest are redrawn."""
     weights = [3, 0, 5, 1, 0, 4]
@@ -340,6 +381,8 @@ def test_parameter_validation():
         (lambda: StructureClass(1, -2), "min_stack must be at least 1, got -2"),
         (lambda: StructureSampler(PLAIN, -1, 5), "genus must be nonnegative, got -1"),
         (lambda: StructureSampler(PLAIN, 1, -5), "max_len must be nonnegative, got -5"),
+        (lambda: StructureSampler(PLAIN, 0, 4).sample_many(4, -3), "draws must be nonnegative, got -3"),
+        (lambda: sample_enumerative(PLAIN, 1, 8, -3), "draws must be nonnegative, got -3"),
         (lambda: validate_constraints(Diagram(4), 0, 1), "min_arc must be at least 1, got 0"),
         (lambda: validate_constraints(Diagram(4), 1, 0), "min_stack must be at least 1, got 0"),
     ],
