@@ -371,26 +371,33 @@ def _cmd_decompose(args) -> int:
         {"structure": text, "blocks": [_block_dict(b) for b in block_decomposition(d)]}
         for text, d in _structures(args)
     ]
-    if args.format == "csv":
-        rows = []
-        for item in forest:
-            stack = [(b, 0) for b in reversed(item["blocks"])]
-            while stack:
-                b, depth = stack.pop()
-                rows.append(
-                    {
-                        "structure": item["structure"],
-                        "depth": depth,
-                        "span": f"{b['span'][0]}-{b['span'][1]}",
-                        "arcs": b["arcs"],
-                        "genus": b["genus"],
-                        "label": b["label"],
-                    }
-                )
-                stack.extend((c, depth + 1) for c in reversed(b["children"]))
-        _emit(args, meta, rows=rows)
-    else:
+    if args.format == "json":
         _emit(args, meta, values={"structures": forest})
+        return 0
+    rows = []  # one per block, depth first
+    for item in forest:
+        stack = [(b, 0) for b in reversed(item["blocks"])]
+        while stack:
+            b, depth = stack.pop()
+            rows.append(
+                {
+                    "structure": item["structure"],
+                    "depth": depth,
+                    "span": f"{b['span'][0]}-{b['span'][1]}",
+                    "arcs": b["arcs"],
+                    "genus": b["genus"],
+                    "label": b["label"],
+                }
+            )
+            stack.extend((c, depth + 1) for c in reversed(b["children"]))
+    if args.format == "csv":
+        _emit(args, meta, rows=rows)
+    else:  # plain: the same fields, each block indented by its depth
+        lines = [
+            "  " * row["depth"] + "  ".join(f"{k}={_text(v)}" for k, v in row.items())
+            for row in rows
+        ]
+        _emit(args, meta, lines=lines)
     return 0
 
 

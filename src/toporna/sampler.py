@@ -169,6 +169,8 @@ class StructureSampler:
         self._d0 = d0
 
         def first(m: int, stop: int) -> list[int]:  # a vertex, or a component shorter than stop
+            if not m:
+                return [d0[0]]  # the empty segment, which emission never chooses
             return [d0[m - 1]] + [comp[t] * d0[m - t] for t in range(2, stop)]
 
         # The choices of secondary emission, keyed by the length left: the

@@ -238,6 +238,23 @@ def test_structure_commands(capsys, tmp_path):
     assert blocks[1]["label"] == "H"
 
 
+def test_plain_decompose_prints_each_block_indented_by_depth(capsys, tmp_path):
+    """One line per block, with the fields of the csv row, two spaces per level."""
+    path = tmp_path / "structs.txt"
+    path.write_text("(([)]).(.[.).]\n{[}(])..\n(([{)]}).\n")
+    code, out, _ = run(capsys, "decompose", "--file", str(path), "--format", "csv")
+    assert code == 0
+    header, *csv_rows = [line.split(",") for line in out.splitlines()]
+    code, out, _ = run(capsys, "decompose", "--file", str(path))
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert len(lines) == len(csv_rows) == 6
+    for line, values in zip(lines, csv_rows):
+        depth = int(values[header.index("depth")])
+        assert line == "  " * depth + "  ".join(f"{k}={v}" for k, v in zip(header, values))
+    assert lines[1] == "  structure=(([)]).(.[.).]  depth=1  span=2-5  arcs=2  genus=1  label=H"
+
+
 @pytest.mark.parametrize("command", ["genus", "classify", "decompose"])
 def test_a_structure_and_a_file_are_refused_together(capsys, tmp_path, command):
     good = tmp_path / "good.txt"

@@ -15,7 +15,9 @@ from toporna.diagram import (
     classify_component,
     genus_of_partner,
     loop_counts,
+    new_tally,
     satisfies_constraints,
+    tally_structure,
 )
 from toporna import oracle
 from toporna.oracle import (
@@ -207,6 +209,7 @@ def test_corner_face_is_walked_only_for_a_pairable_vertex(monkeypatch):
         return _corner_face(n, partner, v)
 
     monkeypatch.setattr(oracle, "_corner_face", checked)
+    oracle._census_rows.clear()  # search again rather than read the cached rows
     assert full_census(10, 1, 1, 2) == census
     assert list(enumerate_shapes(6, genus=2)) == shapes
     assert calls > 0
@@ -242,6 +245,95 @@ def test_shape_search_output_is_pinned():
     assert digest.hexdigest() == (
         "2d8b334765ebbda500ba634874b55e14471abaed2a3891f2f04be066277ea831"
     )
+
+
+def _searched_rows(n, min_arc, min_stack, max_genus):
+    """Census rows tallied over the plain search, every structure visited."""
+    rows = {g: new_tally() for g in range(max_genus + 1)}
+    for g, partner, arcs in oracle._structures(n, min_arc, min_stack, max_genus):
+        tally_structure(n, partner, arcs, rows[g])
+    return rows
+
+
+@pytest.mark.parametrize("min_arc, min_stack", [(1, 1), (2, 1), (2, 2)])
+def test_census_from_shorter_lengths_matches_the_plain_search(min_arc, min_stack):
+    """R(n) = 2·R(n−1) − R(n−2) + B(n) gives every row the full search gives."""
+    oracle._census_rows.clear()
+    for max_genus in range(3):
+        for n in range(13):
+            rows = _searched_rows(n, min_arc, min_stack, max_genus)
+            case = (n, min_arc, min_stack, max_genus)
+            assert full_census(*case) == rows, case
+            assert arc_histograms(*case) == {g: r["arc_hist"] for g, r in rows.items()}, case
+
+
+def test_ends_paired_search_yields_the_structures_with_both_ends_paired():
+    for min_arc, min_stack in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2)):
+        for n in range(2, 11):
+            plain = [
+                (g, tuple(arcs))
+                for g, partner, arcs in oracle._structures(n, min_arc, min_stack, 2)
+                if partner[1] and partner[n]
+            ]
+            ends = [
+                (g, tuple(arcs))
+                for g, _, arcs in oracle._structures(n, min_arc, min_stack, 2, ends=True)
+            ]
+            assert ends == plain, (n, min_arc, min_stack)
+
+
+def test_census_rows_do_not_depend_on_the_cache():
+    lengths = range(12)
+    cases = [(n, cls, g) for cls in ((2, 1), (1, 2)) for g in (0, 2) for n in lengths]
+
+    def cold(call):
+        out = {}
+        for n, cls, g in cases:
+            oracle._census_rows.clear()
+            out[n, cls, g] = call(n, *cls, g)
+        return out
+
+    def warm(call, order):
+        oracle._census_rows.clear()
+        return {(n, cls, g): call(n, *cls, g) for n, cls, g in order}
+
+    censuses, hists = cold(full_census), cold(arc_histograms)
+    for call, expected in ((full_census, censuses), (arc_histograms, hists)):
+        assert warm(call, cases) == expected
+        assert warm(call, reversed(cases)) == expected
+        assert {(n, cls, g): call(n, *cls, g) for n, cls, g in cases} == expected
+    # histogram-only rows in the cache are not served as full rows, nor the reverse
+    oracle._census_rows.clear()
+    for n, cls, g in reversed(cases):
+        assert arc_histograms(n, *cls, g) == hists[n, cls, g]
+        assert full_census(n, *cls, g) == censuses[n, cls, g]
+        assert arc_histograms(n, *cls, g) == hists[n, cls, g]
+
+
+def test_census_cache_is_bounded(monkeypatch):
+    expected = {n: full_census(n, 2, 1, 1) for n in range(12)}
+    oracle._census_rows.clear()
+    monkeypatch.setattr(oracle, "_ROWS_CAP", 3)
+    for n in (11, 4, 9, 0, 10, 5, 1, 11):
+        assert full_census(n, 2, 1, 1) == expected[n], n
+        assert len(oracle._census_rows) <= 3
+    oracle._census_rows.clear()
+
+
+def test_mutating_a_returned_row_changes_no_later_call():
+    case = (9, 1, 1, 2)
+    census, hists = full_census(*case), arc_histograms(*case)
+    for rows in (full_census(*case), full_census(*case)):
+        rows[1]["count"] = -1
+        rows[1]["arc_hist"].clear()
+        rows[0]["loops"]["stack"] += 7
+        rows[2]["pk"]["H"] = None
+        rows.pop(2)
+    got = arc_histograms(*case)
+    got[1][99] = 5
+    got[0].clear()
+    assert full_census(*case) == census
+    assert arc_histograms(*case) == hists
 
 
 @pytest.mark.parametrize("case", [(9, 1, 1, 2), (11, 2, 2, 1), (10, 3, 1, 0)])

@@ -124,7 +124,7 @@ def test_segment_tables_split_like_the_loop_kinds(lam, r):
     def total(cum):
         return cum[-1] if cum else 0
 
-    for m in range(1, top + 1):  # the empty segment and the empty body make no choice
+    for m in range(top + 1):
         assert total(sampler._seq[m]) == d0[m], m
         assert total(sampler._comp[m]) == comp[m], m
         stacks = [body[m - 2 * s] for s in range(r, m // 2 + 1)]
