@@ -15,10 +15,11 @@ classification of those components against the genus-1 catalog, and the
 loop statistics used to cross-check marked generating functions.
 
 Each per-structure analysis has one definition here.  :func:`_crossings` is
-the only scan over crossing arc pairs, :func:`classify_component` the only
-(cached) block classifier and :func:`_tally_loops` the only loop classifier;
-:func:`tally_structure` combines them into the census row that both the
-brute-force census and the sampler statistics report.
+the only scan over crossing arc pairs, :func:`_collapse` the only stack
+collapse, :func:`classify_component` the only (cached) block classifier and
+:func:`_tally_loops` the only loop classifier; :func:`tally_structure`
+combines them into the census row that both the brute-force census and the
+sampler statistics report.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Diagram:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         seen: set[int] = set()
         fixed = []
         for i, j in self.arcs:
@@ -256,56 +257,36 @@ def emit_structure(diagram: Diagram) -> str:
 # -- projections ----------------------------------------------------------
 
 
-def _compact(arcs: set[Arc]) -> tuple[int, set[Arc]]:
-    """Drop unpaired vertices and renumber the remaining ones 1..2k."""
-    used = sorted({v for arc in arcs for v in arc})
-    index = {v: t + 1 for t, v in enumerate(used)}
-    return len(used), {(index[i], index[j]) for i, j in arcs}
-
-
 def _project(diagram: Diagram, *, drop_noncrossing: bool) -> Diagram:
-    """Iterate the reduction rules until nothing changes.
+    """Shape or shadow in one pass over the arcs.
 
-    The shape projection repeatedly drops unpaired vertices, collapses
-    stacked arcs and deletes arcs between adjacent vertices; the shadow
-    projection additionally deletes every arc that crosses nothing.
+    The shape keeps each arc whose span holds an endpoint of a crossing arc
+    (bisecting the endpoints :func:`_crossings` returns), the shadow only
+    the crossing arcs; :func:`_pattern` drops the unpaired vertices and
+    :func:`_collapse` the stacks.
     """
-    n, arcs = _compact(set(diagram.arcs))
-    while True:
-        paired = [False] * (n + 2)
-        for i, j in arcs:
-            paired[i] = paired[j] = True
-        removed = None
-        for i, j in arcs:
-            if j == i + 1:
-                removed = (i, j)
-                break
-            if (i + 1, j - 1) in arcs:
-                removed = (i, j)
-                break
-            if drop_noncrossing and not any(
-                arcs_cross((i, j), other) for other in arcs
-            ):
-                removed = (i, j)
-                break
-        if removed is None:
-            break
-        arcs.discard(removed)
-        n, arcs = _compact(arcs)
-    return Diagram(n, tuple(arcs))
+    involved = _crossings(diagram.arcs)[1]
+    kept = [
+        v
+        for i, j in diagram.arcs
+        if bisect_right(involved, i if drop_noncrossing else j) > bisect_left(involved, i)
+        for v in (i, j)
+    ]
+    return _pattern_diagram(_collapse(_pattern(kept)))
 
 
 def project_shape(diagram: Diagram) -> Diagram:
     """The shape: no unpaired vertices, no stacks, no adjacent-vertex arcs.
 
-    Pure secondary content collapses away entirely, so the shape of a
-    genus-0 diagram is empty.  The projection preserves genus.
+    Only crossing arcs and the arcs around them survive: secondary content
+    collapses away, so the shape of a genus-0 diagram is empty.  Preserves
+    genus.
     """
     return _project(diagram, drop_noncrossing=False)
 
 
 def project_shadow(diagram: Diagram) -> Diagram:
-    """The shadow: the shape with every non-crossing arc removed as well."""
+    """The shadow: the crossing arcs alone, with their stacks collapsed."""
     return _project(diagram, drop_noncrossing=True)
 
 
@@ -418,12 +399,9 @@ def _classify_arcs(
 
     The component's pattern lists the endpoints of its arcs, arc by arc in
     left-endpoint order, relabelled onto 0..2k-1: it does not see where
-    the component sits or which other vertices fill its gaps.  On a miss the
-    pattern drops every arc followed, in left-endpoint order, by an arc
-    whose endpoints are next to its own.  That inner arc crosses the same
-    arcs, so a run of parallel arcs keeps only its innermost one and
-    neither the shadow nor the genus changes; the collapsed pattern keys
-    :data:`_component_classes`, and only a new one is projected.
+    the component sits or which other vertices fill its gaps.  On a miss
+    :func:`_collapse` drops its stacks; the collapsed pattern keys
+    :data:`_component_classes`, and only a new one is classified.
     """
     pattern = _pattern([v for a in arc_indices for v in arcs[a]])
     result = _pattern_classes.get(pattern)
@@ -435,7 +413,12 @@ def _classify_arcs(
     return result
 
 
-def _collapsed_class(pattern: tuple[int, ...]) -> tuple[str, int]:
+def _collapse(pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """Drop each arc of ``pattern`` with the next arc stacked right inside it.
+
+    A run of parallel arcs keeps its innermost arc, which crosses the same
+    arcs, so neither the shadow nor the genus changes.  One pass suffices.
+    """
     pairs = list(zip(pattern[0::2], pattern[1::2]))
     kept = [
         v
@@ -445,10 +428,20 @@ def _collapsed_class(pattern: tuple[int, ...]) -> tuple[str, int]:
     ]
     if len(kept) + 2 < len(pattern):
         pattern = _pattern(kept + list(pairs[-1]))
+    return pattern
+
+
+def _pattern_diagram(pattern: tuple[int, ...]) -> Diagram:
+    """The diagram on 1..len(pattern) whose arcs ``pattern`` lists from 0."""
+    arcs = zip(pattern[0::2], pattern[1::2])
+    return Diagram(len(pattern), tuple((i + 1, j + 1) for i, j in arcs))
+
+
+def _collapsed_class(pattern: tuple[int, ...]) -> tuple[str, int]:
+    pattern = _collapse(pattern)  # every arc crosses, so this is the shadow
     result = _component_classes.get(pattern)
     if result is None:
-        arcs = tuple((i + 1, j + 1) for i, j in zip(pattern[0::2], pattern[1::2]))
-        shadow = project_shadow(Diagram(len(pattern), arcs))
+        shadow = _pattern_diagram(pattern)
         g = shadow.genus().genus
         label = _SHADOW_LABELS.get(shadow) if g == 1 else "higher"
         if label is None:

@@ -86,22 +86,20 @@ def shape_weights(genus: int) -> dict[int, int]:
     shape polynomial.
     """
     if genus < 1:
-        raise ValueError("shape weights are defined for genus >= 1")
-    cached = _weight_cache.get(genus)
-    if cached is not None:
-        return dict(cached)
-    prev = shape_weights(genus - 1)
-    row: dict[int, int] = {}
-    for n in range(2 * genus, 3 * genus):
-        total = (n - 1) * (2 * n - 1) * (2 * n - 3) * prev.get(n - 2, 0)
-        total += 2 * (2 * n - 1) * (2 * n - 3) * (2 * n - 5) * prev.get(n - 3, 0)
-        value, rem = divmod(total, n + 1)
-        if rem:
-            raise ArithmeticError(f"weight recursion not divisible at g={genus}, n={n}")
-        if value:
-            row[n] = value
-    _weight_cache[genus] = row
-    return dict(row)
+        raise ValueError(f"shape weights are defined for genus >= 1, got {genus}")
+    for g in range(max(_weight_cache) + 1, genus + 1):  # bottom-up, as chord_count
+        prev = _weight_cache[g - 1]
+        row: dict[int, int] = {}
+        for n in range(2 * g, 3 * g):
+            total = (n - 1) * (2 * n - 1) * (2 * n - 3) * prev.get(n - 2, 0)
+            total += 2 * (2 * n - 1) * (2 * n - 3) * (2 * n - 5) * prev.get(n - 3, 0)
+            value, rem = divmod(total, n + 1)
+            if rem:
+                raise ArithmeticError(f"weight recursion not divisible at g={g}, n={n}")
+            if value:
+                row[n] = value
+        _weight_cache[g] = row
+    return dict(_weight_cache[genus])
 
 
 def _weight_sum(genus: int, u, delta) -> tuple:
@@ -140,7 +138,7 @@ def irreducible_poly(genus: int) -> Polynomial:
     genus-g irreducible term, lower genera first, and cached.
     """
     if genus < 1:
-        raise ValueError("irreducible shadows require genus >= 1")
+        raise ValueError(f"irreducible shadows require genus >= 1, got {genus}")
     while len(_irreducible_cache) < genus:
         _irreducible_cache.append(_derive_irreducible(len(_irreducible_cache) + 1))
     return _irreducible_cache[genus - 1]

@@ -192,6 +192,69 @@ def test_projection_preserves_genus():
         assert project_shadow(d).genus().genus == g
 
 
+def _project_by_fixpoint(d: Diagram, *, drop_noncrossing: bool) -> Diagram:
+    """Reference projection: apply one reduction rule at a time until none applies.
+
+    Unpaired vertices are dropped and the rest renumbered after every
+    removal.  The rules remove an arc between adjacent vertices, an arc with
+    another stacked directly inside it, and, for the shadow, an arc that
+    crosses no other arc (tested pair by pair).
+    """
+
+    def compact(arcs: set) -> tuple[int, set]:
+        used = sorted(v for arc in arcs for v in arc)
+        index = {v: t + 1 for t, v in enumerate(used)}
+        return len(used), {(index[i], index[j]) for i, j in arcs}
+
+    n, arcs = compact(set(d.arcs))
+    while True:
+        for i, j in sorted(arcs):
+            if (
+                j == i + 1
+                or (i + 1, j - 1) in arcs
+                or (drop_noncrossing and not any(arcs_cross((i, j), o) for o in arcs))
+            ):
+                arcs.discard((i, j))
+                n, arcs = compact(arcs)
+                break
+        else:
+            return Diagram(n, tuple(arcs))
+
+
+def _all_partners(n: int):
+    """Every partial matching on 1..n, as a partner array (index 0 unused)."""
+    partner = [0] * (n + 1)
+
+    def rec(v: int):
+        while v <= n and partner[v]:
+            v += 1
+        if v > n:
+            yield partner
+            return
+        yield from rec(v + 1)
+        for w in range(v + 1, n + 1):
+            if not partner[w]:
+                partner[v], partner[w] = w, v
+                yield from rec(v + 1)
+                partner[v] = partner[w] = 0
+
+    yield from rec(1)
+
+
+def _assert_projections_match_fixpoint(d: Diagram) -> None:
+    assert project_shape(d) == _project_by_fixpoint(d, drop_noncrossing=False)
+    assert project_shadow(d) == _project_by_fixpoint(d, drop_noncrossing=True)
+
+
+def test_projections_match_fixpoint_on_every_diagram_up_to_ten_vertices():
+    seen = 0
+    for n in range(11):
+        for partner in _all_partners(n):
+            _assert_projections_match_fixpoint(Diagram.from_partner(n, partner))
+            seen += 1
+    assert seen == 13232
+
+
 def test_crossing_components_and_classification():
     d = Diagram(
         12,
@@ -404,7 +467,8 @@ def test_two_crossing_arcs_are_the_h_shadow():
         n = rng.randint(4, 16)
         a, b, c, d = sorted(rng.sample(range(1, n + 1), 4))
         arcs = ((a, c), (b, d))
-        assert project_shadow(Diagram(n, arcs)) == GENUS1_SHADOWS["H"]
+        shadow = _project_by_fixpoint(Diagram(n, arcs), drop_noncrossing=True)
+        assert shadow == GENUS1_SHADOWS["H"]
         assert _classify_arcs(arcs, [0, 1]) == ("H", 1)
 
 
@@ -416,7 +480,8 @@ def test_stack_collapsed_key_keeps_the_component_class(case):
     for comp in crossing_components(d):
         if len(comp) < 2:
             continue
-        shadow = project_shadow(Diagram(n, tuple(d.arcs[a] for a in comp)))
+        component = Diagram(n, tuple(d.arcs[a] for a in comp))
+        shadow = _project_by_fixpoint(component, drop_noncrossing=True)
         g = shadow.genus().genus
         expected = (labels[shadow] if g == 1 else "higher", g)
         assert classify_component(d, comp) == expected
@@ -467,6 +532,11 @@ def test_emit_matches_pair_scan(case):
     assert emit_structure(d) == _emit_by_pair_scan(d)
 
 
+@given(_partner_array(max_n=60))
+def test_projections_match_fixpoint(case):
+    _assert_projections_match_fixpoint(Diagram.from_partner(*case))
+
+
 def test_emit_rejects_too_many_pages_like_pair_scan():
     # forty mutually crossing arcs need forty pages
     d = Diagram(80, tuple((k, k + 40) for k in range(1, 41)))
@@ -499,7 +569,8 @@ def test_classifier_caches_ignore_position_and_gaps(case, shift, gaps):
     for comp in crossing_components(d):
         if len(comp) < 2:
             continue
-        shadow = project_shadow(Diagram(n, tuple(d.arcs[a] for a in comp)))
+        component = Diagram(n, tuple(d.arcs[a] for a in comp))
+        shadow = _project_by_fixpoint(component, drop_noncrossing=True)
         g = shadow.genus().genus
         expected = (labels[shadow] if g == 1 else "higher", g)
         for first, second in ((d, moved), (moved, d)):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -271,6 +272,25 @@ def test_top_weight_closed_form():
         assert shape_weights(g)[3 * g - 1] * 3 * g == num
     top = [shape_weights(g)[3 * g - 1] for g in range(1, 6)]
     assert top == [1, 105, 50050, 56581525, 117123756750]
+
+
+def test_shape_weights_are_built_bottom_up(monkeypatch):
+    # From a cache holding only genus 1, a build that recursed once per
+    # genus would need 150 frames; the lowered limit leaves it 30.
+    warm = {g: shape_weights(g) for g in range(1, 7)}
+    monkeypatch.setattr(recursions, "_weight_cache", {1: {2: 1}})
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 30)
+    try:
+        top = shape_weights(150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sorted(top) == list(range(300, 450))
+    assert 450 * top[449] == 2 * 897 * 895 * 893 * shape_weights(149)[446]
+    assert {g: shape_weights(g) for g in range(1, 7)} == warm
 
 
 def test_counting_layer_outputs_are_pinned():

@@ -13,7 +13,7 @@ from toporna.diagram import Diagram, satisfies_constraints, validate_constraints
 from toporna.genfun import StructureClass, arc_distribution, structure_counts
 from toporna import sampler as sampler_module
 from toporna.oracle import _shape_search, enumerate_diagrams, enumerate_shapes
-from toporna.recursions import shape_poly
+from toporna.recursions import irreducible_poly, shape_poly, shape_weights
 from toporna.sampler import (
     StructureSampler,
     _choose,
@@ -385,6 +385,9 @@ def test_parameter_validation():
         (lambda: sample_enumerative(PLAIN, 1, 8, -3), "draws must be nonnegative, got -3"),
         (lambda: validate_constraints(Diagram(4), 0, 1), "min_arc must be at least 1, got 0"),
         (lambda: validate_constraints(Diagram(4), 1, 0), "min_stack must be at least 1, got 0"),
+        (lambda: Diagram(-1), "vertex count must be nonnegative, got -1"),
+        (lambda: shape_weights(0), "shape weights are defined for genus >= 1, got 0"),
+        (lambda: irreducible_poly(0), "irreducible shadows require genus >= 1, got 0"),
     ],
 )
 def test_refusals_name_the_argument_and_the_value(call, message):
