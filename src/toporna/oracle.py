@@ -22,23 +22,25 @@ read nothing else.  Census results are plain nested dicts so tests can
 compare them wholesale against coefficient data from the generating
 function modules.
 
-No tally reads an unpaired first or last vertex (the exterior loop is not
-counted), so deleting one maps the structures on n vertices that leave it
-unpaired onto all structures on n − 1 vertices, genus and every row field
-kept.  Counting the two ends by inclusion and exclusion gives, for n >= 2,
+Every census field adds over concatenation: loops and stacks are closed
+by arcs, no crossing component spans a split point, and genus adds.  So
+the rows R(n) at length n are the sequence construction over unsplittable
+blocks (Flajolet and Sedgewick, *Analytic Combinatorics*, §I.2),
 
-    R(n) = 2·R(n−1) − R(n−2) + B(n),
+    R(n) = Σ_{k=1..n} U(k) ⊗ R(n−k),
 
-where R(n) is the census rows at length n and B(n) the rows of the
-structures whose vertices 1 and n are both paired: the first-vertex split
-of the secondary-structure recursions (Waterman 1978; Nussinov, Pieczenik,
-Griggs and Kleitman 1978) applied at both ends.  Only B(n) is searched, by
-the same search in its ends-paired mode: vertex 1 is never left unpaired,
-and while vertex n is free a branch dies as soon as fewer free vertices
-remain than pairing n needs (a count the search keeps, not a scan).  The
-rows R(n), n <= 1, come from the plain search.  Rows are kept in one cache
-keyed by (n, min_arc, min_stack, max_genus), which is emptied whenever it
-reaches :data:`_ROWS_CAP` entries; callers get copies.
+where U(k) is the rows of the structures on k vertices in which an arc
+spans every gap between neighbouring vertices, U(1) the lone unpaired
+vertex and R(0) the empty structure.  ⊗ multiplies counts, adds the sum
+fields each weighted by the other side's count, convolves ``arc_hist`` and
+adds genera, dropping a sum above ``max_genus``.  This is the first-vertex
+split of the secondary-structure recursions (Waterman 1978; Nussinov,
+Pieczenik, Griggs and Kleitman 1978) taken at every split point.  Only
+U(k) is searched, by the same search in its unsplittable mode, which
+refuses a free vertex as soon as no arc can span the gap before it, at
+O(1) per node.  U and R rows share one cache keyed by kind, length and
+(min_arc, min_stack, max_genus), which is emptied whenever it reaches
+:data:`_ROWS_CAP` entries; callers get copies.
 
 Shapes come from the same search, with ``shape=True`` on 2k vertices
 without 1-arcs: every vertex is paired and no arc sits directly inside
@@ -67,7 +69,7 @@ def _structures(
     min_stack: int,
     max_genus: int,
     shape: bool = False,
-    ends: bool = False,
+    unsplittable: bool = False,
 ) -> Iterator[tuple[int, list[int], list[Arc]]]:
     """Yield ``(genus, partner, arcs)`` for every valid structure on ``n`` vertices.
 
@@ -77,9 +79,11 @@ def _structures(
     Structures of genus above ``max_genus`` are pruned during the search.
     With ``shape`` set every vertex is paired and no arc sits directly
     inside another, so only the shapes of the class are yielded.  With
-    ``ends`` set only the structures whose vertices 1 and ``n`` are both
-    paired are yielded: vertex 1 is never left unpaired, and while vertex
-    ``n`` is free a branch dies once too few free vertices remain to pair it.
+    ``unsplittable`` set only the structures in which an arc spans every
+    gap (v, v + 1) are yielded: a free vertex v is refused once ``reach``,
+    the largest partner opened so far (1 before any), is below v, and left
+    unpaired only if ``reach`` is beyond it or v is the last vertex.  Vertex
+    1 of two or more is therefore always paired.
     """
     partner = [0] * (n + 1)
     run_len = [0] * (n + 1)
@@ -91,11 +95,8 @@ def _structures(
     # can fire, and run_len is not kept.  Shapes need neither.
     hairpins = min_arc > first
     stacks = min_stack > 1
-    everything = n + 2  # ``spare`` when vertex n needs no partner
 
-    def descend(v: int, genus: int, skipped: int) -> Iterator[tuple[int, list[int], list[Arc]]]:
-        # ``skipped`` counts the vertices left unpaired, so n - 2·len(arcs)
-        # - skipped vertices from v on are still free.
+    def descend(v: int, genus: int, reach: int) -> Iterator[tuple[int, list[int], list[Arc]]]:
         while v <= n and partner[v]:
             if hairpins:
                 i = partner[v]
@@ -107,17 +108,15 @@ def _structures(
         if v > n:
             yield genus, partner, arcs
             return
+        if unsplittable and reach < v:
+            return  # no arc can span the gap (v - 1, v) any more
         wrap = partner[v - 1] if v > 1 else 0
         blocked = stacks and wrap > v and run_len[v - 1] < min_stack
-        # the free vertices other than v and n that could still pair with n
-        spare = n - 2 * len(arcs) - skipped - 2 if ends and not partner[n] else everything
-        if not (blocked or shape) and spare > 0 and (v > 1 or not ends):
-            yield from descend(v + 1, genus, skipped + 1)
+        if not (blocked or shape or unsplittable and reach <= v < n):
+            yield from descend(v + 1, genus, reach)
         low, high = v + first, n
         if blocked:  # v closes the short stack around it
             low, high = max(low, wrap - 1), wrap - 1
-        if spare < 2:  # v must take n
-            low = max(low, n)
         on_face = None
         for u in range(low, high + 1):
             if partner[u]:
@@ -137,12 +136,12 @@ def _structures(
             partner[v] = u
             partner[u] = v
             arcs.append((v, u))
-            yield from descend(v + 1, g2, skipped)
+            yield from descend(v + 1, g2, u if u > reach else reach)
             arcs.pop()
             partner[v] = 0
             partner[u] = 0
 
-    yield from descend(1, 0, 0)
+    yield from descend(1, 0, 1)
 
 
 def _check_class(
@@ -161,67 +160,99 @@ def _check_class(
         raise ValueError(f"genus must be at most max_genus, got {genus} > {max_genus}")
 
 
-#: Census rows by (n, min_arc, min_stack, max_genus): full rows, or rows
-#: holding only ``arc_hist`` when no caller has asked for more.  The cache
-#: is emptied once it reaches :data:`_ROWS_CAP` entries, about 3 KB each;
-#: all lengths up to 16 of four classes at three genus caps take 204.
-_census_rows: dict[tuple[int, int, int, int], dict[int, dict]] = {}
-_ROWS_CAP = 256
+#: Census rows by (kind, n, min_arc, min_stack, max_genus), where kind is
+#: "U" for the unsplittable rows U(n) and "R" for the census rows R(n): full
+#: rows, or rows holding only ``arc_hist`` when no caller has asked for more.
+#: The cache is emptied once it reaches :data:`_ROWS_CAP` entries, about 3 KB
+#: each; U and R at all lengths 1 to 16 of four classes at three genus caps
+#: take 384.
+_census_rows: dict[tuple[str, int, int, int, int], dict[int, dict]] = {}
+_ROWS_CAP = 512
 
 
-def _add_rows(rows: dict[int, dict], other: dict[int, dict], k: int) -> None:
-    """Add ``k`` times ``other`` to ``rows``, over the fields ``rows`` holds.
+def _cached(key: tuple[str, int, int, int, int], tally: bool) -> dict[int, dict] | None:
+    """The rows under ``key``, or ``None`` if absent or short of the fields ``tally`` needs."""
+    rows = _census_rows.get(key)
+    return None if rows is None or (tally and "loops" not in rows[0]) else rows
 
-    ``arc_hist`` entries that reach zero are dropped, as the search never
-    makes them; the loop and pk totals keep every key.
+
+def _keep(key: tuple[str, int, int, int, int], rows: dict[int, dict]) -> dict[int, dict]:
+    """Cache ``rows`` under ``key``, emptying the cache first if it is full."""
+    if len(_census_rows) >= _ROWS_CAP:
+        _census_rows.clear()
+    _census_rows[key] = rows
+    return rows
+
+
+def _empty(max_genus: int, tally: bool) -> dict[int, dict]:
+    """Zero rows for genera up to ``max_genus``: full if ``tally``, else ``arc_hist`` only."""
+    return {g: new_tally() if tally else {"arc_hist": {}} for g in range(max_genus + 1)}
+
+
+def _concatenate(blocks: dict[int, dict], rest: dict[int, dict], out: dict[int, dict]) -> None:
+    """Add the rows of every structure of ``blocks`` followed by one of ``rest`` to ``out``.
+
+    Over the fields ``out`` holds: counts multiply, the ``arcs``, ``loops``
+    and ``pk`` totals add with each side weighted by the other's count,
+    ``arc_hist`` convolves, and genera add, those above the cap dropped.
     """
-    for g, row in rows.items():
-        theirs = other[g]
-        for field, mine in row.items():
-            if isinstance(mine, int):
-                row[field] = mine + k * theirs[field]
-                continue
-            for key, value in theirs[field].items():
-                total = mine.get(key, 0) + k * value
-                if total or field != "arc_hist":
-                    mine[key] = total
-                else:
-                    del mine[key]
+    top = len(out) - 1
+    tally = "loops" in out[0]
+    for ga, a in blocks.items():
+        for gb in range(top - ga + 1):
+            b = rest[gb]
+            row = out[ga + gb]
+            hist = row["arc_hist"]
+            for i, x in a["arc_hist"].items():
+                for j, y in b["arc_hist"].items():
+                    hist[i + j] = hist.get(i + j, 0) + x * y
+            if tally:
+                ca, cb = a["count"], b["count"]
+                row["count"] += ca * cb
+                row["arcs"] += a["arcs"] * cb + ca * b["arcs"]
+                for field in ("loops", "pk"):
+                    mine, theirs = row[field], b[field]
+                    for key, x in a[field].items():
+                        mine[key] += x * cb + ca * theirs[key]
 
 
 def _rows(n: int, min_arc: int, min_stack: int, max_genus: int, tally: bool) -> dict[int, dict]:
     """The census rows R(n), cached; full rows if ``tally``, else ``arc_hist`` only.
 
-    R(m) for m = 0, 1, ..., n is read from the cache or built as
-    2·R(m−1) − R(m−2) + B(m) from the two rows before it, so emptying the
-    cache midway costs no second search.  The result is shared: never
+    R(m) = Σ_{k=1..m} U(k) ⊗ R(m−k) (see :func:`_concatenate`) for
+    m = 1, ..., n, with R(0) the empty structure.  Each U(k) and R(m) is read
+    from the cache or built, and held here until R(n) is done, so emptying
+    the cache midway costs no second search.  The result is shared: never
     mutate it.
     """
-    before = last = None
-    for m in range(n + 1):
-        key = (m, min_arc, min_stack, max_genus)
-        rows = _census_rows.get(key)
-        if rows is None or (tally and "loops" not in rows[0]):
-            rows = _searched(m, min_arc, min_stack, max_genus, tally)
-            if m > 1:
-                _add_rows(rows, last, 2)
-                _add_rows(rows, before, -1)
-            if len(_census_rows) >= _ROWS_CAP:
-                _census_rows.clear()
-            _census_rows[key] = rows
-        before, last = last, rows
-    return last
+    cls = (min_arc, min_stack, max_genus)
+    done = _cached(("R", n, *cls), tally)
+    if done is not None:
+        return done
+    blocks = [
+        _cached(("U", k, *cls), tally) or _keep(("U", k, *cls), _searched(k, *cls, tally))
+        for k in range(1, n + 1)
+    ]
+    prefix = [_searched(0, *cls, tally)]
+    for m in range(1, n + 1):
+        rows = _cached(("R", m, *cls), tally)
+        if rows is None:
+            rows = _empty(max_genus, tally)
+            for k in range(1, m + 1):
+                _concatenate(blocks[k - 1], prefix[m - k], rows)
+            _keep(("R", m, *cls), rows)
+        prefix.append(rows)
+    return prefix[n]
 
 
 def _searched(m: int, min_arc: int, min_stack: int, max_genus: int, tally: bool) -> dict[int, dict]:
-    """Rows tallied over B(m), the structures with both ends paired, or over R(m) for m <= 1."""
-    search = _structures(m, min_arc, min_stack, max_genus, ends=m > 1)
+    """Rows tallied over U(m), the unsplittable structures; for m = 0, over R(0), the empty one."""
+    rows = _empty(max_genus, tally)
+    search = _structures(m, min_arc, min_stack, max_genus, unsplittable=True)
     if tally:
-        rows = {g: new_tally() for g in range(max_genus + 1)}
         for genus, partner, arcs in search:
             tally_structure(m, partner, arcs, rows[genus])
     else:
-        rows = {g: {"arc_hist": {}} for g in range(max_genus + 1)}
         for genus, _, arcs in search:
             hist = rows[genus]["arc_hist"]
             hist[len(arcs)] = hist.get(len(arcs), 0) + 1

@@ -35,7 +35,7 @@ from mpmath import mp
 from .diagram import Diagram, new_tally, tally_structure
 from .genfun import StructureClass, require_inflatable
 from .oracle import _shape_search, enumerate_diagrams
-from .recursions import _check_genus, shape_poly
+from .recursions import _check_genus
 from .series import _convolve, _quotient
 
 __all__ = [
@@ -98,9 +98,11 @@ def inventory_cap(genus: int, max_len: int, min_stack: int) -> int:
 
     Each shape arc inflates to a stack of at least ``min_stack`` arcs, so
     at most ``max_len // (2 * min_stack)`` fit; no shape of genus g has more
-    arcs than the degree of its shape polynomial (6g - 1 for g >= 1).
+    arcs than the degree of its shape polynomial, 6g - 1 for g >= 1
+    (:func:`~toporna.recursions.shape_poly`).
     """
-    return min(shape_poly(genus).degree, max_len // (2 * min_stack))
+    _check_genus(genus)
+    return min(6 * genus - 1 if genus else 0, max_len // (2 * min_stack))
 
 
 _SHAPES: dict[tuple[int, int], tuple[Diagram, ...]] = {}  # keyed by (genus, arcs)
@@ -133,6 +135,8 @@ class StructureSampler:
     """
 
     def __init__(self, cls_: StructureClass, genus: int, max_len: int):
+        if not isinstance(cls_, StructureClass):
+            raise TypeError(f"cls_ must be a StructureClass, got {cls_!r}")
         _check_genus(genus)
         if max_len < 0:
             raise ValueError(f"max_len must be nonnegative, got {max_len}")

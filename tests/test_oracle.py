@@ -260,7 +260,7 @@ def _searched_rows(n, min_arc, min_stack, max_genus):
 
 @pytest.mark.parametrize("min_arc, min_stack", [(1, 1), (2, 1), (2, 2)])
 def test_census_from_shorter_lengths_matches_the_plain_search(min_arc, min_stack):
-    """R(n) = 2·R(n−1) − R(n−2) + B(n) gives every row the full search gives."""
+    """R(n) = Σ U(k) ⊗ R(n−k) gives every row the full search gives."""
     oracle._census_rows.clear()
     for max_genus in range(3):
         for n in range(13):
@@ -270,19 +270,91 @@ def test_census_from_shorter_lengths_matches_the_plain_search(min_arc, min_stack
             assert arc_histograms(*case) == {g: r["arc_hist"] for g, r in rows.items()}, case
 
 
-def test_ends_paired_search_yields_the_structures_with_both_ends_paired():
+def _spans_every_gap(n, arcs):
+    spanned = [False] * (n + 1)
+    for i, j in arcs:
+        spanned[i:j] = [True] * (j - i)  # the gaps (i, i + 1), ..., (j - 1, j)
+    return all(spanned[1:n])
+
+
+def test_unsplittable_search_yields_the_structures_with_every_gap_spanned():
     for min_arc, min_stack in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2)):
-        for n in range(2, 11):
+        for n in range(11):
             plain = [
                 (g, tuple(arcs))
-                for g, partner, arcs in oracle._structures(n, min_arc, min_stack, 2)
-                if partner[1] and partner[n]
+                for g, _, arcs in oracle._structures(n, min_arc, min_stack, 2)
+                if _spans_every_gap(n, arcs)
             ]
-            ends = [
+            blocks = [
                 (g, tuple(arcs))
-                for g, _, arcs in oracle._structures(n, min_arc, min_stack, 2, ends=True)
+                for g, _, arcs in oracle._structures(n, min_arc, min_stack, 2, unsplittable=True)
             ]
-            assert ends == plain, (n, min_arc, min_stack)
+            assert blocks == plain, (n, min_arc, min_stack)
+            assert blocks or n > 1  # the empty structure, and the lone vertex
+
+
+@st.composite
+def _stacked_structure(draw):
+    """Arcs of a random perfect matching, each stacked one to three high, between unpaired runs."""
+    k = draw(st.integers(0, 3))
+    ends = draw(st.permutations(range(2 * k)))  # arc t joins ends[2t] and ends[2t + 1]
+    arc_of = {end: t for t, end in enumerate(ends)}
+    heights = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=2 * k + 1, max_size=2 * k + 1))
+    first: dict[int, int] = {}
+    arcs = []
+    v = gaps[0]
+    for end in range(2 * k):
+        t = arc_of[end] // 2
+        if t in first:  # the closing ends of the stack, innermost first
+            arcs += [(first[t] + h, v + heights[t] - h) for h in range(heights[t])]
+        else:
+            first[t] = v + 1
+        v += heights[t] + gaps[end + 1]
+    return v, sorted(arcs)
+
+
+def _partner_of(n, arcs):
+    partner = [0] * (n + 1)
+    for i, j in arcs:
+        partner[i], partner[j] = j, i
+    return partner
+
+
+@given(
+    _stacked_structure(), _stacked_structure(),
+    st.integers(0, 4), st.integers(1, 3), st.integers(1, 3),
+)
+def test_census_fields_add_over_concatenation(left, right, max_genus, min_arc, min_stack):
+    """Genus, validity and every tally field of A·B follow from those of A and B.
+
+    This is the law that builds the census rows from unsplittable blocks.
+    """
+    (na, arcs_a), (nb, arcs_b) = left, right
+    n = na + nb
+    arcs = arcs_a + [(i + na, j + na) for i, j in arcs_b]
+    pa, pb, both = _partner_of(na, arcs_a), _partner_of(nb, arcs_b), _partner_of(n, arcs)
+    ga, gb = genus_of_partner(na, pa).genus, genus_of_partner(nb, pb).genus
+    assert genus_of_partner(n, both).genus == ga + gb
+    valid = [satisfies_constraints(Diagram(m, tuple(a)), min_arc, min_stack)
+             for m, a in ((na, arcs_a), (nb, arcs_b), (n, arcs))]
+    assert valid[2] == (valid[0] and valid[1])
+
+    def rows_of(m, partner, arcs, g):
+        rows = {h: new_tally() for h in range(max(max_genus, ga, gb) + 1)}
+        tally_structure(m, partner, arcs, rows[g])
+        return rows
+
+    rows_a, rows_b = rows_of(na, pa, arcs_a, ga), rows_of(nb, pb, arcs_b, gb)
+    expected = {h: new_tally() for h in range(max_genus + 1)}
+    if ga + gb <= max_genus:
+        tally_structure(n, both, arcs, expected[ga + gb])
+    product = {h: new_tally() for h in range(max_genus + 1)}
+    oracle._concatenate(rows_a, rows_b, product)
+    assert product == expected
+    hists = {h: {"arc_hist": {}} for h in range(max_genus + 1)}
+    oracle._concatenate(rows_a, rows_b, hists)
+    assert hists == {h: {"arc_hist": row["arc_hist"]} for h, row in expected.items()}
 
 
 def test_census_rows_do_not_depend_on_the_cache():
@@ -305,6 +377,12 @@ def test_census_rows_do_not_depend_on_the_cache():
         assert warm(call, cases) == expected
         assert warm(call, reversed(cases)) == expected
         assert {(n, cls, g): call(n, *cls, g) for n, cls, g in cases} == expected
+        # a cache left holding only the U rows, or only the R rows, serves the same
+        for kind in ("U", "R"):
+            warm(call, cases)
+            for key in [key for key in oracle._census_rows if key[0] == kind]:
+                del oracle._census_rows[key]
+            assert {(n, cls, g): call(n, *cls, g) for n, cls, g in reversed(cases)} == expected
     # histogram-only rows in the cache are not served as full rows, nor the reverse
     oracle._census_rows.clear()
     for n, cls, g in reversed(cases):
@@ -315,11 +393,27 @@ def test_census_rows_do_not_depend_on_the_cache():
 
 def test_census_cache_is_bounded(monkeypatch):
     expected = {n: full_census(n, 2, 1, 1) for n in range(12)}
+    hists = {n: arc_histograms(n, 2, 1, 1) for n in range(12)}
     oracle._census_rows.clear()
     monkeypatch.setattr(oracle, "_ROWS_CAP", 3)
+    searched = Counter()
+    search = oracle._structures
+
+    def counted(n, *args, **kwargs):
+        searched[n] += 1
+        return search(n, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_structures", counted)
+    kinds = set()
     for n in (11, 4, 9, 0, 10, 5, 1, 11):
-        assert full_census(n, 2, 1, 1) == expected[n], n
-        assert len(oracle._census_rows) <= 3
+        for call, want in ((arc_histograms, hists), (full_census, expected)):
+            searched.clear()
+            assert call(n, 2, 1, 1) == want[n], n
+            assert len(oracle._census_rows) <= 3
+            kinds.update(key[0] for key in oracle._census_rows)
+            # the cache is emptied several times within a call, yet no length is searched twice
+            assert all(times == 1 for times in searched.values()), (n, searched)
+    assert kinds == {"U", "R"}  # the one cap bounds both kinds together
     oracle._census_rows.clear()
 
 

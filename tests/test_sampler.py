@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import weakref
 from bisect import bisect_right
 from fractions import Fraction
@@ -19,6 +20,7 @@ from toporna.sampler import (
     _choose,
     chi_square,
     chi_square_pvalue,
+    inventory_cap,
     sample_enumerative,
 )
 
@@ -388,11 +390,28 @@ def test_parameter_validation():
         (lambda: Diagram(-1), "vertex count must be nonnegative, got -1"),
         (lambda: shape_weights(0), "shape weights are defined for genus >= 1, got 0"),
         (lambda: irreducible_poly(0), "irreducible shadows require genus >= 1, got 0"),
+        (lambda: inventory_cap(-1, 10, 1), "genus must be nonnegative, got -1"),
     ],
 )
 def test_refusals_name_the_argument_and_the_value(call, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("cls_", [(1, 1), None, "(1, 1)"])
+def test_sampler_refuses_a_class_that_is_not_a_structure_class(cls_):
+    message = f"cls_ must be a StructureClass, got {cls_!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        StructureSampler(cls_, 0, 10)
+
+
+def test_inventory_cap_is_the_shape_polynomial_degree():
+    """The cap reads 6g - 1 without building the shape polynomial."""
+    assert inventory_cap(0, 100, 1) == shape_poly(0).degree == 0
+    for g in range(1, 6):
+        assert inventory_cap(g, 10**6, 1) == shape_poly(g).degree == 6 * g - 1
+    assert inventory_cap(1000, 10**6, 1) == 5999  # shape_poly(1000) takes minutes
+    assert inventory_cap(3, 20, 2) == 5  # at most 20 // 4 stacks of two fit
 
 
 def test_empirical_stats_matches_census_on_full_family():
