@@ -24,7 +24,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import asymptotics, genfun, recursions
+from . import genfun, recursions
 from .diagram import (
     block_decomposition,
     classify_component,
@@ -402,6 +402,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_clt(args) -> int:
+    from . import asymptotics
+
     digits = args.digits
     if not 1 <= digits <= 15:  # the arc law's digits are not certified beyond 15
         raise ValueError(f"--digits must lie in 1..15, got {digits}")
@@ -439,6 +441,8 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_expect(args) -> int:
+    from . import asymptotics
+
     _at_least("--n", args.n, 0)
     _at_least("--genus", args.genus, 1)
     cls_ = _class_of(args, args.genus)

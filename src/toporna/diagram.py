@@ -17,9 +17,13 @@ loop statistics used to cross-check marked generating functions.
 Each per-structure analysis has one definition here.  :func:`_crossings` is
 the only scan over crossing arc pairs, :func:`_collapse` the only stack
 collapse, :func:`classify_component` the only (cached) block classifier and
-:func:`_tally_loops` the only loop classifier; :func:`tally_structure`
-combines them into the census row that both the brute-force census and the
-sampler statistics report.
+:func:`_plan` the only loop classifier.  A plan holds what a census row
+gains from a structure apart from its gaps, and :func:`_apply_plan` adds
+it with the gaps read off the structure.  Built on an arc pattern
+(:func:`_arc_pattern`) a plan serves every structure with that pattern,
+as in the brute-force census; built on a structure's own positions it
+serves :func:`tally_structure` and :func:`loop_counts`, as in the sampler
+statistics.
 """
 
 from __future__ import annotations
@@ -377,14 +381,6 @@ def crossing_components(diagram: Diagram) -> list[list[int]]:
 #: by its pattern (see :func:`_pattern`) with stacks collapsed.
 _component_classes: dict[tuple[int, ...], tuple[str, int]] = {}
 
-#: ``(label, genus)`` by the component's pattern as it stands, stacks
-#: included: the lookup that spares a hit the collapse.  Sampled structures
-#: rarely repeat a pattern once stacks are inflated, so it is emptied when
-#: it reaches :data:`_PATTERN_CAP` entries; the census at n <= 16 needs a few
-#: hundred.
-_pattern_classes: dict[tuple[int, ...], tuple[str, int]] = {}
-_PATTERN_CAP = 1024
-
 
 def _pattern(flat: list[int]) -> tuple[int, ...]:
     """Replace each vertex of ``flat`` (all distinct) by its rank among them, from 0."""
@@ -395,21 +391,25 @@ def _pattern(flat: list[int]) -> tuple[int, ...]:
 def _classify_arcs(
     arcs: list[Arc] | tuple[Arc, ...], arc_indices: list[int]
 ) -> tuple[str, int]:
-    """Classify the component ``arc_indices`` of ``arcs``, through two caches.
+    """Classify the component ``arc_indices`` of ``arcs``, through one cache.
 
     The component's pattern lists the endpoints of its arcs, arc by arc in
     left-endpoint order, relabelled onto 0..2k-1: it does not see where
-    the component sits or which other vertices fill its gaps.  On a miss
+    the component sits or which other vertices fill its gaps.
     :func:`_collapse` drops its stacks; the collapsed pattern keys
     :data:`_component_classes`, and only a new one is classified.
     """
-    pattern = _pattern([v for a in arc_indices for v in arcs[a]])
-    result = _pattern_classes.get(pattern)
+    pattern = _collapse(_pattern([v for a in arc_indices for v in arcs[a]]))
+    result = _component_classes.get(pattern)  # every arc crosses: this is the shadow
     if result is None:
-        result = _collapsed_class(pattern)
-        if len(_pattern_classes) >= _PATTERN_CAP:
-            _pattern_classes.clear()
-        _pattern_classes[pattern] = result
+        shadow = _pattern_diagram(pattern)
+        g = shadow.genus().genus
+        label = _SHADOW_LABELS.get(shadow) if g == 1 else "higher"
+        if label is None:
+            raise AssertionError(
+                f"genus-1 component with shadow outside the catalog: {shadow}"
+            )
+        result = _component_classes[pattern] = label, g
     return result
 
 
@@ -435,21 +435,6 @@ def _pattern_diagram(pattern: tuple[int, ...]) -> Diagram:
     """The diagram on 1..len(pattern) whose arcs ``pattern`` lists from 0."""
     arcs = zip(pattern[0::2], pattern[1::2])
     return Diagram(len(pattern), tuple((i + 1, j + 1) for i, j in arcs))
-
-
-def _collapsed_class(pattern: tuple[int, ...]) -> tuple[str, int]:
-    pattern = _collapse(pattern)  # every arc crosses, so this is the shadow
-    result = _component_classes.get(pattern)
-    if result is None:
-        shadow = _pattern_diagram(pattern)
-        g = shadow.genus().genus
-        label = _SHADOW_LABELS.get(shadow) if g == 1 else "higher"
-        if label is None:
-            raise AssertionError(
-                f"genus-1 component with shadow outside the catalog: {shadow}"
-            )
-        result = _component_classes[pattern] = label, g
-    return result
 
 
 def classify_component(diagram: Diagram, arc_indices: list[int]) -> tuple[str, int]:
@@ -590,68 +575,10 @@ def loop_counts(diagram: Diagram, *, literal_multi: bool = False) -> dict[str, i
 
     The stack count is the number of maximal runs of parallel arcs.
     """
-    arcs = diagram.arcs
-    counts = dict.fromkeys(LOOP_KINDS, 0)
-    _tally_loops(
-        diagram.n, diagram.partner(), arcs, _crossings(arcs)[1], counts, literal_multi
-    )
-    return counts
-
-
-def _tally_loops(
-    n: int,
-    partner: list[int],
-    arcs: list[Arc] | tuple[Arc, ...],
-    involved: list[int],
-    counts: dict[str, int],
-    literal_multi: bool = False,
-) -> None:
-    """Add the stack and loop tallies of one structure to ``counts``.
-
-    ``involved`` is the sorted list of endpoints of every crossing arc;
-    see :func:`loop_counts` for the loop kinds and ``literal_multi``.
-    """
-    stacks = hairpins = bulges = interiors = multis = 0
-    for i, j in arcs:
-        if partner[i - 1] != j + 1:  # outermost arc of its run (partner[0] is 0)
-            stacks += 1
-        v = i + 1
-        children: list[Arc] = []
-        while v < j:
-            p = partner[v]
-            if p == 0:
-                v += 1
-            elif v < p < j:
-                children.append((v, p))
-                v = p + 1
-            else:
-                break
-        else:  # no arc leaves the interior, so (i, j) closes a loop
-            if not children:
-                hairpins += 1
-            elif len(children) == 1:
-                cl, cr = children[0]
-                gaps = (cl > i + 1) + (cr < j - 1)
-                if gaps == 1:
-                    bulges += 1
-                elif gaps == 2:
-                    interiors += 1
-            elif literal_multi or sum(
-                bisect_right(involved, cr) > bisect_left(involved, cl)
-                for cl, cr in children
-            ) <= 1:
-                multis += 1
-    counts["stack"] += stacks
-    counts["hairpin"] += hairpins
-    counts["bulge"] += bulges
-    counts["interior"] += interiors
-    counts["multi"] += multis
-
-
-def stem_count(diagram: Diagram) -> int:
-    """Number of stems: chains of stacks linked by bulges and interior loops."""
-    counts = loop_counts(diagram)
-    return counts["stack"] - counts["bulge"] - counts["interior"]
+    partner = diagram.partner()
+    row = new_tally()
+    _apply_plan(_plan(partner, diagram.arcs, literal_multi), partner, row)
+    return row["loops"]
 
 
 # -- per-structure tally --------------------------------------------------
@@ -679,18 +606,151 @@ def tally_structure(
     ``arcs`` must be sorted by left endpoint and ``partner`` must match
     them.  The row gains the structure, its arcs, its loop tallies (as
     :func:`loop_counts` gives them) and one count per crossing component
-    under its :data:`PK_LABELS` class.
+    under its :data:`PK_LABELS` class.  The plan is built on the structure
+    itself, so nothing is cached.
     """
-    num = len(arcs)
+    _apply_plan(_plan(partner, arcs), partner, row)
+
+
+def _arc_pattern(n: int, partner: list[int]) -> tuple[tuple[int, ...], bytearray]:
+    """The arc pattern of the structure ``partner`` on 1..n, and which gaps are empty.
+
+    The pattern is the partner array of the structure with its unpaired
+    vertices removed: the paired vertices are renumbered 1..2a in backbone
+    order, and entry 0 is unused.  Byte t of the second result is 0 if an
+    unpaired vertex was removed right after the paired vertex numbered t,
+    and 1 otherwise, as :func:`_apply_plan` reads it.
+    """
+    rank = [0] * (n + 1)
+    pattern = [0]
+    joined = bytearray(b"\1") * (n + 1)
+    t = 0
+    for v in range(1, n + 1):
+        p = partner[v]
+        if not p:
+            joined[t] = 0
+            continue
+        t += 1
+        if p > v:
+            rank[v] = t
+            pattern.append(0)
+        else:
+            s = rank[p]
+            pattern[s] = t
+            pattern.append(s)
+    return tuple(pattern), joined
+
+
+def _plan(
+    partner: list[int] | tuple[int, ...],
+    arcs: list[Arc] | tuple[Arc, ...],
+    literal_multi: bool = False,
+) -> tuple:
+    """What a structure adds to a census row, apart from what its gaps decide.
+
+    ``partner`` maps each position to its partner, 0 for an unpaired one,
+    and ``arcs`` lists its arcs by left endpoint.  Built on an arc pattern
+    (:func:`_arc_pattern`), the plan serves every structure with that
+    pattern; built on a structure's own positions, that structure alone.
+
+    Each arc's interior is walked from child to child, unpaired positions
+    skipped; the arc closes a loop if no arc leaves the interior on the
+    way.  Returns ``(num, pairs, hairpins, multis, pk)``:
+
+    - the arc count;
+    - for each loop arc (i, j) with one child (k, l), the pair
+      (k - 1, j - 1): whether the gaps right before k and before j hold a
+      vertex tells a stacked pair, a bulge and an interior loop apart (see
+      :func:`_apply_plan`);
+    - the loop arcs with no child, and those with two or more children
+      counted as multiloops (see :func:`loop_counts` for ``literal_multi``);
+    - the :data:`PK_LABELS` class of each crossing component
+      :func:`_crossings` finds.
+    """
+    components, involved = _crossings(arcs)
+    pairs = []
+    hairpins = multis = 0
+    for i, j in arcs:
+        v = i + 1
+        children = 0
+        while v < j:
+            p = partner[v]
+            if not p:
+                v += 1
+            elif v < p < j:
+                if not children:
+                    first = v
+                children += 1
+                v = p + 1
+            else:
+                break
+        else:  # no arc leaves the interior, so (i, j) closes a loop
+            if not children:
+                hairpins += 1
+            elif children == 1:
+                pairs.append((first - 1, j - 1))
+            elif literal_multi or _branches(partner, i, j, involved) <= 1:
+                multis += 1
+    pk = []
+    if involved:
+        for members in components:
+            if len(members) == 2:
+                pk.append("H")  # two crossing arcs are the H shadow itself
+            elif len(members) > 2:
+                pk.append(_classify_arcs(arcs, members)[0])
+    return len(arcs), tuple(pairs), hairpins, multis, tuple(pk)
+
+
+def _branches(
+    partner: list[int] | tuple[int, ...], i: int, j: int, involved: list[int]
+) -> int:
+    """How many children of the loop closed by (i, j) hold an endpoint in ``involved``."""
+    carrying = 0
+    v = i + 1
+    while v < j:
+        p = partner[v]
+        if p:
+            carrying += bisect_right(involved, p) > bisect_left(involved, v)
+            v = p + 1
+        else:
+            v += 1
+    return carrying
+
+
+def _apply_plan(plan: tuple, joined: bytes | bytearray | list[int], row: dict) -> None:
+    """Add one structure with :func:`_plan` ``plan`` to ``row``.
+
+    Each pair (x, y) of the plan names the positions right before the two
+    gaps of a one-child loop, and ``joined[x]`` is nonzero if the gap after
+    x holds no vertex.  On an arc pattern, ``joined`` comes from
+    :func:`_arc_pattern`.  On a structure's own positions the partner array
+    serves: x is then paired exactly when it is the loop arc's or the
+    child's own end, that is when the gap is empty.  A loop arc with both
+    gaps empty is stacked onto its child, so its run has one maximal stack
+    fewer; one gap held makes a bulge, both an interior loop.
+    """
+    num, pairs, hairpins, multis, labels = plan
     row["count"] += 1
     row["arcs"] += num
     hist = row["arc_hist"]
     hist[num] = hist.get(num, 0) + 1
-    components, involved = _crossings(arcs)
-    _tally_loops(n, partner, arcs, involved, row["loops"])
+    stacked = bulges = interiors = 0
+    for x, y in pairs:
+        if joined[x]:
+            if joined[y]:
+                stacked += 1
+            else:
+                bulges += 1
+        elif joined[y]:
+            bulges += 1
+        else:
+            interiors += 1
+    loops = row["loops"]
+    loops["stack"] += num - stacked
+    loops["hairpin"] += hairpins
+    loops["bulge"] += bulges
+    loops["interior"] += interiors
+    loops["multi"] += multis
     pk = row["pk"]
-    for members in components:
-        if len(members) == 2:
-            pk["H"] += 1  # two crossing arcs are the H shadow itself
-        elif len(members) > 2:
-            pk[_classify_arcs(arcs, members)[0]] += 1
+    for label in labels:
+        pk[label] += 1

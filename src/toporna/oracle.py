@@ -15,11 +15,17 @@ vertex that can only stay unpaired costs no walk.  Together with early
 checks for undersized stacks and short hairpins this keeps the search tree
 close to the set of structures actually counted.
 
-Each finished structure is tallied into its genus row by
-:func:`toporna.diagram.tally_structure`, the same tally the sampler
-statistics use; :func:`arc_histograms` only counts arcs, for callers that
-read nothing else.  Census results are plain nested dicts so tests can
-compare them wholesale against coefficient data from the generating
+Each finished structure is tallied into its genus row by the plan of its
+arc pattern (:func:`toporna.diagram._plan`): its arcs with the unpaired
+vertices dropped.  The plan holds everything the row gains but what the
+structure's gaps decide, which is read from one pass over its partner
+array (:func:`toporna.diagram._arc_pattern`).  Plans are cached by
+pattern in :data:`_plans`, so each pattern is walked and its crossing
+components classified once, however many structures share it.  The
+sampler statistics build the same plans on each structure's own
+positions, uncached.  :func:`arc_histograms` only counts arcs, for callers
+that read nothing else.  Census results are plain nested dicts so tests
+can compare them wholesale against coefficient data from the generating
 function modules.
 
 Every census field adds over concatenation: loops and stacks are closed
@@ -55,11 +61,13 @@ from typing import Iterator
 from .diagram import (
     Arc,
     Diagram,
+    _apply_plan,
+    _arc_pattern,
     _check_parameters,
     _corner_face,
+    _plan,
     crossing_components,
     new_tally,
-    tally_structure,
 )
 
 
@@ -245,13 +253,28 @@ def _rows(n: int, min_arc: int, min_stack: int, max_genus: int, tally: bool) -> 
     return prefix[n]
 
 
+#: Tally plans (:func:`toporna.diagram._plan`) by arc pattern, shared by
+#: every class, length and genus cap: a plan reads nothing else.  The cache
+#: is emptied once it reaches :data:`_PLANS_CAP` entries, about 450 bytes
+#: each with its key; a cold ``full_census(14, 1, 1, 2)`` builds 11,176.
+_plans: dict[tuple[int, ...], tuple] = {}
+_PLANS_CAP = 16384
+
+
 def _searched(m: int, min_arc: int, min_stack: int, max_genus: int, tally: bool) -> dict[int, dict]:
     """Rows tallied over U(m), the unsplittable structures; for m = 0, over R(0), the empty one."""
     rows = _empty(max_genus, tally)
     search = _structures(m, min_arc, min_stack, max_genus, unsplittable=True)
     if tally:
-        for genus, partner, arcs in search:
-            tally_structure(m, partner, arcs, rows[genus])
+        for genus, partner, _ in search:
+            pattern, joined = _arc_pattern(m, partner)
+            plan = _plans.get(pattern)
+            if plan is None:
+                if len(_plans) >= _PLANS_CAP:
+                    _plans.clear()
+                arcs = [(s, t) for s, t in enumerate(pattern) if t > s]
+                plan = _plans[pattern] = _plan(pattern, arcs)
+            _apply_plan(plan, joined, rows[genus])
     else:
         for genus, _, arcs in search:
             hist = rows[genus]["arc_hist"]

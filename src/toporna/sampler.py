@@ -30,8 +30,6 @@ from bisect import bisect_right
 from itertools import accumulate, islice
 from operator import mul, neg
 
-from mpmath import mp
-
 from .diagram import Diagram, new_tally, tally_structure
 from .genfun import StructureClass, require_inflatable
 from .oracle import _shape_search, enumerate_diagrams
@@ -410,6 +408,8 @@ def chi_square_pvalue(stat: float, dof: int) -> float:
     """Upper tail probability of the chi-square distribution."""
     if dof <= 0:
         raise ValueError("dof must be positive")
+    from mpmath import mp
+
     with mp.workdps(30):
         half = mp.mpf(dof) / 2
         return float(mp.gammainc(half, a=mp.mpf(stat) / 2, regularized=True))

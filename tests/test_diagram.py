@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
 
-from toporna import diagram
+from toporna import oracle
 from toporna.diagram import (
     GENUS1_SHADOWS,
     PAGES,
     PK_LABELS,
     Diagram,
+    _apply_plan,
+    _arc_pattern,
     _classify_arcs,
     _component_classes,
     _crossings,
-    _pattern_classes,
+    _plan,
     arcs_cross,
     block_decomposition,
     boundary_components,
@@ -30,7 +33,6 @@ from toporna.diagram import (
     project_shadow,
     project_shape,
     satisfies_constraints,
-    stem_count,
     tally_structure,
     validate_constraints,
 )
@@ -304,6 +306,12 @@ def test_validate_constraints():
     assert satisfies_constraints(Diagram(4, ((1, 3), (2, 4))), 4, 1)
 
 
+def stem_count(diagram: Diagram) -> int:
+    """Number of stems: chains of stacks linked by bulges and interior loops."""
+    counts = loop_counts(diagram)
+    return counts["stack"] - counts["bulge"] - counts["interior"]
+
+
 def test_loop_counts_multiloop():
     d = parse_structure("((..((...))..((...))))")
     assert loop_counts(d) == {
@@ -575,14 +583,117 @@ def test_classifier_caches_ignore_position_and_gaps(case, shift, gaps):
         expected = (labels[shadow] if g == 1 else "higher", g)
         for first, second in ((d, moved), (moved, d)):
             _component_classes.clear()
-            _pattern_classes.clear()
             assert classify_component(first, comp) == expected
             assert classify_component(second, comp) == expected
 
 
-def test_pattern_cache_is_emptied_when_full(monkeypatch):
-    monkeypatch.setattr(diagram, "_PATTERN_CAP", 2)
-    _pattern_classes.clear()
-    for shadow in GENUS1_SHADOWS.values():
-        classify_component(shadow, list(range(shadow.num_arcs)))
-        assert 1 <= len(_pattern_classes) <= 2
+def _tally_by_position_walk(n, partner, arcs, row, literal_multi=False) -> None:
+    """Reference census tally: walk every arc's interior on the vertex positions.
+
+    This is the tally as it stood before plans: one :func:`_crossings`
+    pass and :func:`classify_component` per crossing component, then each
+    arc's interior walked on ``partner`` itself, unpaired vertices
+    included.  The stack count is the number of arcs that are not directly
+    inside another.
+    """
+    num = len(arcs)
+    row["count"] += 1
+    row["arcs"] += num
+    row["arc_hist"][num] = row["arc_hist"].get(num, 0) + 1
+    components, involved = _crossings(arcs)
+    d = Diagram(n, tuple(arcs))
+    for members in components:
+        if len(members) > 1:
+            row["pk"][classify_component(d, members)[0]] += 1
+    loops = row["loops"]
+    for i, j in arcs:
+        if partner[i - 1] != j + 1:  # outermost arc of its run (partner[0] is 0)
+            loops["stack"] += 1
+        v = i + 1
+        children = []
+        while v < j:
+            p = partner[v]
+            if p == 0:
+                v += 1
+            elif v < p < j:
+                children.append((v, p))
+                v = p + 1
+            else:
+                break
+        else:  # no arc leaves the interior, so (i, j) closes a loop
+            if not children:
+                loops["hairpin"] += 1
+            elif len(children) == 1:
+                cl, cr = children[0]
+                gaps = (cl > i + 1) + (cr < j - 1)
+                if gaps == 1:
+                    loops["bulge"] += 1
+                elif gaps == 2:
+                    loops["interior"] += 1
+            elif literal_multi or sum(
+                bisect_right(involved, cr) > bisect_left(involved, cl)
+                for cl, cr in children
+            ) <= 1:
+                loops["multi"] += 1
+
+
+def _assert_tally_matches_position_walk(n, partner, arcs) -> None:
+    """Both plans agree with the reference: the structure's own and its arc pattern's."""
+    expected = new_tally()
+    _tally_by_position_walk(n, partner, arcs, expected)
+    row = new_tally()
+    tally_structure(n, partner, arcs, row)
+    assert row == expected, (n, arcs)
+    pattern, joined = _arc_pattern(n, partner)
+    row = new_tally()
+    _apply_plan(_plan(pattern, [(s, t) for s, t in enumerate(pattern) if t > s]), joined, row)
+    assert row == expected, (n, arcs)
+
+
+@pytest.mark.parametrize("min_arc, min_stack", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_planned_tally_matches_the_position_walk_on_every_searched_structure(
+    min_arc, min_stack
+):
+    seen = 0
+    for n in range(12):
+        for _, partner, arcs in oracle._structures(n, min_arc, min_stack, 2):
+            _assert_tally_matches_position_walk(n, partner, arcs)
+            seen += 1
+    assert seen == sum(oracle.count_table(11, min_arc, min_stack, 2).values())
+
+
+@st.composite
+def _stacked_partner(draw):
+    """``(n, partner)``: up to 6 stacks, 1 to 4 arcs high, between runs of unpaired vertices.
+
+    The stacks join the ends of a random perfect matching, so n <= 74.
+    """
+    k = draw(st.integers(0, 6))
+    ends = draw(st.permutations(range(2 * k)))  # stack t joins ends[2t] and ends[2t + 1]
+    stack_of = {end: t // 2 for t, end in enumerate(ends)}
+    heights = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    gaps = draw(st.lists(st.integers(0, 2), min_size=2 * k + 1, max_size=2 * k + 1))
+    first: dict[int, int] = {}
+    arcs = []
+    v = gaps[0]
+    for end in range(2 * k):
+        t = stack_of[end]
+        if t in first:
+            arcs += [(first[t] + h, v + heights[t] - h) for h in range(heights[t])]
+        else:
+            first[t] = v + 1
+        v += heights[t] + gaps[end + 1]
+    partner = [0] * (v + 1)
+    for i, j in arcs:
+        partner[i], partner[j] = j, i
+    return v, partner
+
+
+@given(st.one_of(_stacked_partner(), _partner_array(max_n=80)), st.booleans())
+def test_planned_tally_and_loop_counts_match_the_position_walk(case, literal_multi):
+    n, partner = case
+    d = Diagram.from_partner(n, partner)
+    _assert_tally_matches_position_walk(n, partner, d.arcs)
+    expected = new_tally()
+    _tally_by_position_walk(n, partner, d.arcs, expected, literal_multi)
+    assert loop_counts(d, literal_multi=literal_multi) == expected["loops"]

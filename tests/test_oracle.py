@@ -417,6 +417,28 @@ def test_census_cache_is_bounded(monkeypatch):
     oracle._census_rows.clear()
 
 
+def test_plan_cache_is_bounded_and_changes_no_row(monkeypatch):
+    cases = [(n, *cls, 2) for cls in ((1, 1), (2, 2)) for n in range(11)]
+    oracle._census_rows.clear()
+    expected = [full_census(*case) for case in cases]
+    oracle._census_rows.clear()
+    oracle._plans.clear()
+    monkeypatch.setattr(oracle, "_PLANS_CAP", 2)
+    built = []
+    plan = oracle._plan
+
+    def counted(*args):
+        assert len(oracle._plans) < 2  # emptied before a third plan goes in
+        built.append(args[0])
+        return plan(*args)
+
+    monkeypatch.setattr(oracle, "_plan", counted)
+    assert [full_census(*case) for case in cases] == expected
+    assert len(oracle._plans) <= 2
+    assert len(built) > len(set(built))  # plans were dropped and built again
+    oracle._census_rows.clear()
+
+
 def test_mutating_a_returned_row_changes_no_later_call():
     case = (9, 1, 1, 2)
     census, hists = full_census(*case), arc_histograms(*case)

@@ -12,7 +12,7 @@ import pytest
 
 from toporna.diagram import Diagram, satisfies_constraints, validate_constraints
 from toporna.genfun import StructureClass, arc_distribution, structure_counts
-from toporna import sampler as sampler_module
+from toporna import oracle, sampler as sampler_module
 from toporna.oracle import _shape_search, enumerate_diagrams, enumerate_shapes
 from toporna.recursions import irreducible_poly, shape_poly, shape_weights
 from toporna.sampler import (
@@ -429,6 +429,21 @@ def test_empirical_stats_matches_census_on_full_family():
     assert report["pk"] == row["pk"]
     with pytest.raises(ValueError):
         empirical_stats([])
+
+
+def test_empirical_stats_leaves_the_plan_cache_as_it_found_it():
+    from toporna.sampler import empirical_stats
+
+    family = list(enumerate_diagrams(9, genus=1))
+    for warm in (False, True):
+        oracle._plans.clear()
+        if warm:
+            oracle._census_rows.clear()
+            oracle.full_census(9, 1, 1, 1)
+        before = dict(oracle._plans)
+        assert bool(before) == warm
+        empirical_stats(family)
+        assert oracle._plans == before
 
 
 def test_chi_square_helpers():
