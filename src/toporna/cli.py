@@ -39,6 +39,7 @@ from .sampler import StructureSampler, empirical_stats, inventory_cap, sample_en
 GENERATOR_ID = "python-random-mt19937"
 GRAMMAR_LENGTH_CAP = 200
 CEILING_MAX = 24
+CLT_DIGITS_CAP = 100
 
 
 # -- output plumbing -------------------------------------------------------
@@ -63,14 +64,6 @@ def _decimal(value: int) -> str:
     half = value.bit_length() * 3 // 20  # about half the decimal digits
     high, low = divmod(value, 10**half)
     return _decimal(high) + _decimal(low).rjust(half, "0")
-
-
-def _fixed(value, digits: int) -> str:
-    """An mpf's exact binary value, man * 2^exp, rounded half-even to ``digits`` places."""
-    man, exp = value.man_exp
-    scaled = round(Fraction(man) * Fraction(2) ** exp * 10**digits)
-    whole, frac = divmod(abs(scaled), 10**digits)
-    return f"{'-' if man < 0 else ''}{whole}.{frac:0{digits}d}"
 
 
 def _jsonable(value):
@@ -405,12 +398,13 @@ def _cmd_clt(args) -> int:
     from . import asymptotics
 
     digits = args.digits
-    if not 1 <= digits <= 15:  # the arc law's digits are not certified beyond 15
-        raise ValueError(f"--digits must lie in 1..15, got {digits}")
+    if not 1 <= digits <= CLT_DIGITS_CAP:
+        raise ValueError(f"--digits must lie in 1..{CLT_DIGITS_CAP}, got {digits}")
     _at_least("--max-lambda", args.max_lam, 1)
     _at_least("--max-r", args.max_r, 1)
     _at_least("--precision", args.precision, 15)
     cls_ = _class_of(args)
+    dps = max(args.precision, digits)
     if args.grid:
         meta = _base_meta(
             args,
@@ -420,21 +414,21 @@ def _cmd_clt(args) -> int:
             max_stack=args.max_r,
             precision=args.precision,
         )
-        grid = asymptotics.mean_arc_grid(args.max_lam, args.max_r, args.precision)
+        grid = asymptotics.arc_law_grid(args.max_lam, args.max_r, dps)
         rows = [
-            {"min_arc": lam, "min_stack": r, "mean": _fixed(grid[(lam, r)], digits)}
-            for (lam, r) in sorted(grid)
+            {"min_arc": lam, "min_stack": r, "mean": law.decimal("mean", digits)}
+            for (lam, r), law in sorted(grid.items())
         ]
         _emit(args, meta, rows=rows)
         return 0
     meta = _base_meta(
         args, "clt", min_arc=args.lam, min_stack=args.r, precision=args.precision
     )
-    law = asymptotics.arc_law(cls_, dps=args.precision)
+    law = asymptotics.arc_law(cls_, dps=dps)
     values = {
-        "singularity": _fixed(law.rho, digits),
-        "mean_arc_fraction": _fixed(law.mean, digits),
-        "variance_fraction": _fixed(law.variance, digits),
+        "singularity": law.decimal("rho", digits),
+        "mean_arc_fraction": law.decimal("mean", digits),
+        "variance_fraction": law.decimal("variance", digits),
     }
     _emit(args, meta, values=values)
     return 0
@@ -446,6 +440,10 @@ def _cmd_expect(args) -> int:
     _at_least("--n", args.n, 0)
     _at_least("--genus", args.genus, 1)
     cls_ = _class_of(args, args.genus)
+    # A genus-g shape has at least 2g arcs and each stands for a stack of at
+    # least r arcs, so no genus-g structure is shorter than 4gr.
+    if args.n < 4 * args.genus * args.r:
+        raise ValueError(f"no structures of length {args.n}")
     meta = _base_meta(
         args,
         "expect",
@@ -646,9 +644,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="store_true", help="emit the whole mean grid")
     p.add_argument("--max-lambda", dest="max_lam", type=int, default=6)
     p.add_argument("--max-r", dest="max_r", type=int, default=6)
-    p.add_argument("--digits", type=int, default=4, help="printed digits")
     p.add_argument(
-        "--precision", type=int, default=50, help="working digits (minimum 15)"
+        "--digits",
+        type=int,
+        default=4,
+        help=f"printed decimal places, 1 to {CLT_DIGITS_CAP}; each one is certified",
+    )
+    p.add_argument(
+        "--precision",
+        type=int,
+        default=50,
+        help="working digits, at least 15; the law is enclosed at the larger of "
+        "--precision and --digits, and more finely where a digit needs it",
     )
     p.set_defaults(func=_cmd_clt)
 

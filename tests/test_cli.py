@@ -7,6 +7,7 @@ import io
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -329,6 +330,18 @@ def test_expect_matches_library(capsys):
     assert "leading_term" not in json.loads(out)["values"]
 
 
+def test_expect_refuses_lengths_below_every_structure_at_once(capsys):
+    # a genus-g structure has at least 2g stacks of r arcs: length 4gr
+    start = time.process_time()
+    code, out, err = run(capsys, "expect", "--type", "H", "--n", "4", "--genus", "20")
+    assert time.process_time() - start < 1
+    assert (code, out, err) == (2, "", "error: no structures of length 4\n")
+    code, _, err = run(capsys, "expect", "--type", "K", "--n", "15", "--genus", "2", "--r", "2")
+    assert (code, err) == (2, "error: no structures of length 15\n")
+    code, out, err = run(capsys, "expect", "--type", "H", "--n", "16", "--genus", "2", "--r", "2")
+    assert code == 0 and err == "" and "expected_blocks:" in out
+
+
 def test_sample_deterministic_and_valid(capsys):
     args = (
         "sample", "--n", "12", "--genus", "1",
@@ -371,6 +384,26 @@ def test_seeded_sampling_output_is_pinned(capsys):
         text += out
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3cc7edfddb1d17b1fad286c163d6dd210b99287a20863ca3268df9e51526e498"
+    )
+
+
+def test_clt_strings_are_pinned(capsys):
+    """Every class with lambda, r <= 6 and lambda <= r + 1, each constant at 1..15 digits."""
+    strings = []
+    for lam in range(1, 7):
+        for r in range(1, 7):
+            if lam > r + 1:
+                continue
+            for digits in range(1, 16):
+                request = f"clt --lambda {lam} --r {r} --digits {digits} --format json"
+                code, out, err = run(capsys, *request.split())
+                assert code == 0 and err == ""
+                values = json.loads(out)["values"]
+                strings += [values[k] for k in ("singularity", "mean_arc_fraction", "variance_fraction")]
+    assert len(strings) == 1170
+    text = "\n".join(strings) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "464e20262654dc3102f89650673524fddde0a6c1c3873a9bc6c69f229f9a83e9"
     )
 
 
@@ -536,7 +569,7 @@ def test_sample_and_shape_inputs_rejected_by_flag(capsys, case, flag):
 @pytest.mark.parametrize(
     "case, flag",
     [
-        (("clt", "--lambda", "2", "--r", "2", "--digits", "25"), "--digits"),
+        (("clt", "--lambda", "2", "--r", "2", "--digits", "101"), "--digits"),
         (("clt", "--digits", "0"), "--digits"),
         (("clt", "--digits", "-1"), "--digits"),
         (("clt", "--grid", "--max-lambda", "0"), "--max-lambda"),
@@ -556,6 +589,16 @@ def test_clt_prints_up_to_fifteen_digits(capsys):
     code, out, _ = run(capsys, "clt", "--lambda", "2", "--r", "2", "--digits", "15")
     assert code == 0
     assert "mean_arc_fraction: 0.317239507847332\n" in out
+
+
+def test_clt_prints_thirty_certified_digits(capsys):
+    code, out, err = run(capsys, "clt", "--digits", "30", "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["values"] == {
+        "singularity": "0.333333333333333333333333333333",
+        "mean_arc_fraction": "0.333333333333333333333333333333",
+        "variance_fraction": "0.055555555555555555555555555556",
+    }
 
 
 @pytest.mark.parametrize(
