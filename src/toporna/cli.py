@@ -33,7 +33,7 @@ from .diagram import (
     parse_structure,
 )
 from .genfun import StructureClass
-from .oracle import arc_histograms, full_census
+from .oracle import full_census
 from .sampler import StructureSampler, empirical_stats, inventory_cap, sample_enumerative
 
 GENERATOR_ID = "python-random-mt19937"
@@ -217,20 +217,20 @@ def _cmd_count(args) -> int:
     meta = _base_meta(
         args, "count", n=args.n, genus=args.genus, min_arc=args.lam, min_stack=args.r
     )
-    oracle_hist: dict[int, int] | None = None
+    oracle_row: dict | None = None
     if args.oracle:
         _check_ceiling(args.n, ceiling)
-        oracle_hist = arc_histograms(args.n, args.lam, args.r, args.genus)[args.genus]
+        oracle_row = full_census(args.n, args.lam, args.r, args.genus)[args.genus]
         meta["oracle"] = True
     if args.arcs:
         dist = genfun.arc_distribution(cls_, args.genus, args.n)
         rows = []
         for k, c in enumerate(dist):
-            if not c and (oracle_hist is None or not oracle_hist.get(k)):
+            if not c and (oracle_row is None or not oracle_row["arc_hist"].get(k)):
                 continue
             row = {"arcs": k, "count": c}
-            if oracle_hist is not None:
-                row["oracle_count"] = oracle_hist.get(k, 0)
+            if oracle_row is not None:
+                row["oracle_count"] = oracle_row["arc_hist"].get(k, 0)
                 if row["oracle_count"] != c:
                     raise ArithmeticError(
                         f"series and oracle disagree at {k} arcs: "
@@ -242,8 +242,8 @@ def _cmd_count(args) -> int:
         return 0
     total = genfun.structure_counts(cls_, args.genus, args.n + 1)[args.n]
     values = {"count": total}
-    if oracle_hist is not None:
-        values["oracle_count"] = sum(oracle_hist.values())
+    if oracle_row is not None:
+        values["oracle_count"] = oracle_row["count"]
         if values["oracle_count"] != total:
             raise ArithmeticError(
                 f"series and oracle disagree: {total} vs {values['oracle_count']}"
@@ -440,10 +440,6 @@ def _cmd_expect(args) -> int:
     _at_least("--n", args.n, 0)
     _at_least("--genus", args.genus, 1)
     cls_ = _class_of(args, args.genus)
-    # A genus-g shape has at least 2g arcs and each stands for a stack of at
-    # least r arcs, so no genus-g structure is shorter than 4gr.
-    if args.n < 4 * args.genus * args.r:
-        raise ValueError(f"no structures of length {args.n}")
     meta = _base_meta(
         args,
         "expect",
@@ -460,9 +456,14 @@ def _cmd_expect(args) -> int:
         "expected_blocks_float": float(exact),
     }
     if args.genus == 1 and (args.lam, args.r) == (1, 1):
-        values["leading_term"] = float(
-            asymptotics.genus1_type_probability(args.type, args.n)
-        )
+        # The four limits sum to 1 but only lie in [0, 1] from n = 35 on;
+        # below that they are no probabilities, and none is printed.
+        limits = {
+            kind: asymptotics.genus1_type_probability(kind, args.n)
+            for kind in asymptotics.GENUS1_TYPE_NUMERATORS
+        }
+        if all(0 <= p <= 1 for p in limits.values()):
+            values["leading_term"] = float(limits[args.type])
     _emit(args, meta, values=values)
     return 0
 

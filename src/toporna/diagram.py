@@ -115,13 +115,6 @@ class GenusResult:
     euler_characteristic: int
 
 
-def arcs_cross(a: Arc, b: Arc) -> bool:
-    """Whether two arcs cross when drawn in the upper half plane."""
-    i, j = a
-    k, l = b
-    return (i < k < j < l) or (k < i < l < j)
-
-
 def _walk_face(n: int, partner: list[int], w: int, t: int, seen: bytearray) -> None:
     """Mark ``seen[3w + t]`` for every half-edge on the face through ``(w, t)``.
 

@@ -39,7 +39,9 @@ its value and two y-derivatives at y = 1.  No element is ever divided.
   each y-derivative of the marked shape polynomial is inflated by itself.
 
 Only :func:`dg_via_chords`, the independent route the arc jets are
-checked against, works on truncated series.
+checked against, works on truncated series.  Every other family answers 0
+without building an element below length 4gr, that of the shortest genus-g
+structure (:func:`_below_shortest`).
 
 Everything here is exact: coefficients are ints, and every division on
 the way is exact or raises ``ArithmeticError``.  Results are truncated
@@ -170,6 +172,19 @@ def _at_y(element: tuple, y: int) -> AlgebraicSeries:
     return AlgebraicSeries(e, p.at_y(y), q.at_y(y), d.at_y(y) * _power(e, j))
 
 
+def _below_shortest(cls_: StructureClass, genus: int, order: int) -> bool:
+    """Whether ``order`` <= 4 g r, so that every coefficient below x^order is 0 at genus g.
+
+    A genus-g shape has at least 2g arcs and each stands for a stack of at
+    least r arcs, so no genus-g structure is shorter than 4gr.  Checks the
+    genus and, at positive genus, that the class inflates.
+    """
+    _check_genus(genus)
+    if genus:
+        require_inflatable(cls_)
+    return order <= 4 * genus * cls_.min_stack
+
+
 def d0_series(cls_: StructureClass, order: int) -> TruncatedSeries:
     """Genus-0 structure counts by length (marker set to 1)."""
     _check_order(order)
@@ -184,6 +199,8 @@ def d0_jet(cls_: StructureClass, order: int) -> YJet:
 def dg_series(cls_: StructureClass, genus: int, order: int) -> TruncatedSeries:
     """Genus-g structure counts by length."""
     _check_order(order)
+    if _below_shortest(cls_, genus, order):
+        return TruncatedSeries.zero(order)
     return _dg(cls_, genus, 1).series(order)
 
 
@@ -193,6 +210,8 @@ def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
     The jet is computed exactly in Q(x)(S) and expanded only at the end.
     """
     _check_order(order)
+    if _below_shortest(cls_, genus, order):
+        return YJet.plain(TruncatedSeries.zero(order))
     return YJet(*_expand(order, *_genus_jet(cls_, genus)))
 
 
@@ -248,8 +267,6 @@ def _loop_quadratic(cls_: StructureClass, kind: str) -> tuple[XYPolynomial, ...]
     alpha = m sigma u^2.  At y = 1 this is (1 - x)^2 times the arc
     quadratic, and E = beta^2 - 4 alpha gamma is (1 - x)^4 Delta.
     """
-    if kind not in LOOP_KINDS and kind != "stem":
-        raise ValueError(f"unknown loop kind {kind!r}")
     counted = ("hairpin", "multi") if kind == "stem" else (kind,)
     one, x = XYPolynomial.constant(1), XYPolynomial.monomial(1, 0)
     mark = {k: XYPolynomial.monomial(0, 1) if k in counted else one for k in LOOP_KINDS}
@@ -337,17 +354,19 @@ def loop_marked_dg_jet(
             times the arc quadratic, whose root is D0.
     """
     _check_order(order)
+    _check_genus(genus)
+    if kind not in LOOP_KINDS and kind != "stem":
+        raise ValueError(f"unknown loop kind {kind!r}")
+    if genus and kind == "stem":
+        raise ValueError("stem marking is only available at genus 0")
+    if _below_shortest(cls_, genus, order):
+        return YJet.plain(TruncatedSeries.zero(order))
     return YJet(*_expand(order, *_loop_jet(cls_, genus, kind)))
 
 
 @lru_cache(maxsize=_CLASS_CACHE)
 def _loop_jet(cls_: StructureClass, genus: int, kind: str) -> tuple[AlgebraicSeries, ...]:
-    _check_genus(genus)
     quadratic = _loop_quadratic(cls_, kind)
-    if genus:
-        if kind == "stem":
-            raise ValueError("stem marking is only available at genus 0")
-        require_inflatable(cls_)
     u2 = XYPolynomial({(0, 0): 1, (1, 0): -2, (2, 0): 1})
     if any(f.at_y(1) != (u2 * g).at_y(1) for f, g in zip(quadratic[:3], _arc_quadratic(cls_))):
         raise ArithmeticError("loop quadratic at y = 1 is not (1 - x)^2 times the arc quadratic")
@@ -371,7 +390,8 @@ def pk_marked_dg_jet(
     if genus < 1:
         raise ValueError(f"block marking needs genus at least 1, got {genus}")
     _check_order(order)
-    require_inflatable(cls_)
+    if _below_shortest(cls_, genus, order):
+        return YJet.plain(TruncatedSeries.zero(order))
     unmarked = tuple(_xy_from_poly(f.at_y(1)) for f in _arc_quadratic(cls_))
     return YJet(*_expand(order, *(
         _at_y(_inflated(unmarked, f.coeffs), 1)
@@ -395,6 +415,8 @@ def arc_distribution(cls_: StructureClass, genus: int, n: int) -> list[int]:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if _below_shortest(cls_, genus, n + 1):
+        return []
     top = n // 2 + 1
     diffs = [_dg(cls_, genus, y).series(n + 1).coeff(n) for y in range(1, top + 1)]
     for step in range(1, top):

@@ -23,10 +23,11 @@ array (:func:`toporna.diagram._arc_pattern`).  Plans are cached by
 pattern in :data:`_plans`, so each pattern is walked and its crossing
 components classified once, however many structures share it.  The
 sampler statistics build the same plans on each structure's own
-positions, uncached.  :func:`arc_histograms` only counts arcs, for callers
-that read nothing else.  Census results are plain nested dicts so tests
-can compare them wholesale against coefficient data from the generating
-function modules.
+positions, uncached.  Every census row is a full row, so a caller that
+reads only counts or arc histograms shares the rows of one that reads
+everything.  Census results are plain nested dicts so tests can compare
+them wholesale against coefficient data from the generating function
+modules.
 
 Every census field adds over concatenation: loops and stacks are closed
 by arcs, no crossing component spans a split point, and genus adds.  So
@@ -169,19 +170,12 @@ def _check_class(
 
 
 #: Census rows by (kind, n, min_arc, min_stack, max_genus), where kind is
-#: "U" for the unsplittable rows U(n) and "R" for the census rows R(n): full
-#: rows, or rows holding only ``arc_hist`` when no caller has asked for more.
-#: The cache is emptied once it reaches :data:`_ROWS_CAP` entries, about 3 KB
-#: each; U and R at all lengths 1 to 16 of four classes at three genus caps
-#: take 384.
+#: "U" for the unsplittable rows U(n) and "R" for the census rows R(n); every
+#: row is a full row.  The cache is emptied once it reaches :data:`_ROWS_CAP`
+#: entries, about 3 KB each; U and R at all lengths 1 to 16 of four classes at
+#: three genus caps take 384.
 _census_rows: dict[tuple[str, int, int, int, int], dict[int, dict]] = {}
 _ROWS_CAP = 512
-
-
-def _cached(key: tuple[str, int, int, int, int], tally: bool) -> dict[int, dict] | None:
-    """The rows under ``key``, or ``None`` if absent or short of the fields ``tally`` needs."""
-    rows = _census_rows.get(key)
-    return None if rows is None or (tally and "loops" not in rows[0]) else rows
 
 
 def _keep(key: tuple[str, int, int, int, int], rows: dict[int, dict]) -> dict[int, dict]:
@@ -192,40 +186,39 @@ def _keep(key: tuple[str, int, int, int, int], rows: dict[int, dict]) -> dict[in
     return rows
 
 
-def _empty(max_genus: int, tally: bool) -> dict[int, dict]:
-    """Zero rows for genera up to ``max_genus``: full if ``tally``, else ``arc_hist`` only."""
-    return {g: new_tally() if tally else {"arc_hist": {}} for g in range(max_genus + 1)}
+def _empty(max_genus: int) -> dict[int, dict]:
+    """Zero rows for genera up to ``max_genus``."""
+    return {g: new_tally() for g in range(max_genus + 1)}
 
 
 def _concatenate(blocks: dict[int, dict], rest: dict[int, dict], out: dict[int, dict]) -> None:
     """Add the rows of every structure of ``blocks`` followed by one of ``rest`` to ``out``.
 
-    Over the fields ``out`` holds: counts multiply, the ``arcs``, ``loops``
-    and ``pk`` totals add with each side weighted by the other's count,
-    ``arc_hist`` convolves, and genera add, those above the cap dropped.
+    Counts multiply, the ``arcs``, ``loops`` and ``pk`` totals add with each
+    side weighted by the other's count, ``arc_hist`` convolves, and genera
+    add, those above the cap dropped.
     """
     top = len(out) - 1
-    tally = "loops" in out[0]
     for ga, a in blocks.items():
+        ca = a["count"]
         for gb in range(top - ga + 1):
             b = rest[gb]
+            cb = b["count"]
             row = out[ga + gb]
             hist = row["arc_hist"]
             for i, x in a["arc_hist"].items():
                 for j, y in b["arc_hist"].items():
                     hist[i + j] = hist.get(i + j, 0) + x * y
-            if tally:
-                ca, cb = a["count"], b["count"]
-                row["count"] += ca * cb
-                row["arcs"] += a["arcs"] * cb + ca * b["arcs"]
-                for field in ("loops", "pk"):
-                    mine, theirs = row[field], b[field]
-                    for key, x in a[field].items():
-                        mine[key] += x * cb + ca * theirs[key]
+            row["count"] += ca * cb
+            row["arcs"] += a["arcs"] * cb + ca * b["arcs"]
+            for field in ("loops", "pk"):
+                mine, theirs = row[field], b[field]
+                for key, x in a[field].items():
+                    mine[key] += x * cb + ca * theirs[key]
 
 
-def _rows(n: int, min_arc: int, min_stack: int, max_genus: int, tally: bool) -> dict[int, dict]:
-    """The census rows R(n), cached; full rows if ``tally``, else ``arc_hist`` only.
+def _rows(n: int, min_arc: int, min_stack: int, max_genus: int) -> dict[int, dict]:
+    """The census rows R(n), cached.
 
     R(m) = Σ_{k=1..m} U(k) ⊗ R(m−k) (see :func:`_concatenate`) for
     m = 1, ..., n, with R(0) the empty structure.  Each U(k) and R(m) is read
@@ -234,18 +227,18 @@ def _rows(n: int, min_arc: int, min_stack: int, max_genus: int, tally: bool) -> 
     mutate it.
     """
     cls = (min_arc, min_stack, max_genus)
-    done = _cached(("R", n, *cls), tally)
+    done = _census_rows.get(("R", n, *cls))
     if done is not None:
         return done
     blocks = [
-        _cached(("U", k, *cls), tally) or _keep(("U", k, *cls), _searched(k, *cls, tally))
+        _census_rows.get(("U", k, *cls)) or _keep(("U", k, *cls), _searched(k, *cls))
         for k in range(1, n + 1)
     ]
-    prefix = [_searched(0, *cls, tally)]
+    prefix = [_searched(0, *cls)]
     for m in range(1, n + 1):
-        rows = _cached(("R", m, *cls), tally)
+        rows = _census_rows.get(("R", m, *cls))
         if rows is None:
-            rows = _empty(max_genus, tally)
+            rows = _empty(max_genus)
             for k in range(1, m + 1):
                 _concatenate(blocks[k - 1], prefix[m - k], rows)
             _keep(("R", m, *cls), rows)
@@ -261,24 +254,18 @@ _plans: dict[tuple[int, ...], tuple] = {}
 _PLANS_CAP = 16384
 
 
-def _searched(m: int, min_arc: int, min_stack: int, max_genus: int, tally: bool) -> dict[int, dict]:
+def _searched(m: int, min_arc: int, min_stack: int, max_genus: int) -> dict[int, dict]:
     """Rows tallied over U(m), the unsplittable structures; for m = 0, over R(0), the empty one."""
-    rows = _empty(max_genus, tally)
-    search = _structures(m, min_arc, min_stack, max_genus, unsplittable=True)
-    if tally:
-        for genus, partner, _ in search:
-            pattern, joined = _arc_pattern(m, partner)
-            plan = _plans.get(pattern)
-            if plan is None:
-                if len(_plans) >= _PLANS_CAP:
-                    _plans.clear()
-                arcs = [(s, t) for s, t in enumerate(pattern) if t > s]
-                plan = _plans[pattern] = _plan(pattern, arcs)
-            _apply_plan(plan, joined, rows[genus])
-    else:
-        for genus, _, arcs in search:
-            hist = rows[genus]["arc_hist"]
-            hist[len(arcs)] = hist.get(len(arcs), 0) + 1
+    rows = _empty(max_genus)
+    for genus, partner, _ in _structures(m, min_arc, min_stack, max_genus, unsplittable=True):
+        pattern, joined = _arc_pattern(m, partner)
+        plan = _plans.get(pattern)
+        if plan is None:
+            if len(_plans) >= _PLANS_CAP:
+                _plans.clear()
+            arcs = [(s, t) for s, t in enumerate(pattern) if t > s]
+            plan = _plans[pattern] = _plan(pattern, arcs)
+        _apply_plan(plan, joined, rows[genus])
     return rows
 
 
@@ -303,26 +290,7 @@ def full_census(
     _check_class(n, min_arc, min_stack, max_genus)
     return {
         g: {field: value if isinstance(value, int) else dict(value) for field, value in row.items()}
-        for g, row in _rows(n, min_arc, min_stack, max_genus, True).items()
-    }
-
-
-def arc_histograms(
-    n: int,
-    min_arc: int = 1,
-    min_stack: int = 1,
-    max_genus: int = 2,
-) -> dict[int, dict[int, int]]:
-    """Arc-number histograms of the structures on ``n`` vertices, by genus.
-
-    Counts straight from the search, with no tally and no :class:`Diagram`
-    per structure, by the same identity and cache as :func:`full_census`;
-    the histograms equal its ``arc_hist`` rows.
-    """
-    _check_class(n, min_arc, min_stack, max_genus)
-    return {
-        g: dict(row["arc_hist"])
-        for g, row in _rows(n, min_arc, min_stack, max_genus, False).items()
+        for g, row in _rows(n, min_arc, min_stack, max_genus).items()
     }
 
 
@@ -334,11 +302,11 @@ def count_table(
 ) -> dict[tuple[int, int], int]:
     """Structure counts indexed by ``(genus, n)`` for all ``n <= n_max``."""
     _check_class(n_max, min_arc, min_stack, max_genus, size="n_max")
-    out: dict[tuple[int, int], int] = {}
-    for n in range(n_max + 1):
-        for g, hist in arc_histograms(n, min_arc, min_stack, max_genus).items():
-            out[(g, n)] = sum(hist.values())
-    return out
+    return {
+        (g, n): row["count"]
+        for n in range(n_max + 1)
+        for g, row in _rows(n, min_arc, min_stack, max_genus).items()
+    }
 
 
 def enumerate_diagrams(

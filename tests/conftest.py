@@ -1,14 +1,30 @@
-"""Shared pytest hooks.
+"""Shared pytest hooks and fixtures.
 
 After the normal report, print one PASS/FAIL line per acceptance criterion,
 with the seconds its test call took against the criterion's budget (the
 ``BUDGET_S`` mapping of test_acceptance.py), so the gate can be read off
 without scrolling through the full output.
+
+The ``arcs_cross`` fixture is the pairwise crossing test that the reference
+implementations in the diagram and oracle tests are built on.
 """
 
 import pytest
 
 _BUDGETS = pytest.StashKey[dict]()
+
+
+def _arcs_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether two arcs cross when drawn in the upper half plane."""
+    i, j = a
+    k, l = b
+    return (i < k < j < l) or (k < i < l < j)
+
+
+@pytest.fixture(scope="session")
+def arcs_cross():
+    """The pairwise crossing test, one arc pair at a time."""
+    return _arcs_cross
 
 
 def pytest_collection_modifyitems(config, items):

@@ -321,10 +321,21 @@ def test_expect_matches_library(capsys):
     jet = pk_marked_dg_jet(StructureClass(1, 1), 1, "H", 21)
     exact = expected_marks(jet, 20)
     assert values["expected_blocks"] == f"{exact.numerator}/{exact.denominator}"
-    assert "leading_term" in values
+    # the limits are probabilities only from n = 35, where K's numerator
+    # -432 + 24 sqrt(3 pi n) turns nonnegative; below that none is printed
+    assert "leading_term" not in values
+    for n, shown in (("4", False), ("34", False), ("35", True), ("102", True)):
+        code, out, _ = run(capsys, "expect", "--type", "K", "--n", n, "--format", "json")
+        values = json.loads(out)["values"]
+        assert code == 0 and ("leading_term" in values) == shown, n
+        if shown:
+            limit = asymptotics.genus1_type_probability("K", int(n))
+            assert values["leading_term"] == float(limit)
+    code, out, _ = run(capsys, "expect", "--type", "H", "--n", "4", "--format", "json")
+    assert "leading_term" not in json.loads(out)["values"]
     code, out, _ = run(
         capsys,
-        "expect", "--type", "H", "--n", "20",
+        "expect", "--type", "H", "--n", "40",
         "--lambda", "2", "--r", "2", "--format", "json",
     )
     assert "leading_term" not in json.loads(out)["values"]
@@ -340,6 +351,19 @@ def test_expect_refuses_lengths_below_every_structure_at_once(capsys):
     assert (code, err) == (2, "error: no structures of length 15\n")
     code, out, err = run(capsys, "expect", "--type", "H", "--n", "16", "--genus", "2", "--r", "2")
     assert code == 0 and err == "" and "expected_blocks:" in out
+
+
+def test_counts_below_the_shortest_structure_are_zero_at_once(capsys):
+    # no genus-g structure is shorter than 4gr, so no series is built
+    for argv, last in (
+        (("count", "4", "--genus", "1000"), "count: 0"),
+        (("series", "dg", "--genus", "1000", "--order", "3"), "n=2  coefficient=0"),
+        (("count", "20", "--genus", "200", "--arcs"), "arcs=total  count=0"),
+    ):
+        start = time.process_time()
+        code, out, err = run(capsys, *argv)
+        assert time.process_time() - start < 1, argv
+        assert (code, err, out.splitlines()[-1]) == (0, "", last), argv
 
 
 def test_sample_deterministic_and_valid(capsys):

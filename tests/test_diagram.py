@@ -20,7 +20,6 @@ from toporna.diagram import (
     _component_classes,
     _crossings,
     _plan,
-    arcs_cross,
     block_decomposition,
     boundary_components,
     classify_component,
@@ -194,13 +193,14 @@ def test_projection_preserves_genus():
         assert project_shadow(d).genus().genus == g
 
 
-def _project_by_fixpoint(d: Diagram, *, drop_noncrossing: bool) -> Diagram:
+def _project_by_fixpoint(d: Diagram, crosses=None) -> Diagram:
     """Reference projection: apply one reduction rule at a time until none applies.
 
     Unpaired vertices are dropped and the rest renumbered after every
     removal.  The rules remove an arc between adjacent vertices, an arc with
-    another stacked directly inside it, and, for the shadow, an arc that
-    crosses no other arc (tested pair by pair).
+    another stacked directly inside it, and, for the shadow (``crosses``
+    given, the ``arcs_cross`` fixture), an arc that crosses no other arc
+    (tested pair by pair).
     """
 
     def compact(arcs: set) -> tuple[int, set]:
@@ -214,7 +214,7 @@ def _project_by_fixpoint(d: Diagram, *, drop_noncrossing: bool) -> Diagram:
             if (
                 j == i + 1
                 or (i + 1, j - 1) in arcs
-                or (drop_noncrossing and not any(arcs_cross((i, j), o) for o in arcs))
+                or (crosses and not any(crosses((i, j), o) for o in arcs))
             ):
                 arcs.discard((i, j))
                 n, arcs = compact(arcs)
@@ -243,16 +243,16 @@ def _all_partners(n: int):
     yield from rec(1)
 
 
-def _assert_projections_match_fixpoint(d: Diagram) -> None:
-    assert project_shape(d) == _project_by_fixpoint(d, drop_noncrossing=False)
-    assert project_shadow(d) == _project_by_fixpoint(d, drop_noncrossing=True)
+def _assert_projections_match_fixpoint(d: Diagram, arcs_cross) -> None:
+    assert project_shape(d) == _project_by_fixpoint(d)
+    assert project_shadow(d) == _project_by_fixpoint(d, arcs_cross)
 
 
-def test_projections_match_fixpoint_on_every_diagram_up_to_ten_vertices():
+def test_projections_match_fixpoint_on_every_diagram_up_to_ten_vertices(arcs_cross):
     seen = 0
     for n in range(11):
         for partner in _all_partners(n):
-            _assert_projections_match_fixpoint(Diagram.from_partner(n, partner))
+            _assert_projections_match_fixpoint(Diagram.from_partner(n, partner), arcs_cross)
             seen += 1
     assert seen == 13232
 
@@ -368,7 +368,7 @@ def test_loop_counts_naked_knot_in_branch_is_not_a_multiloop():
     assert loop_counts(d)["multi"] == 0
 
 
-def test_arcs_cross():
+def test_arcs_cross(arcs_cross):
     assert arcs_cross((1, 3), (2, 4))
     assert not arcs_cross((1, 4), (2, 3))
     assert not arcs_cross((1, 2), (3, 4))
@@ -387,7 +387,7 @@ def _partner_array(draw, max_n=14):
 
 
 @given(_partner_array())
-def test_crossing_pass_and_tally_match_pair_scan(case):
+def test_crossing_pass_and_tally_match_pair_scan(arcs_cross, case):
     n, partner = case
     d = Diagram.from_partner(n, partner)
     arcs = d.arcs
@@ -469,19 +469,19 @@ def test_face_walk_matches_rotation_table(case):
     assert boundary_components(n, partner) == _faces_by_rotation_table(n, partner)
 
 
-def test_two_crossing_arcs_are_the_h_shadow():
+def test_two_crossing_arcs_are_the_h_shadow(arcs_cross):
     rng = random.Random(16)
     for _ in range(200):
         n = rng.randint(4, 16)
         a, b, c, d = sorted(rng.sample(range(1, n + 1), 4))
         arcs = ((a, c), (b, d))
-        shadow = _project_by_fixpoint(Diagram(n, arcs), drop_noncrossing=True)
+        shadow = _project_by_fixpoint(Diagram(n, arcs), arcs_cross)
         assert shadow == GENUS1_SHADOWS["H"]
         assert _classify_arcs(arcs, [0, 1]) == ("H", 1)
 
 
 @given(_partner_array())
-def test_stack_collapsed_key_keeps_the_component_class(case):
+def test_stack_collapsed_key_keeps_the_component_class(arcs_cross, case):
     n, partner = case
     d = Diagram.from_partner(n, partner)
     labels = {shadow: name for name, shadow in GENUS1_SHADOWS.items()}
@@ -489,7 +489,7 @@ def test_stack_collapsed_key_keeps_the_component_class(case):
         if len(comp) < 2:
             continue
         component = Diagram(n, tuple(d.arcs[a] for a in comp))
-        shadow = _project_by_fixpoint(component, drop_noncrossing=True)
+        shadow = _project_by_fixpoint(component, arcs_cross)
         g = shadow.genus().genus
         expected = (labels[shadow] if g == 1 else "higher", g)
         assert classify_component(d, comp) == expected
@@ -513,7 +513,7 @@ def test_classify_component_rejects_arcs_that_are_not_one_component(n, arcs, ind
     assert classify_component(Diagram(4, ((1, 3), (2, 4))), [1, 0]) == ("H", 1)
 
 
-def _emit_by_pair_scan(diagram: Diagram) -> str:
+def _emit_by_pair_scan(diagram: Diagram, arcs_cross) -> str:
     """Lowest-free-page emission that tests each arc against every placed arc."""
     pages: list[list] = []
     assignment = {}
@@ -535,27 +535,27 @@ def _emit_by_pair_scan(diagram: Diagram) -> str:
 
 
 @given(_partner_array(max_n=60))
-def test_emit_matches_pair_scan(case):
+def test_emit_matches_pair_scan(arcs_cross, case):
     d = Diagram.from_partner(*case)
-    assert emit_structure(d) == _emit_by_pair_scan(d)
+    assert emit_structure(d) == _emit_by_pair_scan(d, arcs_cross)
 
 
 @given(_partner_array(max_n=60))
-def test_projections_match_fixpoint(case):
-    _assert_projections_match_fixpoint(Diagram.from_partner(*case))
+def test_projections_match_fixpoint(arcs_cross, case):
+    _assert_projections_match_fixpoint(Diagram.from_partner(*case), arcs_cross)
 
 
-def test_emit_rejects_too_many_pages_like_pair_scan():
+def test_emit_rejects_too_many_pages_like_pair_scan(arcs_cross):
     # forty mutually crossing arcs need forty pages
     d = Diagram(80, tuple((k, k + 40) for k in range(1, 41)))
     with pytest.raises(ValueError) as scan:
-        _emit_by_pair_scan(d)
+        _emit_by_pair_scan(d, arcs_cross)
     with pytest.raises(ValueError, match="more than 30 bracket pages") as emitted:
         emit_structure(d)
     assert str(emitted.value) == str(scan.value)
     # thirty of them still fit, one per page
     d = Diagram(60, tuple((k, k + 30) for k in range(1, 31)))
-    assert emit_structure(d) == _emit_by_pair_scan(d)
+    assert emit_structure(d) == _emit_by_pair_scan(d, arcs_cross)
 
 
 @given(
@@ -563,7 +563,7 @@ def test_emit_rejects_too_many_pages_like_pair_scan():
     st.integers(0, 40),
     st.lists(st.integers(0, 3), min_size=14, max_size=14),
 )
-def test_classifier_caches_ignore_position_and_gaps(case, shift, gaps):
+def test_classifier_caches_ignore_position_and_gaps(arcs_cross, case, shift, gaps):
     """A component moved right, past vertex 255, with free vertices in its gaps."""
     n, partner = case
     d = Diagram.from_partner(n, partner)
@@ -578,7 +578,7 @@ def test_classifier_caches_ignore_position_and_gaps(case, shift, gaps):
         if len(comp) < 2:
             continue
         component = Diagram(n, tuple(d.arcs[a] for a in comp))
-        shadow = _project_by_fixpoint(component, drop_noncrossing=True)
+        shadow = _project_by_fixpoint(component, arcs_cross)
         g = shadow.genus().genus
         expected = (labels[shadow] if g == 1 else "higher", g)
         for first, second in ((d, moved), (moved, d)):

@@ -622,3 +622,52 @@ def test_loop_family_outputs_are_pinned_at_order_101():
     assert _loop_digest([(1, 1), (2, 2), (4, 3), (1, 4)], [101]) == (
         "1c44529dca1beacc37169453689d940ec581631b2f9bcf27eb94f606c2e867df"
     )
+
+
+@pytest.mark.parametrize(
+    "cls_", [PLAIN, SPACED, StructureClass(1, 2), CANONICAL],
+    ids=lambda c: f"{c.min_arc}-{c.min_stack}",
+)
+def test_below_the_shortest_structure_the_families_are_zero_as_computed(monkeypatch, cls_):
+    """Below length 4gr, that of the shortest genus-g structure, the shortcut's zeros are exact.
+
+    Coefficients do not depend on the order, so each series family is
+    checked against its truncated expansion past 4gr; the arc breakdown
+    against itself with the shortcut switched off.
+    """
+    for genus in range(1, 5):
+        top = 4 * genus * cls_.min_stack + 2
+        loop = LOOP_KINDS[genus % len(LOOP_KINDS)]
+        families = [
+            lambda order: [dg_series(cls_, genus, order)],
+            lambda order: _jet_parts(dg_jet(cls_, genus, order)),
+            lambda order: _jet_parts(loop_marked_dg_jet(cls_, genus, loop, order)),
+        ] + [
+            lambda order, kind=kind: _jet_parts(pk_marked_dg_jet(cls_, genus, kind, order))
+            for kind in MARK_KINDS
+        ]
+        for family in families:
+            full = family(top)
+            for order in range(1, top + 1):
+                assert list(family(order)) == [f.truncate(order) for f in full], (genus, order)
+        fast = [arc_distribution(cls_, genus, n) for n in range(top)]
+        with monkeypatch.context() as patched:
+            patched.setattr(genfun, "_below_shortest", lambda *args: False)
+            assert fast == [arc_distribution(cls_, genus, n) for n in range(top)], genus
+        assert fast[top - 3] == [] and sum(fast[top - 2]) > 0
+
+
+def _jet_parts(jet):
+    return jet.value, jet.d1, jet.d2
+
+
+def test_structure_counts_over_every_genus_are_the_involution_numbers():
+    """Every partial matching on n vertices has genus at most n/4: T(n) = T(n-1) + (n-1) T(n-2)."""
+    involutions = [1, 1]
+    for n in range(2, 101):
+        involutions.append(involutions[-1] + (n - 1) * involutions[-2])
+    totals = [0] * 101
+    for genus in range(51):  # from genus 26 on, length 100 lies below 4g
+        for n, c in enumerate(dg_series(PLAIN, genus, 101).coeffs):
+            totals[n] += c
+    assert totals == involutions

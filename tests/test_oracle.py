@@ -19,10 +19,9 @@ from toporna.diagram import (
     satisfies_constraints,
     tally_structure,
 )
-from toporna import oracle
+from toporna import cli, oracle
 from toporna.oracle import (
     _corner_face,
-    arc_histograms,
     count_table,
     enumerate_diagrams,
     enumerate_shadows,
@@ -163,9 +162,7 @@ def test_shadow_catalog_at_genus_one():
     assert irreducible_shadow_counts(5, 1) == {2: 1, 3: 2, 4: 1}
 
 
-def test_shadows_are_shapes_with_all_arcs_crossing():
-    from toporna.diagram import arcs_cross
-
+def test_shadows_are_shapes_with_all_arcs_crossing(arcs_cross):
     # each is a fixpoint of the shadow reduction (the reference projection of
     # test_diagram.py): no rule finds an unpaired vertex or an arc to remove
     for d, g in enumerate_shadows(3):
@@ -267,7 +264,6 @@ def test_census_from_shorter_lengths_matches_the_plain_search(min_arc, min_stack
             rows = _searched_rows(n, min_arc, min_stack, max_genus)
             case = (n, min_arc, min_stack, max_genus)
             assert full_census(*case) == rows, case
-            assert arc_histograms(*case) == {g: r["arc_hist"] for g, r in rows.items()}, case
 
 
 def _spans_every_gap(n, arcs):
@@ -352,48 +348,33 @@ def test_census_fields_add_over_concatenation(left, right, max_genus, min_arc, m
     product = {h: new_tally() for h in range(max_genus + 1)}
     oracle._concatenate(rows_a, rows_b, product)
     assert product == expected
-    hists = {h: {"arc_hist": {}} for h in range(max_genus + 1)}
-    oracle._concatenate(rows_a, rows_b, hists)
-    assert hists == {h: {"arc_hist": row["arc_hist"]} for h, row in expected.items()}
 
 
 def test_census_rows_do_not_depend_on_the_cache():
     lengths = range(12)
     cases = [(n, cls, g) for cls in ((2, 1), (1, 2)) for g in (0, 2) for n in lengths]
-
-    def cold(call):
-        out = {}
-        for n, cls, g in cases:
-            oracle._census_rows.clear()
-            out[n, cls, g] = call(n, *cls, g)
-        return out
-
-    def warm(call, order):
+    expected = {}
+    for n, cls, g in cases:
         oracle._census_rows.clear()
-        return {(n, cls, g): call(n, *cls, g) for n, cls, g in order}
+        expected[n, cls, g] = full_census(n, *cls, g)
 
-    censuses, hists = cold(full_census), cold(arc_histograms)
-    for call, expected in ((full_census, censuses), (arc_histograms, hists)):
-        assert warm(call, cases) == expected
-        assert warm(call, reversed(cases)) == expected
-        assert {(n, cls, g): call(n, *cls, g) for n, cls, g in cases} == expected
-        # a cache left holding only the U rows, or only the R rows, serves the same
-        for kind in ("U", "R"):
-            warm(call, cases)
-            for key in [key for key in oracle._census_rows if key[0] == kind]:
-                del oracle._census_rows[key]
-            assert {(n, cls, g): call(n, *cls, g) for n, cls, g in reversed(cases)} == expected
-    # histogram-only rows in the cache are not served as full rows, nor the reverse
-    oracle._census_rows.clear()
-    for n, cls, g in reversed(cases):
-        assert arc_histograms(n, *cls, g) == hists[n, cls, g]
-        assert full_census(n, *cls, g) == censuses[n, cls, g]
-        assert arc_histograms(n, *cls, g) == hists[n, cls, g]
+    def warm(order):
+        oracle._census_rows.clear()
+        return {(n, cls, g): full_census(n, *cls, g) for n, cls, g in order}
+
+    assert warm(cases) == expected
+    assert warm(reversed(cases)) == expected
+    assert {(n, cls, g): full_census(n, *cls, g) for n, cls, g in cases} == expected
+    # a cache left holding only the U rows, or only the R rows, serves the same
+    for kind in ("U", "R"):
+        warm(cases)
+        for key in [key for key in oracle._census_rows if key[0] == kind]:
+            del oracle._census_rows[key]
+        assert {(n, cls, g): full_census(n, *cls, g) for n, cls, g in reversed(cases)} == expected
 
 
 def test_census_cache_is_bounded(monkeypatch):
     expected = {n: full_census(n, 2, 1, 1) for n in range(12)}
-    hists = {n: arc_histograms(n, 2, 1, 1) for n in range(12)}
     oracle._census_rows.clear()
     monkeypatch.setattr(oracle, "_ROWS_CAP", 3)
     searched = Counter()
@@ -406,13 +387,12 @@ def test_census_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(oracle, "_structures", counted)
     kinds = set()
     for n in (11, 4, 9, 0, 10, 5, 1, 11):
-        for call, want in ((arc_histograms, hists), (full_census, expected)):
-            searched.clear()
-            assert call(n, 2, 1, 1) == want[n], n
-            assert len(oracle._census_rows) <= 3
-            kinds.update(key[0] for key in oracle._census_rows)
-            # the cache is emptied several times within a call, yet no length is searched twice
-            assert all(times == 1 for times in searched.values()), (n, searched)
+        searched.clear()
+        assert full_census(n, 2, 1, 1) == expected[n], n
+        assert len(oracle._census_rows) <= 3
+        kinds.update(key[0] for key in oracle._census_rows)
+        # the cache is emptied several times within a call, yet no length is searched twice
+        assert all(times == 1 for times in searched.values()), (n, searched)
     assert kinds == {"U", "R"}  # the one cap bounds both kinds together
     oracle._census_rows.clear()
 
@@ -441,31 +421,52 @@ def test_plan_cache_is_bounded_and_changes_no_row(monkeypatch):
 
 def test_mutating_a_returned_row_changes_no_later_call():
     case = (9, 1, 1, 2)
-    census, hists = full_census(*case), arc_histograms(*case)
+    census = full_census(*case)
     for rows in (full_census(*case), full_census(*case)):
         rows[1]["count"] = -1
         rows[1]["arc_hist"].clear()
         rows[0]["loops"]["stack"] += 7
         rows[2]["pk"]["H"] = None
         rows.pop(2)
-    got = arc_histograms(*case)
-    got[1][99] = 5
-    got[0].clear()
     assert full_census(*case) == census
-    assert arc_histograms(*case) == hists
 
 
-@pytest.mark.parametrize("case", [(9, 1, 1, 2), (11, 2, 2, 1), (10, 3, 1, 0)])
-def test_arc_histograms_are_the_census_arc_rows(case):
-    hists = arc_histograms(*case)
-    assert hists == {g: row["arc_hist"] for g, row in full_census(*case).items()}
+@pytest.mark.parametrize("lam, r, genus", [(1, 1, 2), (2, 1, 1), (1, 2, 0), (2, 2, 2)])
+def test_count_oracle_and_census_search_each_length_once(monkeypatch, capsys, lam, r, genus):
+    """``count --oracle`` leaves full rows, which ``census`` at its class and genus cap reads."""
+    cls = ("--lambda", str(lam), "--r", str(r))
+    requests = [
+        ("count", "8", "--genus", str(genus), "--oracle", *cls),
+        ("count", "8", "--genus", str(genus), "--oracle", "--arcs", *cls),
+        ("census", "--n", "10", "--max-genus", str(genus), *cls),
+    ]
+    cold = []
+    for argv in requests:
+        oracle._census_rows.clear()
+        assert cli.main(list(argv)) == 0
+        cold.append(capsys.readouterr().out)
+    oracle._census_rows.clear()
+    searched = Counter()
+    search = oracle._structures
+
+    def counted(n, *args, **kwargs):
+        searched[n] += 1
+        return search(n, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_structures", counted)
+    for argv, out in zip(requests, cold):
+        assert cli.main(list(argv)) == 0
+        assert capsys.readouterr().out == out
+    # R(0), the empty structure, is a one-leaf search that every call not
+    # answered from the cache runs; every other length is searched once
+    del searched[0]
+    assert searched == Counter(range(1, 11)), searched
+    oracle._census_rows.clear()
 
 
 def test_census_rejects_negative_genus_cap():
     with pytest.raises(ValueError, match="max_genus"):
         full_census(4, max_genus=-1)
-    with pytest.raises(ValueError, match="max_genus"):
-        arc_histograms(4, max_genus=-1)
 
 
 @pytest.mark.parametrize("kwargs", [{"max_genus": -1}, {"genus": -1}])
@@ -490,8 +491,8 @@ def test_enumerators_reject_contradictory_genus_arguments(enumerate_, args, kwar
 
 @pytest.mark.parametrize(
     "call",
-    [full_census, arc_histograms, lambda n: next(enumerate_diagrams(n))],
-    ids=["full_census", "arc_histograms", "enumerate_diagrams"],
+    [full_census, lambda n: next(enumerate_diagrams(n))],
+    ids=["full_census", "enumerate_diagrams"],
 )
 def test_oracle_rejects_a_negative_length(call):
     with pytest.raises(ValueError, match=r"^n must be nonnegative, got -1$"):
