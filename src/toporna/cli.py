@@ -402,29 +402,20 @@ def _cmd_clt(args) -> int:
         raise ValueError(f"--digits must lie in 1..{CLT_DIGITS_CAP}, got {digits}")
     _at_least("--max-lambda", args.max_lam, 1)
     _at_least("--max-r", args.max_r, 1)
-    _at_least("--precision", args.precision, 15)
     cls_ = _class_of(args)
-    dps = max(args.precision, digits)
     if args.grid:
         meta = _base_meta(
-            args,
-            "clt",
-            grid=True,
-            max_arc=args.max_lam,
-            max_stack=args.max_r,
-            precision=args.precision,
+            args, "clt", grid=True, max_arc=args.max_lam, max_stack=args.max_r
         )
-        grid = asymptotics.arc_law_grid(args.max_lam, args.max_r, dps)
+        grid = asymptotics.arc_law_grid(args.max_lam, args.max_r, digits)
         rows = [
             {"min_arc": lam, "min_stack": r, "mean": law.decimal("mean", digits)}
             for (lam, r), law in sorted(grid.items())
         ]
         _emit(args, meta, rows=rows)
         return 0
-    meta = _base_meta(
-        args, "clt", min_arc=args.lam, min_stack=args.r, precision=args.precision
-    )
-    law = asymptotics.arc_law(cls_, dps=dps)
+    meta = _base_meta(args, "clt", min_arc=args.lam, min_stack=args.r)
+    law = asymptotics.arc_law(cls_, dps=digits)
     values = {
         "singularity": law.decimal("rho", digits),
         "mean_arc_fraction": law.decimal("mean", digits),
@@ -650,13 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help=f"printed decimal places, 1 to {CLT_DIGITS_CAP}; each one is certified",
-    )
-    p.add_argument(
-        "--precision",
-        type=int,
-        default=50,
-        help="working digits, at least 15; the law is enclosed at the larger of "
-        "--precision and --digits, and more finely where a digit needs it",
     )
     p.set_defaults(func=_cmd_clt)
 

@@ -38,6 +38,8 @@ its value and two y-derivatives at y = 1.  No element is ever divided.
 * Crossing blocks: the arc case at y = 1, so Z and w are free of y and
   each y-derivative of the marked shape polynomial is inflated by itself.
 
+The three marked families share one path, :func:`_marked_jet`, and one
+cache of jet elements per class, genus and mark, :func:`_jet_elements`.
 Only :func:`dg_via_chords`, the independent route the arc jets are
 checked against, works on truncated series.  Every other family answers 0
 without building an element below length 4gr, that of the shortest genus-g
@@ -124,36 +126,27 @@ def _arc_marker_jet(r: int, order: int) -> YJet:
     return YJet.marker_power(r, order).shift(2 * r)
 
 
-# arc_distribution adds one cached element per marker value y, so these
-# caches are bounded.
+# Three caches, each bounded: one element per class and genus, its value at
+# every marker value y that arc_distribution asks for, and the three jet
+# elements per class, genus and mark.
 _CLASS_CACHE = 64
 
 
 @lru_cache(maxsize=_CLASS_CACHE)
-def _radical_numerator(cls_: StructureClass, genus: int) -> tuple[XYPolynomial, int]:
-    """P and N with D_g = P Delta^(-N-1/2), for genus g >= 1.
-
-    P = A sum_n w(n) u^n Delta^(N-n) with u = (x^2 y)^r A, the weight sum
-    of :func:`toporna.recursions._weight_sum`, and N = 3g - 1.
-    """
-    a = core_polys(cls_)[0]
-    u = a.mul(XYPolynomial.monomial(2 * cls_.min_stack, cls_.min_stack))
-    p, top = _weight_sum(genus, u, discriminant_poly(cls_))
-    return a.mul(p), top
-
-
 def _arc_element(cls_: StructureClass, genus: int) -> tuple:
     """D_g with arcs marked by y as (p, q, d, Delta, j): D_g = (p + q S) / (d Delta^j).
 
-    At genus 0 the root of the arc quadratic (see :func:`_inflated`); at
-    positive genus (0, P, 1, Delta, N + 1) (see :func:`_radical_numerator`).
+    At genus 0 the root of the arc quadratic (see :func:`_inflated`).  At
+    positive genus (0, P, 1, Delta, N + 1): P = A sum_n w(n) u^n Delta^(N-n)
+    with u = (x^2 y)^r A, the weight sum of
+    :func:`toporna.recursions._weight_sum`, and N = 3g - 1.
     """
-    _check_genus(genus)
     if genus == 0:
         return _inflated(_arc_quadratic(cls_), [1])
-    require_inflatable(cls_)
-    p, top = _radical_numerator(cls_, genus)
-    return XYPolynomial(), p, XYPolynomial.constant(1), discriminant_poly(cls_), top + 1
+    a, delta = core_polys(cls_)[0], discriminant_poly(cls_)
+    u = a.mul(XYPolynomial.monomial(2 * cls_.min_stack, cls_.min_stack))
+    p, top = _weight_sum(genus, u, delta)
+    return XYPolynomial(), a.mul(p), XYPolynomial.constant(1), delta, top + 1
 
 
 @lru_cache(maxsize=_CLASS_CACHE)
@@ -187,8 +180,7 @@ def _below_shortest(cls_: StructureClass, genus: int, order: int) -> bool:
 
 def d0_series(cls_: StructureClass, order: int) -> TruncatedSeries:
     """Genus-0 structure counts by length (marker set to 1)."""
-    _check_order(order)
-    return _dg(cls_, 0, 1).series(order)
+    return dg_series(cls_, 0, order)
 
 
 def d0_jet(cls_: StructureClass, order: int) -> YJet:
@@ -209,16 +201,36 @@ def dg_jet(cls_: StructureClass, genus: int, order: int) -> YJet:
 
     The jet is computed exactly in Q(x)(S) and expanded only at the end.
     """
+    return _marked_jet(cls_, genus, "arcs", order)
+
+
+def _marked_jet(cls_: StructureClass, genus: int, mark: str, order: int) -> YJet:
+    """D_g's jet to ``order`` with ``mark`` counted; 0 below length 4gr."""
     _check_order(order)
     if _below_shortest(cls_, genus, order):
         return YJet.plain(TruncatedSeries.zero(order))
-    return YJet(*_expand(order, *_genus_jet(cls_, genus)))
+    return YJet(*_expand(order, *_jet_elements(cls_, genus, mark)))
 
 
 @lru_cache(maxsize=_CLASS_CACHE)
-def _genus_jet(cls_: StructureClass, genus: int) -> tuple[AlgebraicSeries, ...]:
-    """D_g's jet at y = 1 as three elements of Q(x)(S), before expansion."""
-    return _element_jet(*_arc_element(cls_, genus))
+def _jet_elements(cls_: StructureClass, genus: int, mark: str) -> tuple[AlgebraicSeries, ...]:
+    """D_g's jet at y = 1 as three elements of Q(x)(S), before expansion.
+
+    ``mark`` is "arcs", a loop kind, "stem" or a block kind.
+    """
+    if mark == "arcs":
+        return _element_jet(*_arc_element(cls_, genus))
+    if mark in MARK_KINDS:
+        unmarked = tuple(_xy_from_poly(f.at_y(1)) for f in _arc_quadratic(cls_))
+        return tuple(
+            _at_y(_inflated(unmarked, f.coeffs), 1)
+            for f in marked_shape_poly(genus, mark).y1_jets()
+        )
+    quadratic = _loop_quadratic(cls_, mark)
+    u2 = XYPolynomial({(0, 0): 1, (1, 0): -2, (2, 0): 1})
+    if any(f.at_y(1) != (u2 * g).at_y(1) for f, g in zip(quadratic[:3], _arc_quadratic(cls_))):
+        raise ArithmeticError("loop quadratic at y = 1 is not (1 - x)^2 times the arc quadratic")
+    return _element_jet(*_inflated(quadratic, shape_poly(genus).coeffs))
 
 
 def dg_via_chords(cls_: StructureClass, genus: int, order: int) -> YJet:
@@ -353,24 +365,12 @@ def loop_marked_dg_jet(
         ArithmeticError: unless the loop quadratic at y = 1 is (1 - x)^2
             times the arc quadratic, whose root is D0.
     """
-    _check_order(order)
     _check_genus(genus)
     if kind not in LOOP_KINDS and kind != "stem":
         raise ValueError(f"unknown loop kind {kind!r}")
     if genus and kind == "stem":
         raise ValueError("stem marking is only available at genus 0")
-    if _below_shortest(cls_, genus, order):
-        return YJet.plain(TruncatedSeries.zero(order))
-    return YJet(*_expand(order, *_loop_jet(cls_, genus, kind)))
-
-
-@lru_cache(maxsize=_CLASS_CACHE)
-def _loop_jet(cls_: StructureClass, genus: int, kind: str) -> tuple[AlgebraicSeries, ...]:
-    quadratic = _loop_quadratic(cls_, kind)
-    u2 = XYPolynomial({(0, 0): 1, (1, 0): -2, (2, 0): 1})
-    if any(f.at_y(1) != (u2 * g).at_y(1) for f, g in zip(quadratic[:3], _arc_quadratic(cls_))):
-        raise ArithmeticError("loop quadratic at y = 1 is not (1 - x)^2 times the arc quadratic")
-    return _element_jet(*_inflated(quadratic, shape_poly(genus).coeffs))
+    return _marked_jet(cls_, genus, kind, order)
 
 
 def pk_marked_dg_jet(
@@ -389,14 +389,7 @@ def pk_marked_dg_jet(
         raise ValueError(f"unknown block kind {kind!r}")
     if genus < 1:
         raise ValueError(f"block marking needs genus at least 1, got {genus}")
-    _check_order(order)
-    if _below_shortest(cls_, genus, order):
-        return YJet.plain(TruncatedSeries.zero(order))
-    unmarked = tuple(_xy_from_poly(f.at_y(1)) for f in _arc_quadratic(cls_))
-    return YJet(*_expand(order, *(
-        _at_y(_inflated(unmarked, f.coeffs), 1)
-        for f in marked_shape_poly(genus, kind).y1_jets()
-    )))
+    return _marked_jet(cls_, genus, kind, order)
 
 
 def structure_counts(cls_: StructureClass, genus: int, order: int) -> list[int]:

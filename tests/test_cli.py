@@ -292,7 +292,7 @@ def test_clt_cell_and_grid(capsys):
     assert "6,6,0.3359" in lines
 
 
-def test_clt_grid_passes_precision_to_the_arc_law(capsys, monkeypatch):
+def test_clt_and_grid_pass_digits_to_the_arc_law(capsys, monkeypatch):
     seen = []
     law = asymptotics.arc_law
 
@@ -302,14 +302,13 @@ def test_clt_grid_passes_precision_to_the_arc_law(capsys, monkeypatch):
 
     monkeypatch.setattr(asymptotics, "arc_law", spy)
     argv = ("clt", "--grid", "--max-lambda", "2", "--max-r", "1", "--format", "json")
-    code, out, _ = run(capsys, *argv, "--precision", "30")
-    assert code == 0
-    doc = json.loads(out)
-    assert seen == [30, 30] and doc["meta"]["precision"] == "30"
+    code, out, _ = run(capsys, *argv, "--digits", "30")
+    assert code == 0 and seen == [30, 30]
+    assert "precision" not in json.loads(out)["meta"]
     seen.clear()
-    code, default, _ = run(capsys, *argv)
-    assert code == 0 and seen == [50, 50]
-    assert json.loads(default)["rows"] == doc["rows"]
+    assert run(capsys, "clt", "--digits", "7")[0] == 0 and seen == [7]
+    seen.clear()
+    assert run(capsys, "clt")[0] == 0 and seen == [4]
 
 
 def test_expect_matches_library(capsys):
@@ -411,23 +410,45 @@ def test_seeded_sampling_output_is_pinned(capsys):
     )
 
 
-def test_clt_strings_are_pinned(capsys):
-    """Every class with lambda, r <= 6 and lambda <= r + 1, each constant at 1..15 digits."""
+def _clt_strings(capsys, digit_range):
+    """Every clt constant of each class with lambda, r <= 6 and lambda <= r + 1."""
     strings = []
     for lam in range(1, 7):
         for r in range(1, 7):
             if lam > r + 1:
                 continue
-            for digits in range(1, 16):
+            for digits in digit_range:
                 request = f"clt --lambda {lam} --r {r} --digits {digits} --format json"
                 code, out, err = run(capsys, *request.split())
                 assert code == 0 and err == ""
                 values = json.loads(out)["values"]
                 strings += [values[k] for k in ("singularity", "mean_arc_fraction", "variance_fraction")]
+    return strings
+
+
+def _digest(strings):
+    return hashlib.sha256(("\n".join(strings) + "\n").encode()).hexdigest()
+
+
+def test_clt_strings_are_pinned(capsys):
+    """Every class with lambda, r <= 6 and lambda <= r + 1, each constant at 1..15 digits."""
+    strings = _clt_strings(capsys, range(1, 16))
     assert len(strings) == 1170
-    text = "\n".join(strings) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    assert _digest(strings) == (
         "464e20262654dc3102f89650673524fddde0a6c1c3873a9bc6c69f229f9a83e9"
+    )
+
+
+def test_clt_strings_to_a_hundred_digits_are_pinned(capsys):
+    """The same constants at 16..100 digits.
+
+    The digest was recorded while clt still enclosed the law at 50 working
+    digits or more; it shows that working at ``--digits`` moves no digit.
+    """
+    strings = _clt_strings(capsys, range(16, 101))
+    assert len(strings) == 6630
+    assert _digest(strings) == (
+        "380f65ee53599f92f2b2fe2c6cd95414eb814ab8ae0e38cf13cdc035965098ce"
     )
 
 
@@ -456,7 +477,6 @@ def test_census_command(capsys):
 def test_error_exits(capsys):
     cases = [
         ("count", "6", "--genus", "1", "--lambda", "3", "--r", "1"),
-        ("clt", "--precision", "5"),
         ("count", "5", "--ceiling", "30"),
         ("genus", "((("),
         ("census", "--n", "20"),
@@ -501,8 +521,8 @@ def test_class_that_cannot_inflate_still_serves_genus_zero_and_enumeration(capsy
 @pytest.mark.parametrize(
     "case, flag",
     [
-        (("clt", "--precision", "5"), "--precision"),
-        (("clt", "--grid", "--precision", "14"), "--precision"),
+        (("count", "5", "--ceiling", "0"), "--ceiling"),
+        (("sample", "--n", "5", "--ceiling", "25"), "--ceiling"),
         (("census", "--n", "5", "--ceiling", "0"), "--ceiling"),
         (("count", "5", "--ceiling", "30"), "--ceiling"),
         (("sample", "--n", "5", "--ceiling", "0"), "--ceiling"),
@@ -522,6 +542,7 @@ def test_flags_belong_to_the_commands_that_read_them(capsys):
         ("census", "--n", "6", "--threads", "2"),
         ("census", "--n", "6", "--genus", "1"),
         ("clt", "--genus", "1"),
+        ("clt", "--precision", "30"),
         ("shapes", "--lambda", "2"),
         ("shapes", "--r", "2"),
         ("irreducibles", "--lambda", "2"),

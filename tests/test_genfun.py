@@ -24,8 +24,7 @@ from toporna.genfun import (
     structure_counts,
 )
 from toporna import genfun
-from toporna.genfun import _dg, _genus_jet, _inflated, _loop_jet, _loop_quadratic
-from toporna.genfun import _radical_numerator
+from toporna.genfun import _arc_element, _dg, _inflated, _jet_elements, _loop_quadratic
 from toporna.oracle import enumerate_diagrams, full_census
 from toporna.recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
 from toporna.series import Polynomial, TruncatedSeries, YJet, XYPolynomial, _power
@@ -234,10 +233,26 @@ def test_dg_two_routes_match():
 def test_repeated_dg_jet_reuses_the_class_algebra():
     cls_ = StructureClass(3, 2)
     first = dg_jet(cls_, 2, 20)
-    hits = _genus_jet.cache_info().hits
+    hits = _jet_elements.cache_info().hits
     assert dg_jet(cls_, 2, 25).truncate(20) == first
-    assert _genus_jet.cache_info().hits == hits + 1
-    assert all(f.cache_info().maxsize for f in (_genus_jet, _dg))
+    assert _jet_elements.cache_info().hits == hits + 1
+    assert all(f.cache_info().maxsize for f in (_arc_element, _dg, _jet_elements))
+
+
+def test_repeated_pk_jet_reuses_its_elements(monkeypatch):
+    cls_ = StructureClass(2, 2)
+    first = pk_marked_dg_jet(cls_, 2, "K", 30)
+    built = []
+    inflated = genfun._inflated
+
+    def counted(*args):
+        built.append(args)
+        return inflated(*args)
+
+    monkeypatch.setattr(genfun, "_inflated", counted)
+    hits = _jet_elements.cache_info().hits
+    assert pk_marked_dg_jet(cls_, 2, "K", 35).truncate(30) == first
+    assert built == [] and _jet_elements.cache_info().hits == hits + 1
 
 
 def test_marked_series_values_reduce_to_plain():
@@ -481,7 +496,7 @@ def test_factor_base_is_primitive_squarefree_and_coprime(lam, r):
         shared = _gcd_degree(core_polys(cls_)[0].at_y(y), delta)
         assert shared == (2 * r if lam == 1 and r > 1 else 0)
         for genus in (1, 2, 3):
-            numerator = _radical_numerator(cls_, genus)[0].at_y(y)
+            numerator = _arc_element(cls_, genus)[1].at_y(y)
             assert _gcd_degree(numerator, delta) == shared, (y, genus)
 
 
@@ -588,7 +603,7 @@ def test_loop_jet_refuses_a_grammar_that_is_not_the_arc_grammar_at_y1(monkeypatc
         alpha, beta, gamma, m = _loop_quadratic(cls_, kind)
         return alpha, beta, gamma + XYPolynomial.monomial(5, 0), m
 
-    _loop_jet.cache_clear()
+    _jet_elements.cache_clear()
     monkeypatch.setattr(genfun, "_loop_quadratic", perturbed)
     for genus in (0, 1):
         with pytest.raises(ArithmeticError, match="arc quadratic"):
