@@ -249,7 +249,9 @@ def _rows(n: int, min_arc: int, min_stack: int, max_genus: int) -> dict[int, dic
 #: Tally plans (:func:`toporna.diagram._plan`) by arc pattern, shared by
 #: every class, length and genus cap: a plan reads nothing else.  The cache
 #: is emptied once it reaches :data:`_PLANS_CAP` entries, about 450 bytes
-#: each with its key; a cold ``full_census(14, 1, 1, 2)`` builds 11,176.
+#: each with its key.  A cold ``full_census(14, 1, 1, 2)`` builds 76,712
+#: plans for 65,498 distinct patterns: the cache is emptied 4 times on the
+#: way and ends with 11,176.
 _plans: dict[tuple[int, ...], tuple] = {}
 _PLANS_CAP = 16384
 

@@ -5,8 +5,8 @@ are integer sequences, so the kernel has one coefficient type.  The
 constructors of :class:`TruncatedSeries`, :class:`Polynomial`,
 :class:`XYPolynomial` and :class:`BivariateSeries` raise ``TypeError`` for
 any other coefficient, and every division (series by series, series by an
-int, each step of the recurrence for S below) is exact or raises
-``ArithmeticError``.
+int, each step of the recurrence for powers of delta below) is exact or
+raises ``ArithmeticError``.
 Rationals appear only at the library's boundary, in the exact means and
 variances of :mod:`toporna.genfun`.
 
@@ -32,8 +32,8 @@ Four layers:
   It has no arithmetic: every family built on it knows p, q and d in
   closed form (see :mod:`toporna.genfun`) and only expands it.
   :func:`_expand` is the one place where an element becomes a series; it
-  computes S once for all the elements it is given, and S is the only
-  square root the kernel expands,
+  computes one power delta**(1/2 - j0) for all the elements it is given,
+  S itself when j0 = 0, and no other root,
 * :class:`YJet`, a 2-jet in a marker variable, carrying the value and the
   first two derivatives at marker value 1 as truncated series of one order.
 
@@ -403,8 +403,9 @@ class AlgebraicSeries:
     power series with constant term 1.  p, q and d are integer polynomials
     (d nonzero) that share no power of x and no integer content.  The
     element has no arithmetic: the families of :mod:`toporna.genfun` build
-    p, q and d in closed form, with d a constant times a power of x times a
-    power of delta, and :func:`_expand` turns elements into
+    p, q and d in closed form, with d = c x**k C delta**j for an integer c
+    and a cofactor C (1 for the arc and block elements, of degree 2 to 6 for
+    the loop elements), and :func:`_expand` turns elements into
     :class:`TruncatedSeries` with integer coefficients, to any order.
     """
 
@@ -440,15 +441,36 @@ class AlgebraicSeries:
         return _expand(order, self)[0]
 
 
+def _radicand_power(delta: Sequence[int], twice: int, length: int) -> list[int]:
+    """The first ``length`` coefficients of delta**(twice/2), for delta[0] = 1.
+
+    The recurrence 2m f_m = sum_i delta_i ((twice + 2) i - 2m) f_(m-i) is the
+    coefficient form of 2 delta F' = twice delta' F.  Each step is an exact
+    division by 2m or raises ``ArithmeticError``.
+    """
+    steps, slope = list(enumerate(delta))[1:], twice + 2
+    f = [1] + [0] * (length - 1)
+    for m in range(1, length):
+        acc = sum(c * (slope * i - 2 * m) * f[m - i] for i, c in steps if i <= m)
+        f[m] = _exact_quotient(acc, 2 * m, "coefficient {} of delta**({}/2)", m, twice)
+    return f
+
+
 def _expand(order: int, *elements: AlgebraicSeries) -> list[TruncatedSeries]:
     """Expansions up to ``x**(order-1)`` of elements over one radicand.
 
-    S is computed once, as far as the element with the highest power of x
-    in its denominator needs, from the recurrence
-    2m s_m = sum_j delta_j (3j - 2m) s_(m-j), the coefficient form of
-    delta S' = delta' S / 2.  Each numerator p + qS is then divided by its
-    d: first by d's power of x, below which the numerator must vanish, then
-    by a recurrence on the rest.  Every division is exact or raises
+    Each d is split once into x**k and a rest.  When every p is zero and
+    the order exceeds twice the shortest rest's degree, the largest power
+    delta**j0 that exact trial division finds in every rest comes off them
+    all.  Otherwise j0 = 0: a nonzero p of these families is about as long
+    as d, so the product p delta**(-j0) would cost what the split saves,
+    and at lower orders the long division costs less than the split.  Then
+    F = delta**(1/2 - j0) is computed once, as far as the element with the
+    highest power of x in its denominator needs, by the recurrence of
+    :func:`_radicand_power` (F = S when j0 = 0).  Each numerator p + q F
+    must vanish below x**k, and what is left is divided by the rest, a
+    constant or a short polynomial for the families of
+    :mod:`toporna.genfun`.  Every division is exact or raises
     ``ArithmeticError``.
     """
     if order < 1:
@@ -457,20 +479,30 @@ def _expand(order: int, *elements: AlgebraicSeries) -> list[TruncatedSeries]:
     if any(e.delta != delta for e in elements):
         raise ValueError("the elements must share one radicand")
     lows = [next(i for i, c in enumerate(e.d.coeffs) if c) for e in elements]
-    steps = list(enumerate(delta.coeffs))[1:]
-    s = [1] + [0] * (order + max(lows) - 1)
-    for m in range(1, len(s)):
-        acc = sum(c * (3 * j - 2 * m) * s[m - j] for j, c in steps if j <= m)
-        s[m] = _exact_quotient(acc, 2 * m, "coefficient {} of the square root", m)
+    rests = [e.d.coeffs[low:] for e, low in zip(elements, lows)]
+    shortest, j0 = min(map(len, rests)) - 1, 0
+    if delta.degree and order > 2 * shortest and all(e.p.is_zero() for e in elements):
+        j0 = shortest // delta.degree
+    while j0:  # from the largest power the degrees allow down to the first that divides all
+        power = Polynomial(_radicand_power(delta.coeffs, 2 * j0, j0 * delta.degree + 1))
+        try:
+            rests = [_exact_factor(Polynomial(r), power).coeffs for r in rests]
+            break
+        except ArithmeticError:
+            j0 -= 1
+    f = _radicand_power(delta.coeffs, 1 - 2 * j0, order + max(lows))
     out = []
-    for e, low in zip(elements, lows):
+    for e, low, rest in zip(elements, lows, rests):
         length = order + low
-        num = _convolve(e.q.coeffs, s, length)
+        num = _convolve(e.q.coeffs, f, length)
         for i, pi in enumerate(e.p.coeffs[:length]):
             num[i] += pi
         if any(num[:low]):
             raise ArithmeticError(f"not a power series: the denominator has x**{low}")
-        out.append(TruncatedSeries(_quotient(num[low:], e.d.coeffs[low:], order), order))
+        if len(rest) > 1:
+            out.append(TruncatedSeries(_quotient(num[low:], rest, order), order))
+        else:
+            out.append(TruncatedSeries(num[low:], order) / rest[0])
     return out
 
 

@@ -27,7 +27,7 @@ from toporna import genfun
 from toporna.genfun import _arc_element, _dg, _inflated, _jet_elements, _loop_quadratic
 from toporna.oracle import enumerate_diagrams, full_census
 from toporna.recursions import MARK_KINDS, chord_series, marked_shape_poly, shape_poly
-from toporna.series import Polynomial, TruncatedSeries, YJet, XYPolynomial, _power
+from toporna.series import Polynomial, TruncatedSeries, YJet, XYPolynomial, _expand, _power
 
 PLAIN = StructureClass(1, 1)
 SPACED = StructureClass(2, 1)
@@ -564,6 +564,24 @@ def test_algebraic_family_outputs_are_pinned():
                 digest.update(repr(_jet_data(pk_marked_dg_jet(cls_, g, kind, 41))).encode())
     assert digest.hexdigest() == (
         "132ece659726c13e7ff3a1505602dea4a6016dad9001a068576f3a37b4e66c61"
+    )
+
+
+def test_heaviest_arc_jet_expansions_are_pinned():
+    """One SHA-256 over the arc jets at (1,1) and (2,2), genus 1-3, orders 401 and 801.
+
+    These are the expansions that take delta**j0 off the longest
+    denominators; the other pins stop at genus 2 and order 401.  The digest
+    was recorded from the kernel that divided by the whole denominator.
+    """
+    digest = hashlib.sha256()
+    for lam, r in [(1, 1), (2, 2)]:
+        for g in (1, 2, 3):
+            for order in (401, 801):
+                for s in _expand(order, *_jet_elements(StructureClass(lam, r), g, "arcs")):
+                    digest.update(repr(s.coeffs).encode())
+    assert digest.hexdigest() == (
+        "76b2c95bbdcdc47714abd83dffd275c84893c3ac9901eb4fad1031d80a8cd3a0"
     )
 
 

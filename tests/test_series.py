@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from toporna.genfun import _element_jet
+from toporna.genfun import StructureClass, _element_jet, discriminant_poly
 from toporna.series import (
     AlgebraicSeries,
     BivariateSeries,
@@ -436,6 +436,81 @@ def test_algebraic_non_integral_expansion_raises(delta, p, d):
     e = AlgebraicSeries(delta, Polynomial(p), q, Polynomial(d))
     with pytest.raises(ArithmeticError):
         e.series(6)
+
+
+KERNEL_RADICANDS = {
+    "one": Polynomial([1]),
+    "catalan": Polynomial([1, -4]),
+    "motzkin": MOTZKIN_DELTA,
+    "class-2-2": discriminant_poly(StructureClass(2, 2)).at_y(1),  # degree 10
+}
+
+
+def _root(delta: Polynomial, order: int) -> TruncatedSeries:
+    return _expand(order, AlgebraicSeries(delta, Polynomial(), Polynomial([1])))[0]
+
+
+def _truncated(poly: Polynomial, order: int) -> TruncatedSeries:
+    return TruncatedSeries(poly.coeffs[:order], order)
+
+
+def _assert_identity(e: AlgebraicSeries, expanded: TruncatedSeries) -> None:
+    """expanded * d == p + q S: below d's power x**k both sides vanish, and the rest agree."""
+    order = expanded.order
+    k = next(i for i, c in enumerate(e.d.coeffs) if c)
+    num = _truncated(e.p, order + k) + _truncated(e.q, order + k) * _root(e.delta, order + k)
+    assert num.coeffs[:k] == [0] * k
+    rest = Polynomial(e.d.coeffs[k:])
+    assert expanded * _truncated(rest, order) == TruncatedSeries(num.coeffs[k:], order)
+
+
+@pytest.mark.parametrize("delta", KERNEL_RADICANDS.values(), ids=KERNEL_RADICANDS.keys())
+def test_expand_satisfies_the_identity_that_defines_each_element(delta):
+    """(p + q S) / (x**k C delta**j) times its denominator is p + q S, and S * S = delta.
+
+    Hand-built elements cover p = 0 and p != 0, j = 0..3, k = 0..2 and
+    cofactors C of degree 0..6, each expanded alone and in the jet-like
+    groups of consecutive j that let delta**j0 come off every denominator.
+    (With p = 0 the constructor takes x**k out of q and d alike, so k > 0
+    reaches the kernel only with p != 0.)
+    """
+    rng = random.Random(31)
+    for order in (1, 2, 7, 60):
+        assert _root(delta, order) * _root(delta, order) == _truncated(delta, order)
+    for degree in range(7):
+        cofactor = Polynomial([1] + [rng.randint(-3, 3) for _ in range(degree - 1)] + [2])
+        cofactor = cofactor if degree else Polynomial([1])
+        for k in range(3):
+            q = Polynomial([rng.randint(-5, 5) for _ in range(4)] + [1])
+            p0 = Polynomial([rng.randint(-5, 5) for _ in range(3)])
+            low = (_truncated(p0, k + 1) + _truncated(q, k + 1) * _root(delta, k + 1)).coeffs[:k]
+            for p, qk in ((Polynomial(), q.shift(k)), (p0 - Polynomial(low), q)):
+                elements = [
+                    AlgebraicSeries(delta, p, qk, (cofactor * _power(delta, j)).shift(k))
+                    for j in range(4)
+                ]
+                assert all(e.p.is_zero() == p.is_zero() for e in elements)
+                for order in (1, 2, 7, 60):
+                    for group in [[e] for e in elements] + [elements[:3], elements[1:]]:
+                        for e, expanded in zip(group, _expand(order, *group)):
+                            _assert_identity(e, expanded)
+
+
+@pytest.mark.parametrize(
+    "q, d",
+    [
+        ([1], [0, 1]),  # S / x has a pole
+        ([1], MOTZKIN_DELTA.shift(1).coeffs),  # delta**(-1/2) / x has a pole
+        ([1], (MOTZKIN_DELTA * 3).coeffs),  # delta**(-1/2) / 3 is not integral
+        ([1], (MOTZKIN_DELTA * MOTZKIN_DELTA * Polynomial([3, 1])).coeffs),  # nor is 1 / (3 + x)
+    ],
+)
+def test_expand_with_delta_split_off_still_raises_for_non_integral_elements(q, d):
+    e = AlgebraicSeries(MOTZKIN_DELTA, Polynomial(), Polynomial(q), Polynomial(d))
+    good = AlgebraicSeries(MOTZKIN_DELTA, Polynomial(), Polynomial([1]), MOTZKIN_DELTA)
+    for elements in ([e], [good, e]):
+        with pytest.raises(ArithmeticError):
+            _expand(8, *elements)
 
 
 def test_algebraic_mixing_radicands_and_bad_orders_raise():
