@@ -17,18 +17,18 @@ finds rho and the arc-count limit law with integers alone:
   Interval Analysis*, SIAM 2009).
 
 A constant is printed only to the digits at which both ends of its
-enclosure round alike (:meth:`ArcLaw.decimal`); the mpf fields of
-:class:`ArcLaw` are the enclosures' midpoints.  A least-squares helper reads
+enclosure round alike (:meth:`ArcLaw.decimal`); library callers get the
+enclosures' exact midpoints as ``Fraction``s.  A least-squares helper reads
 exponents off exact coefficient data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import gcd
-
-from mpmath import mp
+from fractions import Fraction
+from functools import cache, lru_cache
+from math import gcd, isqrt, log
+from statistics import linear_regression
 
 from .genfun import StructureClass, discriminant_poly
 from .series import Polynomial, _exact_factor
@@ -365,28 +365,27 @@ def _law_bounds(cls_: StructureClass, frac: int) -> dict[str, tuple[int, int]]:
     return dict(zip(_FIELDS, (rho, d1, d2, _neg(ratio), variance)))
 
 
-def singularity(cls_: StructureClass, dps: int = 50):
-    """Smallest positive root of the discriminant at marker value 1, as an mpf at ``dps`` digits."""
+def singularity(cls_: StructureClass, dps: int = 50) -> Fraction:
+    """Smallest positive root of the discriminant at marker value 1, to ``dps`` digits or more."""
     poly, bracket, _ = _root_curve(cls_)
     lo, hi, k = _refine(poly, bracket, _bits(dps))
-    with mp.workdps(dps):
-        return mp.ldexp(mp.mpf(lo + hi), -k - 1)
+    return Fraction(lo + hi, 1 << k + 1)
 
 
 @dataclass(frozen=True)
 class ArcLaw:
     """Arc-count limit law data for one structure class (any genus >= 0).
 
-    The five constants are mpf values at the digits asked for, each the
-    midpoint of an integer enclosure kept in ``bounds`` at scale ``frac``;
-    :meth:`decimal` prints a constant from its enclosure.
+    The five constants are ``Fraction``s at the digits asked for, each the
+    exact midpoint of an integer enclosure kept in ``bounds`` at scale
+    ``frac``; :meth:`decimal` prints a constant from its enclosure.
     """
 
-    rho: object
-    rho_d1: object
-    rho_d2: object
-    mean: object
-    variance: object
+    rho: Fraction
+    rho_d1: Fraction
+    rho_d2: Fraction
+    mean: Fraction
+    variance: Fraction
     cls_: StructureClass = field(repr=False)
     frac: int = field(repr=False)
     bounds: dict = field(repr=False, compare=False)
@@ -420,8 +419,7 @@ def arc_law(cls_: StructureClass, dps: int = 50) -> ArcLaw:
     """
     frac = _bits(dps)
     bounds = _law_bounds(cls_, frac)
-    with mp.workdps(dps):
-        values = [mp.ldexp(mp.mpf(lo + hi), -frac - 1) for lo, hi in bounds.values()]
+    values = [Fraction(lo + hi, 1 << frac + 1) for lo, hi in bounds.values()]
     return ArcLaw(*values, cls_=cls_, frac=frac, bounds=bounds)
 
 
@@ -439,8 +437,8 @@ def arc_law_grid(
 
 def mean_arc_grid(
     max_arc: int = 6, max_stack: int = 6, dps: int = 50
-) -> dict[tuple[int, int], object]:
-    """Mean-arc coefficients (mpf) for every class with min_arc <= min_stack + 1, at ``dps`` digits."""
+) -> dict[tuple[int, int], Fraction]:
+    """Mean-arc coefficients for every class with min_arc <= min_stack + 1, at ``dps`` digits."""
     return {key: law.mean for key, law in arc_law_grid(max_arc, max_stack, dps).items()}
 
 
@@ -456,38 +454,47 @@ GENUS1_TYPE_NUMERATORS = {
 GENUS1_TYPE_DENOMINATOR = (-51, 0, 16)
 
 
-def genus1_type_probability(kind: str, n: int, dps: int = 30):
-    """Asymptotic probability that a genus-1 structure's block has this type."""
+@cache
+def _pi(bits: int) -> int:
+    """pi 2^bits to within 2, by Machin's formula pi = 16 atan(1/5) - 4 atan(1/239).
+
+    Each atan(1/x) = sum over odd i of (-1)^(i // 2) / (i x^i) runs at :data:`GUARD_BITS`
+    more bits, to i < bits + GUARD_BITS, past which every floored term is 0.  For bits
+    below 10,000, what the floors and the tail lose is under a unit once shifted back.
+    """
+    one = 1 << bits + GUARD_BITS
+    def atan(x):
+        return sum((-1) ** (i // 2) * (one // x**i // i) for i in range(1, bits + GUARD_BITS, 2))
+    return 16 * atan(5) - 4 * atan(239) >> GUARD_BITS
+
+
+def genus1_type_probability(kind: str, n: int) -> Fraction:
+    """Asymptotic probability that a genus-1 structure's block has this type.
+
+    A ``Fraction`` within 10^-30 of the exact value: sqrt(3 pi n) to 128 bits, over |16n - 51| >= 3.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     a, b, c = GENUS1_TYPE_NUMERATORS[kind]
     da, db, dc = GENUS1_TYPE_DENOMINATOR
-    with mp.workdps(dps):
-        root = mp.sqrt(3 * mp.pi * n)
-        return (a + b * root + c * n) / (da + db * root + dc * n)
+    root = isqrt(3 * n * _pi(256))
+    return Fraction(((a + c * n) << 128) + b * root, ((da + dc * n) << 128) + db * root)
 
 
-def fit_power_exponent(values, n_lo: int, n_hi: int, rho, dps: int = 50):
+def fit_power_exponent(values, n_lo: int, n_hi: int, rho):
     """Least-squares exponent d in values[n] ~ C * n^d * rho^(-n).
 
     ``values`` is indexable by n (list or dict) with positive entries over
-    [n_lo, n_hi].  Returns (d, log_C) as floats.
+    [n_lo, n_hi], ints, ``Fraction``s or floats.  Returns (d, log_C) as floats.
     """
-    with mp.workdps(dps):
-        log_rho = mp.log(mp.mpf(rho))
-        xs = []
-        ys = []
-        for n in range(n_lo, n_hi + 1):
-            v = values[n]
-            if v <= 0:
-                raise ValueError(f"nonpositive value at n={n}")
-            xs.append(mp.log(n))
-            ys.append(mp.log(mp.mpf(v)) + n * log_rho)
-        m = len(xs)
-        mean_x = mp.fsum(xs) / m
-        mean_y = mp.fsum(ys) / m
-        sxx = mp.fsum((x - mean_x) ** 2 for x in xs)
-        sxy = mp.fsum(
-            (x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)
-        )
-        slope = sxy / sxx
-        intercept = mean_y - slope * mean_x
-        return float(slope), float(intercept)
+    if n_hi <= n_lo:
+        raise ValueError(f"n_hi must exceed n_lo, got n_lo={n_lo}, n_hi={n_hi}")
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    ns = range(n_lo, n_hi + 1)
+    for n in ns:
+        if values[n] <= 0:
+            raise ValueError(f"nonpositive value at n={n}")
+    log_rho = log(rho)
+    ys = [log(values[n]) + n * log_rho for n in ns]
+    return tuple(linear_regression([log(n) for n in ns], ys))

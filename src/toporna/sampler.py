@@ -25,6 +25,7 @@ builder, so sampled and enumerated statistics are computed the same way.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from itertools import accumulate, islice
@@ -405,11 +406,17 @@ def chi_square(observed, weights) -> tuple[float, int]:
 
 
 def chi_square_pvalue(stat: float, dof: int) -> float:
-    """Upper tail probability of the chi-square distribution."""
+    """Upper tail probability of the chi-square distribution.
+
+    Abramowitz and Stegun 26.4.4-26.4.5: with h = stat / 2, erfc(sqrt(h)) for odd dof
+    plus h^a e^-h / Gamma(a + 1), through logarithms, for a = dof/2 - 1, dof/2 - 2, ... >= 0.
+    """
     if dof <= 0:
         raise ValueError("dof must be positive")
-    from mpmath import mp
-
-    with mp.workdps(30):
-        half = mp.mpf(dof) / 2
-        return float(mp.gammainc(half, a=mp.mpf(stat) / 2, regularized=True))
+    if not 0 <= stat < math.inf:
+        raise ValueError(f"stat must be finite and nonnegative, got {stat!r}")
+    half = stat / 2
+    if not half:
+        return 1.0
+    logs = (k / 2 * math.log(half) - half - math.lgamma(k / 2 + 1) for k in range(dof - 2, -1, -2))
+    return math.fsum(map(math.exp, logs)) + (math.erfc(math.sqrt(half)) if dof % 2 else 0.0)

@@ -346,7 +346,7 @@ class Polynomial:
     def __call__(self, x):
         """The value at ``x`` by Horner's rule.
 
-        ``x`` is a number (an int, a rational or an mpmath float), a
+        ``x`` is a number (an int, a ``Fraction`` or a float), a
         :class:`TruncatedSeries` or a :class:`YJet`.  The sum starts from
         ``x * 0``, so the zero polynomial returns the zero of x's kind.
         """

@@ -1,7 +1,7 @@
 from fractions import Fraction
+from math import isqrt
 
 from hypothesis import given, settings, strategies as st
-from mpmath import mp
 
 import pytest
 
@@ -28,22 +28,23 @@ PLAIN = StructureClass(1, 1)
 
 def test_singularity_plain():
     rho = singularity(PLAIN)
-    with mp.workdps(60):
-        assert abs(rho - mp.mpf(1) / 3) < mp.mpf(10) ** -40
+    assert isinstance(rho, Fraction)
+    assert abs(rho - Fraction(1, 3)) < Fraction(1, 10**40)
 
 
 def test_singularity_spaced():
     rho = singularity(StructureClass(2, 1))
-    with mp.workdps(60):
-        exact = (3 - mp.sqrt(5)) / 2
-        assert abs(rho - exact) < mp.mpf(10) ** -40
+    # (3 - sqrt 5) / 2 lies in (lo, lo + 10^-60]
+    root = isqrt(5 * 10**120)
+    lo = Fraction(3 * 10**60 - root - 1, 2 * 10**60)
+    tol = Fraction(1, 10**40)
+    assert lo + Fraction(1, 10**60) - tol < rho < lo + tol
 
 
 def test_arc_law_plain_exact():
     law = arc_law(PLAIN)
-    with mp.workdps(60):
-        assert abs(law.mean - mp.mpf(1) / 3) < mp.mpf(10) ** -35
-        assert abs(law.variance - mp.mpf(1) / 18) < mp.mpf(10) ** -35
+    assert abs(law.mean - Fraction(1, 3)) < Fraction(1, 10**35)
+    assert abs(law.variance - Fraction(1, 18)) < Fraction(1, 10**35)
 
 
 def test_arc_law_spot_values():
@@ -79,18 +80,16 @@ def test_type_asymptotics_partition_exact():
 def test_type_probability_values():
     p_h = genus1_type_probability("H", 500)
     assert 0.0362 < p_h < 0.0363
-    with mp.workdps(30):
-        total = sum(genus1_type_probability(k, 500) for k in "HKLM")
-        assert abs(total - 1) < mp.mpf(10) ** -20
+    total = sum(genus1_type_probability(k, 500) for k in "HKLM")
+    assert abs(total - 1) < Fraction(1, 10**20)
     # M dominates for long sequences
     assert genus1_type_probability("M", 10**6) > 0.9
 
 
 def test_fit_recovers_synthetic_exponent():
-    with mp.workdps(40):
-        rho = mp.mpf(1) / 4
-        values = {n: 5 * mp.mpf(n) ** 2.5 * 4**n for n in range(50, 151)}
-    d, _ = fit_power_exponent(values, 50, 150, rho)
+    # 5 n^2.5 4^n, with sqrt(n) floored to 40 digits
+    values = {n: Fraction(5 * n**2 * isqrt(n * 10**80) * 4**n, 10**40) for n in range(50, 151)}
+    d, _ = fit_power_exponent(values, 50, 150, Fraction(1, 4))
     assert abs(d - 2.5) < 1e-10
 
 
@@ -104,6 +103,21 @@ def test_fit_on_plain_secondary_counts():
 def test_fit_rejects_nonpositive():
     with pytest.raises(ValueError):
         fit_power_exponent([0] * 20, 5, 15, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fit_power_exponent([1] * 20, 5, 5, 0.5), "n_hi must exceed n_lo, got n_lo=5, n_hi=5"),
+        (lambda: fit_power_exponent([1] * 20, 9, 5, 0.5), "n_hi must exceed n_lo, got n_lo=9, n_hi=5"),
+        (lambda: fit_power_exponent([1] * 20, 5, 15, 0), "rho must be positive, got 0"),
+        (lambda: fit_power_exponent([1] * 20, 5, 15, -0.5), "rho must be positive, got -0.5"),
+        (lambda: genus1_type_probability("H", -5), "n must be nonnegative, got -5"),
+    ],
+)
+def test_refusals_name_the_argument_and_the_value(call, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        call()
 
 
 # -- the exact root kernel -------------------------------------------------

@@ -452,6 +452,25 @@ def test_clt_strings_to_a_hundred_digits_are_pinned(capsys):
     )
 
 
+def test_leading_term_strings_are_pinned(capsys):
+    """Every ``leading_term`` line of ``expect`` for the four types at n = 34..400.
+
+    The digest was recorded while the limits were still mpmath floats at 30
+    digits; none is printed at n = 34.
+    """
+    strings = []
+    for kind in "HKLM":
+        for n in range(34, 401):
+            code, out, err = run(capsys, "expect", "--type", kind, "--n", str(n))
+            assert code == 0 and err == ""
+            lines = [line for line in out.splitlines() if line.startswith("leading_term: ")]
+            assert len(lines) == (n > 34), (kind, n)
+            strings += lines
+    assert _digest(strings) == (
+        "eafa35ee05202c3af8b46d0860fee12222e7f1933b320827a78fc0fddb92a5ff"
+    )
+
+
 def test_sample_stats(capsys):
     code, out, _ = run(
         capsys,

@@ -391,6 +391,9 @@ def test_parameter_validation():
         (lambda: shape_weights(0), "shape weights are defined for genus >= 1, got 0"),
         (lambda: irreducible_poly(0), "irreducible shadows require genus >= 1, got 0"),
         (lambda: inventory_cap(-1, 10, 1), "genus must be nonnegative, got -1"),
+        (lambda: chi_square_pvalue(-1.0, 3), "stat must be finite and nonnegative, got -1.0"),
+        (lambda: chi_square_pvalue(float("nan"), 3), "stat must be finite and nonnegative, got nan"),
+        (lambda: chi_square_pvalue(float("inf"), 3), "stat must be finite and nonnegative, got inf"),
     ],
 )
 def test_refusals_name_the_argument_and_the_value(call, message):
@@ -462,3 +465,39 @@ def test_chi_square_helpers():
     # zero-weight bins are dropped from the support
     stat, dof = chi_square({"a": 10}, {"a": 1, "b": 0})
     assert dof == 0 and stat == pytest.approx(0.0)
+
+
+#: (stat, dof, upper tail), as mpmath's regularized incomplete gamma function
+#: gave them at 30 digits: criterion 8's 148 and 4 degrees of freedom, and a
+#: small grid of odd and even ones.
+PVALUE_PINS = [
+    (100.0, 148, 0.9991135674117169),
+    (148.0, 148, 0.4845401751533863),
+    (200.0, 148, 0.002848577503633545),
+    (250.0, 148, 3.217624763254891e-07),
+    (0.25, 4, 0.9928090154076699),
+    (4.0, 4, 0.40600584970983805),
+    (15.0, 4, 0.0047012171462565856),
+    (30.0, 4, 4.8944371280292126e-06),
+    (0.5, 1, 0.4795001221869535),
+    (3.0, 1, 0.0832645166635504),
+    (12.0, 1, 0.0005320055051392497),
+    (60.0, 1, 9.485737571073848e-15),
+    (0.5, 2, 0.7788007830714049),
+    (60.0, 2, 9.357622968840175e-14),
+    (3.0, 3, 0.39162517627108895),
+    (60.0, 3, 5.878230727906912e-13),
+    (12.0, 5, 0.03478778050624185),
+    (60.0, 5, 1.215456977718304e-11),
+    (0.5, 10, 0.999993388289439),
+    (12.0, 10, 0.2850565003166312),
+    (60.0, 10, 3.6243009520614882e-09),
+    (0.5, 31, 1.0),
+    (3.0, 31, 0.9999999999746513),
+    (60.0, 31, 0.0013497859785251325),
+]
+
+
+@pytest.mark.parametrize("stat, dof, want", PVALUE_PINS)
+def test_chi_square_pvalue_is_pinned(stat, dof, want):
+    assert chi_square_pvalue(stat, dof) == pytest.approx(want, rel=1e-12, abs=0)
